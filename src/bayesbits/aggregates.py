@@ -16,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Bits, Distribution, Probability, entropy, info_content
-from .engine import (
-    ModelSpace,
-    ObservationModel,
-    _check_pairing,
-    evidence,
-    posterior_prob_oracle,
-    tic,
-)
+from .engine import ModelSpace, ObservationModel, ObservationUpdate, update, updates
 
 __all__ = [
     "KlResult",
@@ -69,25 +62,32 @@ def kl_expected_tic(ms: ModelSpace, om: ObservationModel, x: str) -> KlResult:
     Zero-weight terms contribute exactly 0 even when their TIC is
     ``-inf``, so refuted models drop out of the sum.
     """
+    return kl_from_update(update(ms, om, x))
+
+
+def kl_from_update(u: ObservationUpdate) -> KlResult:
+    """:func:`kl_expected_tic` of an observation already applied."""
     terms = []
     value = 0.0
-    for theta in ms.labels:
-        weight = posterior_prob_oracle(ms, om, x, theta)
-        t = tic(ms, om, x, theta)
+    for theta, weight, t in zip(u.models, u.posteriors, u.tics):
         terms.append(KlTerm(model=theta, weight=weight, tic=t))
         if weight != 0:
             value += float(weight) * t
-    return KlResult(observation=x, value=value, terms=tuple(terms))
+    return KlResult(observation=u.observation, value=value, terms=tuple(terms))
 
 
 def kl_classical(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
     """KL(posterior || prior) summed directly over posterior log-odds."""
+    return kl_classical_from_update(update(ms, om, x))
+
+
+def kl_classical_from_update(u: ObservationUpdate) -> Bits:
+    """:func:`kl_classical` of an observation already applied."""
     value = 0.0
-    for theta in ms.labels:
-        post = posterior_prob_oracle(ms, om, x, theta)
+    for post, prior_i in zip(u.posteriors, u.prior_infos):
         if post == 0:
             continue
-        value += float(post) * (info_content(ms.prior_of(theta)) - info_content(post))
+        value += float(post) * (prior_i - info_content(post))
     return value
 
 
@@ -118,29 +118,32 @@ def mutual_information(ms: ModelSpace, om: ObservationModel) -> MiResult:
     Observations with zero evidence cannot occur and are skipped; they
     would contribute weight 0 anyway.
     """
-    _check_pairing(ms, om)
+    return mi_from_updates(updates(ms, om))
+
+
+def mi_from_updates(us: tuple[ObservationUpdate | None, ...]) -> MiResult:
+    """:func:`mutual_information` from the updates of every observation."""
     terms = []
     value = 0.0
-    for x in om.observation_labels:
-        ev = evidence(ms, om, x)
-        if ev == 0:
+    for u in us:
+        if u is None:
             continue
-        kl = kl_expected_tic(ms, om, x)
-        terms.append(MiTerm(observation=x, evidence=ev, kl=kl))
-        value += float(ev) * kl.value
+        kl = kl_from_update(u)
+        terms.append(MiTerm(observation=u.observation, evidence=u.evidence, kl=kl))
+        value += float(u.evidence) * kl.value
     return MiResult(value=value, per_observation=tuple(terms))
 
 
 def mutual_information_classical(ms: ModelSpace, om: ObservationModel) -> Bits:
     """Mutual information as prior entropy minus expected posterior entropy."""
-    _check_pairing(ms, om)
+    return mi_classical_from_updates(ms.prior, updates(ms, om))
+
+
+def mi_classical_from_updates(prior: Distribution, us: tuple[ObservationUpdate | None, ...]) -> Bits:
+    """:func:`mutual_information_classical` from the updates of every observation."""
     conditional = 0.0
-    for x in om.observation_labels:
-        ev = evidence(ms, om, x)
-        if ev == 0:
+    for u in us:
+        if u is None:
             continue
-        posterior = Distribution(
-            ms.labels, [posterior_prob_oracle(ms, om, x, theta) for theta in ms.labels]
-        )
-        conditional += float(ev) * entropy(posterior)
-    return entropy(ms.prior) - conditional
+        conditional += float(u.evidence) * entropy(Distribution(prior.labels, u.posteriors))
+    return entropy(prior) - conditional

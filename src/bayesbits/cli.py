@@ -31,15 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .aggregates import kl_classical, kl_expected_tic, mutual_information, mutual_information_classical
-from .core import Distribution, Probability, info_content, probability_repr
-from .engine import (
-    evidence,
-    local_transfer_entropy,
-    posterior_prob_info_form,
-    tic,
-    transfer_report,
+from .aggregates import (
+    kl_classical_from_update,
+    kl_from_update,
+    mi_classical_from_updates,
+    mi_from_updates,
 )
+from .core import Distribution, Probability, info_content, prob_from_info, probability_repr
+from .engine import select_update, update, updates
 from .errors import (
     BayesBitsError,
     DomainError,
@@ -106,11 +105,12 @@ class ReportDocument:
 
 
 def build_report(scenario: Scenario, observation: str) -> ReportDocument:
-    ms = scenario.model_space
     om = scenario.observation_model
-    report = transfer_report(ms, om, observation)
-    kl = kl_expected_tic(ms, om, observation)
-    mi = mutual_information(ms, om)
+    all_updates = updates(scenario.model_space, om)
+    u = select_update(all_updates, om, observation)
+    report = u.report()
+    kl = kl_from_update(u)
+    mi = mi_from_updates(all_updates)
     rows = tuple(
         ReportRow(
             model=entry.model,
@@ -374,9 +374,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_kl(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    ms, om = scenario.model_space, scenario.observation_model
-    via_tic = kl_expected_tic(ms, om, args.observe).value
-    classical = kl_classical(ms, om, args.observe)
+    u = update(scenario.model_space, scenario.observation_model, args.observe)
+    via_tic = kl_from_update(u).value
+    classical = kl_classical_from_update(u)
     p = args.precision
     print(f"scenario: {scenario.name}")
     print(f"observation: {args.observe}")
@@ -388,9 +388,9 @@ def cmd_kl(args: argparse.Namespace) -> int:
 
 def cmd_mi(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    ms, om = scenario.model_space, scenario.observation_model
-    via_tic = mutual_information(ms, om).value
-    classical = mutual_information_classical(ms, om)
+    all_updates = updates(scenario.model_space, scenario.observation_model)
+    via_tic = mi_from_updates(all_updates).value
+    classical = mi_classical_from_updates(scenario.model_space.prior, all_updates)
     p = args.precision
     print(f"scenario: {scenario.name}")
     print(f"mi_expected_tic_bits: {_fmt_bits(max(0.0, via_tic), p)}")
@@ -422,26 +422,23 @@ def verify_scenario(scenario: Scenario) -> tuple[float, int]:
         max_dev = max(max_dev, _deviation(a, b))
         checks += 1
 
-    for x in om.observation_labels:
-        if evidence(ms, om, x) == 0:
+    all_updates = updates(ms, om)
+    for u in all_updates:
+        if u is None:
             continue
-        metrics = oracle_metrics(table, x)
-        check(info_content(evidence(ms, om, x)), info_content(metrics.evidence))
-        for theta in om.model_labels:
-            check(
-                posterior_prob_info_form(ms, om, x, theta),
-                float(metrics.posterior[theta]),
-            )
+        metrics = oracle_metrics(table, u.observation)
+        check(u.evidence_info, info_content(metrics.evidence))
+        for j, theta in enumerate(om.model_labels):
+            check(prob_from_info(u.posterior_infos[j]), float(metrics.posterior[theta]))
             oracle_tic = metrics.tic_bits[theta]
-            engine_tic = tic(ms, om, x, theta) if oracle_tic is not None else None
-            check(engine_tic, oracle_tic)
+            check(u.tics[j] if oracle_tic is not None else None, oracle_tic)
             if oracle_tic is not None:
-                check(local_transfer_entropy(ms, om, x, theta), oracle_tic)
-        check(kl_expected_tic(ms, om, x).value, metrics.kl_bits)
-        check(kl_classical(ms, om, x), metrics.kl_bits)
+                check(u.local_transfer_entropy(j), oracle_tic)
+        check(kl_from_update(u).value, metrics.kl_bits)
+        check(kl_classical_from_update(u), metrics.kl_bits)
     mi_oracle = oracle_mi(table)
-    check(mutual_information(ms, om).value, mi_oracle)
-    check(mutual_information_classical(ms, om), mi_oracle)
+    check(mi_from_updates(all_updates).value, mi_oracle)
+    check(mi_classical_from_updates(ms.prior, all_updates), mi_oracle)
     return max_dev, checks
 
 

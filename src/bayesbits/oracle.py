@@ -14,7 +14,7 @@ than silently rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ExactnessError, ImpossibleObservationError, InvariantViolation
@@ -51,20 +51,25 @@ class JointOutcomeTable:
     observation_labels: tuple[str, ...]
     prior: tuple[Fraction, ...]
     rows: tuple[JointRow, ...]
+    # observation -> model -> joint cell, built once from ``rows``
+    _cells: dict[str, dict[str, Fraction]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        cells: dict[str, dict[str, Fraction]] = {}
+        for row in self.rows:
+            cells.setdefault(row.observation, {})[row.model] = row.prob
+        object.__setattr__(self, "_cells", cells)
 
     def joint(self, model: str, observation: str) -> Fraction:
-        for row in self.rows:
-            if row.model == model and row.observation == observation:
-                return row.prob
-        raise KeyError(f"no joint cell for ({model!r}, {observation!r})")
+        try:
+            return self._cells[observation][model]
+        except KeyError:
+            raise KeyError(f"no joint cell for ({model!r}, {observation!r})") from None
 
     def evidence(self, observation: str) -> Fraction:
         if observation not in self.observation_labels:
             raise KeyError(f"unknown observation {observation!r}")
-        return sum(
-            (row.prob for row in self.rows if row.observation == observation),
-            Fraction(0),
-        )
+        return sum(self._cells.get(observation, {}).values(), Fraction(0))
 
     def prior_of(self, model: str) -> Fraction:
         return self.prior[self.model_labels.index(model)]
@@ -85,19 +90,20 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
     ms = scenario.model_space
     om = scenario.observation_model
     rows: list[JointRow] = []
+    marginals: list[Fraction] = []
     for i, theta in enumerate(om.model_labels):
         prior = Fraction(ms.prior.probs[i])
+        marginal = Fraction(0)
         for j, x in enumerate(om.observation_labels):
-            lik = Fraction(om.likelihood[j][i])
-            rows.append(JointRow(model=theta, observation=x, prob=prior * lik))
+            prob = prior * Fraction(om.likelihood[j][i])
+            rows.append(JointRow(model=theta, observation=x, prob=prob))
+            marginal += prob
+        marginals.append(marginal)
 
-    total = sum((row.prob for row in rows), Fraction(0))
+    total = sum(marginals, Fraction(0))
     if total != 1:
         raise InvariantViolation(f"joint table sums to {total}, expected exactly 1")
-    for i, theta in enumerate(om.model_labels):
-        marginal = sum(
-            (row.prob for row in rows if row.model == theta), Fraction(0)
-        )
+    for i, (theta, marginal) in enumerate(zip(om.model_labels, marginals)):
         if marginal != Fraction(ms.prior.probs[i]):
             raise InvariantViolation(
                 f"joint marginal for model {theta!r} is {marginal}, "
@@ -131,14 +137,20 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
     """
     if observation not in table.observation_labels:
         raise KeyError(f"unknown observation {observation!r}")
-    joint_of = {
-        row.model: row.prob for row in table.rows if row.observation == observation
-    }
-    evidence = sum(joint_of.values(), Fraction(0))
-    if evidence == 0:
+    metrics = _metrics(table, observation)
+    if metrics is None:
         raise ImpossibleObservationError(
             f"observation {observation!r} has zero probability under the prior"
         )
+    return metrics
+
+
+def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None:
+    """:func:`oracle_metrics` of a known observation; None when it has zero evidence."""
+    joint_of = table._cells.get(observation, {})
+    evidence = sum(joint_of.values(), Fraction(0))
+    if evidence == 0:
+        return None
     posterior: dict[str, Fraction] = {}
     tic_bits: dict[str, float | None] = {}
     for i, theta in enumerate(table.model_labels):
@@ -173,8 +185,8 @@ def oracle_mi(table: JointOutcomeTable) -> float:
     """Mutual information in bits: evidence-weighted KL over observations."""
     mi = 0.0
     for x in table.observation_labels:
-        evidence = table.evidence(x)
-        if evidence == 0:
+        metrics = _metrics(table, x)
+        if metrics is None:
             continue
-        mi += float(evidence) * oracle_metrics(table, x).kl_bits
+        mi += float(metrics.evidence) * metrics.kl_bits
     return mi

@@ -1,0 +1,115 @@
+"""Golden CLI output: stdout must match the committed files byte for byte.
+
+Each case runs ``cli.main`` on a scenario file and compares its exit
+code and stdout with ``tests/golden/<case>.out``. The scenarios are the
+three presets, a forgetful 8-door game with a non-uniform exact prior
+(one door has prior 0, so it has zero likelihoods, refuted models and an
+impossible observation), and a small float scenario.
+
+After a deliberate output change, regenerate the files with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and review the diff before committing it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# scenario name -> argv of the `mhp` command that writes it; "floaty" is a
+# committed input file because no generator makes float scenarios
+SCENARIOS = {
+    "traditional": ["mhp", "traditional"],
+    "biased": ["mhp", "biased"],
+    "forgetful": ["mhp", "forgetful"],
+    "custom8": [
+        "mhp", "custom-8", "--policy", "forgetful",
+        "--prior", "1/4,1/8,1/8,1/16,3/16,1/8,1/8,0",
+    ],
+}
+
+# case name -> (scenario, argv after the scenario path is put in place of
+# "{path}", expected exit code)
+CASES: dict[str, tuple[str, list[str], int]] = {}
+for _name, _obs in (
+    ("traditional", ["Monty_B"]),
+    ("biased", ["Monty_C"]),
+    ("forgetful", ["Monty_B", "Monty_B_car"]),
+    ("custom8", ["Monty_C", "Monty_D4_car"]),
+    ("floaty", ["y", "z"]),
+):
+    for _x in _obs:
+        for _fmt in ("table", "json", "csv"):
+            CASES[f"{_name}-solve-{_x}-{_fmt}"] = (
+                _name, ["solve", "{path}", "--observe", _x, "--format", _fmt], 0
+            )
+        CASES[f"{_name}-kl-{_x}"] = (_name, ["kl", "{path}", "--observe", _x], 0)
+    CASES[f"{_name}-mi"] = (_name, ["mi", "{path}"], 0)
+    if _name != "floaty":
+        CASES[f"{_name}-verify"] = (_name, ["verify", "{path}"], 0)
+CASES["custom8-solve-Monty_D8_car-table"] = (
+    "custom8", ["solve", "{path}", "--observe", "Monty_D8_car"], 3
+)
+CASES["biased-solve-Monty_C-table-precision3"] = (
+    "biased", ["solve", "{path}", "--observe", "Monty_C", "--precision", "3"], 0
+)
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    from bayesbits import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def scenario_paths(root: Path) -> dict[str, str]:
+    paths = {"floaty": str(GOLDEN / "floaty.json")}
+    for name, argv in SCENARIOS.items():
+        path = root / f"{name}.json"
+        code, _ = run_cli(argv + ["--out", str(path)])
+        assert code == 0
+        paths[name] = str(path)
+    return paths
+
+
+def run_case(case: str, paths: dict[str, str]) -> tuple[int, str]:
+    scenario, argv, _ = CASES[case]
+    return run_cli([paths[scenario] if arg == "{path}" else arg for arg in argv])
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return scenario_paths(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, paths):
+    expected = (GOLDEN / f"{case}.out").read_bytes().decode("utf-8")
+    code, out = run_case(case, paths)
+    # the scenario path appears in no output, so the files do not depend on it
+    assert code == CASES[case][2]
+    assert out == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_files = scenario_paths(Path(tmp))
+        for name in sorted(CASES):
+            code, out = run_case(name, scenario_files)
+            if code != CASES[name][2]:
+                sys.exit(f"{name}: exit code {code}, expected {CASES[name][2]}")
+            (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
+    print(f"wrote {len(CASES)} golden files to {GOLDEN}")
