@@ -66,7 +66,8 @@ def as_probability(value: Probability | int | str) -> Probability:
     if isinstance(value, int):
         value = Fraction(value)
     if isinstance(value, Fraction):
-        if not 0 <= value <= 1:
+        # a Fraction's denominator is positive, so this is 0 <= value <= 1
+        if not 0 <= value.numerator <= value.denominator:
             raise DomainError(f"probability {value} outside [0, 1]")
         return value
     if isinstance(value, float):
@@ -74,6 +75,35 @@ def as_probability(value: Probability | int | str) -> Probability:
             raise DomainError(f"probability {value!r} outside [0, 1]")
         return value
     raise DomainError(f"probability must be Fraction, int, or float, got {type(value).__name__}")
+
+
+def _common_denominator(ps: Sequence[Probability]) -> tuple[list[int], int] | None:
+    """Numerators of ``ps`` over their least common denominator.
+
+    None unless every value is a Fraction. Exact kernels sum and compare
+    these integers and build one Fraction per result, instead of going
+    through Fraction arithmetic for every ``+`` and ``*``.
+    """
+    if not all(isinstance(p, Fraction) for p in ps):
+        return None
+    den = math.lcm(*[p.denominator for p in ps])
+    return [p.numerator * (den // p.denominator) for p in ps], den
+
+
+def _sum_unless_one(ps: Sequence[Probability]) -> str | None:
+    """The sum of ``ps`` as text when it is not 1, else None.
+
+    All-Fraction values must sum to exactly 1, checked on their integer
+    numerators over one common denominator; values with any float must
+    sum to 1 within :data:`FLOAT_SUM_TOL`.
+    """
+    scaled = _common_denominator(ps)
+    if scaled is not None:
+        nums, den = scaled
+        total = sum(nums)
+        return None if total == den else probability_repr(Fraction(total, den))
+    total = float(sum(ps))
+    return None if abs(total - 1.0) <= FLOAT_SUM_TOL else repr(total)
 
 
 def is_exact(p: Probability) -> bool:
@@ -173,14 +203,9 @@ class Distribution:
             )
         if len(set(self.labels)) != len(self.labels):
             raise InvariantViolation(f"duplicate labels in {self.labels}")
-        total = sum(self.probs)
-        if self.is_exact:
-            if total != 1:
-                raise InvariantViolation(
-                    f"probabilities sum to {probability_repr(Fraction(total))}, expected 1"
-                )
-        elif abs(float(total) - 1.0) > FLOAT_SUM_TOL:
-            raise InvariantViolation(f"probabilities sum to {float(total)!r}, expected 1")
+        total = _sum_unless_one(self.probs)
+        if total is not None:
+            raise InvariantViolation(f"probabilities sum to {total}, expected 1")
 
     @property
     def is_exact(self) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import ExactnessError, ImpossibleObservationError, InvariantViolation
 from .scenario import Scenario
@@ -25,9 +26,17 @@ __all__ = [
     "JointRow",
     "OracleMetrics",
     "enumerate_joint",
+    "observation_metrics",
     "oracle_metrics",
     "oracle_mi",
+    "oracle_mi_from_metrics",
 ]
+
+
+def _exact_sum(values: list[Fraction]) -> Fraction:
+    # Integer numerators over the least common denominator, normalised once.
+    den = math.lcm(*[v.denominator for v in values])
+    return Fraction(sum([v.numerator * (den // v.denominator) for v in values]), den)
 
 
 def _log2_ratio(fr: Fraction) -> float:
@@ -69,7 +78,7 @@ class JointOutcomeTable:
     def evidence(self, observation: str) -> Fraction:
         if observation not in self.observation_labels:
             raise KeyError(f"unknown observation {observation!r}")
-        return sum(self._cells.get(observation, {}).values(), Fraction(0))
+        return _exact_sum(list(self._cells.get(observation, {}).values()))
 
     def prior_of(self, model: str) -> Fraction:
         return self.prior[self.model_labels.index(model)]
@@ -89,30 +98,31 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
         )
     ms = scenario.model_space
     om = scenario.observation_model
+    prior = tuple(Fraction(p) for p in ms.prior.probs)
     rows: list[JointRow] = []
     marginals: list[Fraction] = []
     for i, theta in enumerate(om.model_labels):
-        prior = Fraction(ms.prior.probs[i])
-        marginal = Fraction(0)
+        num, den = prior[i].numerator, prior[i].denominator
+        cells: list[Fraction] = []
         for j, x in enumerate(om.observation_labels):
-            prob = prior * Fraction(om.likelihood[j][i])
+            lik = om.likelihood[j][i]  # a Fraction: the scenario is exact
+            prob = Fraction(num * lik.numerator, den * lik.denominator)
             rows.append(JointRow(model=theta, observation=x, prob=prob))
-            marginal += prob
-        marginals.append(marginal)
+            cells.append(prob)
+        marginals.append(_exact_sum(cells))
 
-    total = sum(marginals, Fraction(0))
+    total = _exact_sum(marginals)
     if total != 1:
         raise InvariantViolation(f"joint table sums to {total}, expected exactly 1")
-    for i, (theta, marginal) in enumerate(zip(om.model_labels, marginals)):
-        if marginal != Fraction(ms.prior.probs[i]):
+    for theta, marginal, p in zip(om.model_labels, marginals, prior):
+        if marginal != p:
             raise InvariantViolation(
-                f"joint marginal for model {theta!r} is {marginal}, "
-                f"expected the prior {ms.prior.probs[i]}"
+                f"joint marginal for model {theta!r} is {marginal}, expected the prior {p}"
             )
     return JointOutcomeTable(
         model_labels=tuple(om.model_labels),
         observation_labels=tuple(om.observation_labels),
-        prior=tuple(Fraction(p) for p in ms.prior.probs),
+        prior=prior,
         rows=tuple(rows),
     )
 
@@ -146,32 +156,33 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
 
 
 def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None:
-    """:func:`oracle_metrics` of a known observation; None when it has zero evidence."""
+    """:func:`oracle_metrics` of a known observation; None when it has zero evidence.
+
+    Each model's posterior ``joint / evidence`` and its ratio to the prior
+    ``P(theta | x) / P(theta)``, which equals ``P(x | theta) / P(x)``, are
+    built once from integer parts; that one ratio gives both the TIC and
+    the model's KL term.
+    """
     joint_of = table._cells.get(observation, {})
-    evidence = sum(joint_of.values(), Fraction(0))
+    evidence = _exact_sum(list(joint_of.values()))
     if evidence == 0:
         return None
+    ev_num, ev_den = evidence.numerator, evidence.denominator
     posterior: dict[str, Fraction] = {}
     tic_bits: dict[str, float | None] = {}
-    for i, theta in enumerate(table.model_labels):
+    kl = 0.0
+    for theta, prior in zip(table.model_labels, table.prior):
         joint = joint_of[theta]
-        prior = table.prior[i]
-        posterior[theta] = joint / evidence
+        post = Fraction(joint.numerator * ev_den, joint.denominator * ev_num)
+        posterior[theta] = post
         if prior == 0:
             tic_bits[theta] = None
-            continue
-        likelihood = joint / prior
-        if likelihood == 0:
+        elif post == 0:
             tic_bits[theta] = float("-inf")
         else:
-            tic_bits[theta] = _log2_ratio(likelihood / evidence)
-
-    kl = 0.0
-    for i, theta in enumerate(table.model_labels):
-        post = posterior[theta]
-        if post == 0:
-            continue
-        kl += float(post) * _log2_ratio(post / table.prior[i])
+            ratio = Fraction(post.numerator * prior.denominator, post.denominator * prior.numerator)
+            tic_bits[theta] = bits = _log2_ratio(ratio)
+            kl += float(post) * bits
     return OracleMetrics(
         observation=observation,
         evidence=evidence,
@@ -181,12 +192,21 @@ def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None
     )
 
 
+def observation_metrics(table: JointOutcomeTable) -> tuple[OracleMetrics | None, ...]:
+    """The metrics of every observation, in order; None where its evidence is 0."""
+    return tuple([_metrics(table, x) for x in table.observation_labels])
+
+
 def oracle_mi(table: JointOutcomeTable) -> float:
     """Mutual information in bits: evidence-weighted KL over observations."""
+    return oracle_mi_from_metrics(observation_metrics(table))
+
+
+def oracle_mi_from_metrics(metrics: Iterable[OracleMetrics | None]) -> float:
+    """:func:`oracle_mi` from the metrics of every observation (None entries skipped)."""
     mi = 0.0
-    for x in table.observation_labels:
-        metrics = _metrics(table, x)
-        if metrics is None:
+    for m in metrics:
+        if m is None:
             continue
-        mi += float(metrics.evidence) * metrics.kl_bits
+        mi += float(m.evidence) * m.kl_bits
     return mi

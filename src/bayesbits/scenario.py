@@ -191,14 +191,23 @@ def _parse_prob(value: Any, where: str) -> Probability:
             raise ScenarioFormatError(
                 f"{where}: expected a number or 'num/den' string, got {value!r}"
             )
-        if int(m.group(2)) == 0:
+        try:
+            num, den = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:  # more digits than CPython converts to int
+            raise ScenarioFormatError(f"{where}: 'num/den' string too long: {exc}") from exc
+        if den == 0:
             raise ScenarioFormatError(f"{where}: zero denominator in {value!r}")
-        prob = Fraction(int(m.group(1)), int(m.group(2)))
+        prob = Fraction(num, den)
     else:
         raise ScenarioFormatError(
             f"{where}: expected a number or 'num/den' string, got {type(value).__name__}"
         )
-    if not 0 <= prob <= 1:
+    if isinstance(prob, Fraction):
+        # a Fraction's denominator is positive, so this is 0 <= prob <= 1
+        in_range = 0 <= prob.numerator <= prob.denominator
+    else:
+        in_range = 0 <= prob <= 1
+    if not in_range:
         raise ScenarioFormatError(f"{where}: probability {value!r} outside [0, 1]")
     return prob
 
@@ -234,6 +243,10 @@ def scenario_from_json_text(text: str, source: str = "<string>") -> Scenario:
         raise ScenarioFormatError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioFormatError(f"{source}: JSON nested too deeply to parse") from exc
+    except ValueError as exc:  # an integer literal with more digits than CPython converts
+        raise ScenarioFormatError(f"{source}: number too long: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"{source}: top level must be an object")
     unknown = set(doc) - _TOP_KEYS

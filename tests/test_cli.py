@@ -227,6 +227,32 @@ class TestSolve:
         assert cli.main(["solve", str(bad), "--observe", "x"]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_oversize_rational_string_exit_2(self, tmp_path, capsys):
+        # more digits than CPython converts to int (4300 by default)
+        doc = {
+            "name": "huge",
+            "models": [{"label": "A", "prior": "1" * 5000 + "/" + "1" * 5000}],
+            "observations": ["x"],
+            "likelihood": [["1/1"]],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path), "--observe", "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "models[0].prior" in err
+
+    def test_oversize_number_literal_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"name": "huge", "models": [{"label": "A", "prior": ' + "1" * 5000 + "}]}")
+        assert cli.main(["solve", str(path), "--observe", "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_float_scenario_solves_fine(self, scenario_files, capsys):
         assert cli.main(["solve", scenario_files["floaty"], "--observe", "x"]) == 0
         assert "H2" in capsys.readouterr().out

@@ -12,6 +12,7 @@ from bayesbits import (
     ModelSpace,
     ObservationModel,
     SignClass,
+    TIC_NEUTRAL_TOL,
     UndefinedLogError,
     UnknownLabelError,
     ZeroLikelihoodRatioError,
@@ -174,6 +175,41 @@ class TestClassifyTic:
     def test_nan_rejected(self):
         with pytest.raises(InvariantViolation):
             classify_tic(float("nan"))
+
+
+class TestExactSign:
+    """Exact inputs get their sign class from an exact comparison, not the TIC band."""
+
+    EPS = Fraction(1, 10**14)
+
+    def near_neutral(self, exact: bool):
+        half = Fraction(1, 2)
+        up, down = half + self.EPS, half - self.EPS
+        if not exact:
+            half, up, down = float(half), float(up), float(down)
+        ms = ModelSpace(prior=Distribution(("A", "B"), (half, half)))
+        om = ObservationModel(("x", "y"), ("A", "B"), [[up, down], [down, up]])
+        return ms, om
+
+    def test_exact_tiny_tic_is_signed(self):
+        ms, om = self.near_neutral(exact=True)
+        report = transfer_report(ms, om, "x")
+        assert report.evidence == Fraction(1, 2)
+        # |TIC| is ~2.9e-14 bits, inside the float neutral band
+        assert 0 < report.entry_for("A").tic < TIC_NEUTRAL_TOL
+        assert report.entry_for("A").sign_class is SignClass.INFORMS
+        assert report.entry_for("B").sign_class is SignClass.MISLEADS
+
+    def test_float_tiny_tic_stays_neutral(self):
+        ms, om = self.near_neutral(exact=False)
+        report = transfer_report(ms, om, "x")
+        assert report.entry_for("A").sign_class is SignClass.NEUTRAL
+        assert report.entry_for("B").sign_class is SignClass.NEUTRAL
+
+    def test_exact_equality_is_neutral(self, traditional):
+        # P(Monty_B | A) = 1/2 = P(Monty_B)
+        ms, om = parts(traditional)
+        assert transfer_report(ms, om, "Monty_B").entry_for("A").sign_class is SignClass.NEUTRAL
 
 
 class TestPosterior:

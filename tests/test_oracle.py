@@ -21,7 +21,14 @@ from bayesbits import (
     posterior_prob_info_form,
     tic,
 )
-from helpers import bits_gap, random_rational_scenario
+from bayesbits.oracle import observation_metrics, oracle_mi_from_metrics
+from helpers import (
+    bits_gap,
+    random_rational_scenario,
+    wide_36_bit,
+    wide_coprime,
+    wide_rational_scenario,
+)
 
 
 class TestEnumerateJoint:
@@ -186,3 +193,61 @@ class TestEngineAgreement:
                         posterior_prob_info_form(ms, om, x, theta),
                         float(m.posterior[theta]),
                     ) <= 1e-9
+
+
+def same_bits(a: float, b: float) -> bool:
+    return a.hex() == b.hex()
+
+
+class TestKernels:
+    """The oracle's integer kernels against Fraction arithmetic, bit for bit."""
+
+    @staticmethod
+    def scenarios():
+        rng = random.Random(20261018)
+        for _ in range(60):
+            yield random_rational_scenario(rng, max_models=6, max_observations=6)
+        for denominators in (wide_36_bit, wide_coprime):
+            for _ in range(30):
+                yield wide_rational_scenario(rng, denominators)
+
+    def test_metrics_match_fraction_formulas(self):
+        for scenario in self.scenarios():
+            table = enumerate_joint(scenario)
+            for x in table.observation_labels:
+                ev = sum((table.joint(theta, x) for theta in table.model_labels), Fraction(0))
+                assert table.evidence(x) == ev
+                if ev == 0:
+                    continue
+                m = oracle_metrics(table, x)
+                assert m.evidence == ev
+                kl = 0.0
+                for theta in table.model_labels:
+                    joint, prior = table.joint(theta, x), table.prior_of(theta)
+                    post = m.posterior[theta]
+                    assert isinstance(post, Fraction) and post == joint / ev
+                    if prior == 0:
+                        assert m.tic_bits[theta] is None
+                        continue
+                    if joint == 0:
+                        assert m.tic_bits[theta] == -math.inf
+                        continue
+                    ratio = (joint / prior) / ev
+                    bits = math.log2(ratio.numerator) - math.log2(ratio.denominator)
+                    assert same_bits(m.tic_bits[theta], bits)
+                    kl += float(post) * bits
+                assert same_bits(m.kl_bits, kl)
+
+    def test_mi_from_metrics_matches_oracle_mi(self):
+        for scenario in self.scenarios():
+            table = enumerate_joint(scenario)
+            every = observation_metrics(table)
+            assert len(every) == len(table.observation_labels)
+            mi = 0.0
+            for x, m in zip(table.observation_labels, every):
+                assert (m is None) == (table.evidence(x) == 0)
+                if m is not None:
+                    assert m == oracle_metrics(table, x)
+                    mi += float(m.evidence) * m.kl_bits
+            assert same_bits(oracle_mi(table), oracle_mi_from_metrics(every))
+            assert same_bits(oracle_mi(table), mi)

@@ -16,6 +16,10 @@ from bayesbits import (
     HostPolicy,
     ImpossibleObservationError,
     MhpConfig,
+    ObservationModel,
+    Scenario,
+    SignClass,
+    classify_tic,
     evidence,
     info_content,
     local_transfer_entropy,
@@ -26,11 +30,11 @@ from bayesbits import (
     tic,
     transfer_report,
 )
-from bayesbits import engine
+from bayesbits import engine, oracle
 from bayesbits.cli import verify_scenario
 from bayesbits.engine import update, updates
 
-from helpers import random_rational_scenario
+from helpers import random_rational_scenario, wide_36_bit, wide_coprime, wide_rational_scenario
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -38,45 +42,101 @@ def same_bits(a: float, b: float) -> bool:
     return a.hex() == b.hex()
 
 
+def expected_sign(lik, ev, t):
+    """Textbook sign class: exact comparison for Fractions, the TIC band for floats."""
+    if isinstance(lik, Fraction) and isinstance(ev, Fraction):
+        if lik == ev:
+            return SignClass.NEUTRAL
+        return SignClass.INFORMS if lik > ev else SignClass.MISLEADS
+    return classify_tic(t)
+
+
+def check_against_formulas(scenario) -> int:
+    """Assert the update, the wrappers and the textbook formulas agree.
+
+    Returns the number of observations with zero evidence.
+    """
+    ms, om = scenario.model_space, scenario.observation_model
+    exact = scenario.is_exact
+    impossible = 0
+    all_updates = updates(ms, om)
+    for x, row, shared in zip(om.observation_labels, om.likelihood, all_updates):
+        ev = sum(lik * p for lik, p in zip(row, ms.prior.probs))
+        assert evidence(ms, om, x) == ev and isinstance(ev, Fraction) == exact
+        assert same_bits(float(evidence(ms, om, x)), float(ev))
+        if ev == 0:
+            impossible += 1
+            assert shared is None
+            for call in (lambda: update(ms, om, x), lambda: tic(ms, om, x, ms.labels[0])):
+                with pytest.raises(ImpossibleObservationError):
+                    call()
+            continue
+        u = update(ms, om, x)
+        assert u == shared
+        assert u.evidence == ev
+        report = transfer_report(ms, om, x)
+        assert report == u.report()
+        for j, theta in enumerate(ms.labels):
+            lik, prior_p = row[j], ms.prior.probs[j]
+            post = posterior_prob_oracle(ms, om, x, theta)
+            assert isinstance(post, Fraction) == exact
+            assert post == u.posteriors[j] == lik * prior_p / ev
+            assert same_bits(float(post), float(lik * prior_p / ev))
+            t = tic(ms, om, x, theta)
+            assert same_bits(t, u.tics[j])
+            assert same_bits(t, info_content(ev) - info_content(lik))
+            assert u.signs[j] == (None if prior_p == 0 else expected_sign(lik, ev, t))
+            post_i = posterior_info(ms, om, x, theta)
+            assert same_bits(post_i, u.posterior_infos[j])
+            assert same_bits(post_i, info_content(prior_p) - t)
+            if prior_p != 0:
+                assert same_bits(
+                    local_transfer_entropy(ms, om, x, theta), u.local_transfer_entropy(j)
+                )
+    return impossible
+
+
 def test_update_matches_wrappers_and_formulas():
     rng = random.Random(20261017)
     impossible = 0
     for _ in range(300):
         scenario = random_rational_scenario(rng, max_models=6, max_observations=6)
-        ms, om = scenario.model_space, scenario.observation_model
-        all_updates = updates(ms, om)
-        for x, row, shared in zip(om.observation_labels, om.likelihood, all_updates):
-            ev = sum(lik * p for lik, p in zip(row, ms.prior.probs))
-            assert evidence(ms, om, x) == ev and isinstance(ev, Fraction)
-            if ev == 0:
-                impossible += 1
-                assert shared is None
-                for call in (lambda: update(ms, om, x), lambda: tic(ms, om, x, ms.labels[0])):
-                    with pytest.raises(ImpossibleObservationError):
-                        call()
-                continue
-            u = update(ms, om, x)
-            assert u == shared
-            assert u.evidence == ev
-            report = transfer_report(ms, om, x)
-            assert report == u.report()
-            for j, theta in enumerate(ms.labels):
-                lik, prior_p = row[j], ms.prior.probs[j]
-                post = posterior_prob_oracle(ms, om, x, theta)
-                assert isinstance(post, Fraction)
-                assert post == u.posteriors[j] == lik * prior_p / ev
-                t = tic(ms, om, x, theta)
-                assert same_bits(t, u.tics[j])
-                assert same_bits(t, info_content(ev) - info_content(lik))
-                post_i = posterior_info(ms, om, x, theta)
-                assert same_bits(post_i, u.posterior_infos[j])
-                assert same_bits(post_i, info_content(prior_p) - t)
-                if prior_p != 0:
-                    assert same_bits(
-                        local_transfer_entropy(ms, om, x, theta), u.local_transfer_entropy(j)
-                    )
+        impossible += check_against_formulas(scenario)
     # the seed must reach the zero-evidence branch, or that half is untested
     assert impossible > 0
+
+
+@pytest.mark.parametrize(
+    "denominators",
+    [
+        pytest.param(wide_36_bit, id="36-bit"),
+        pytest.param(wide_coprime, id="pairwise-coprime"),
+    ],
+)
+def test_update_matches_formulas_on_wide_denominators(denominators):
+    # The integer kernel scales every entry to one common denominator;
+    # entries with different, large denominators stress that scaling.
+    rng = random.Random(20261018)
+    for _ in range(150):
+        scenario = wide_rational_scenario(rng, denominators)
+        assert scenario.is_exact
+        check_against_formulas(scenario)
+
+
+def test_mixed_exact_prior_float_likelihood_takes_float_path():
+    # An exact prior with a float row is worked in float arithmetic, as before.
+    rng = random.Random(7)
+    for _ in range(100):
+        base = random_rational_scenario(rng, max_models=5, max_observations=5)
+        om = base.observation_model
+        floats = [[float(p) for p in row] for row in om.likelihood]
+        scenario = Scenario(
+            name="mixed",
+            model_space=base.model_space,
+            observation_model=ObservationModel(om.observation_labels, om.model_labels, floats),
+        )
+        assert scenario.model_space.prior.is_exact and not scenario.is_exact
+        check_against_formulas(scenario)
 
 
 def test_one_marginalisation_per_observation(monkeypatch):
@@ -99,3 +159,21 @@ def test_one_marginalisation_per_observation(monkeypatch):
     calls = 0
     mutual_information(ms, om)
     assert calls <= 2 * n_obs
+
+
+def test_one_oracle_pass_per_observation(monkeypatch):
+    # verify reuses each observation's oracle metrics for the oracle MI
+    # instead of computing them a second time inside oracle_mi.
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    n_obs = len(scenario.observation_model.observation_labels)
+    calls = 0
+    metrics = oracle._metrics
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return metrics(*args)
+
+    monkeypatch.setattr(oracle, "_metrics", counting)
+    assert verify_scenario(scenario)[0] <= 1e-9
+    assert 0 < calls <= n_obs
