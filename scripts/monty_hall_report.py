@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 
 from bayesbits import Distribution, HostPolicy, MhpConfig, evidence, mhp_scenario
-from bayesbits.cli import build_report, render_table, verify_scenario
+from bayesbits.cli import build_report, render_table
+from bayesbits.verify import verify_scenario
 
 
 def variants():

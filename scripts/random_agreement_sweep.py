@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from bayesbits import Distribution, ModelSpace, ObservationModel, Scenario
-from bayesbits.cli import VERIFY_TOL, verify_scenario
+from bayesbits.verify import VERIFY_TOL, verify_scenario
 
 
 def random_distribution(rng: random.Random, size: int) -> list[Fraction]:

@@ -28,8 +28,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .aggregates import (
     kl_classical_from_update,
@@ -37,23 +36,23 @@ from .aggregates import (
     mi_classical_from_updates,
     mi_from_updates,
 )
-from .core import Distribution, Probability, info_content, prob_from_info, probability_repr
-from .engine import select_update, update, updates
+from .core import Distribution, probability_repr
+from .engine import ModelTransfer, TransferReport, select_update, update, updates
 from .errors import BayesBitsError, DomainError, ImpossibleObservationError
-from .oracle import enumerate_joint, observation_metrics, oracle_mi_from_metrics
 from .scenario import (
+    MAX_DOORS,
     HostPolicy,
     MhpConfig,
     Scenario,
+    door_labels,
     load_scenario,
     mhp_scenario,
     save_scenario,
     scenario_to_json_text,
 )
+from .verify import VERIFY_TOL, verify_scenario
 
-__all__ = ["ReportDocument", "ReportRow", "build_report", "entry_point", "main"]
-
-VERIFY_TOL = 1e-9
+__all__ = ["ReportDocument", "build_report", "entry_point", "main"]
 
 CSV_HEADER = [
     "model",
@@ -72,27 +71,11 @@ CSV_HEADER = [
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    model: str
-    prior: Probability
-    prior_bits: float
-    evidence_bits: float
-    likelihood_bits: float
-    tic_bits: float | None
-    sign: str | None
-    posterior_bits: float
-    posterior_prob: float
-
-
-@dataclass(frozen=True)
 class ReportDocument:
     """Everything one solve run prints, before any formatting."""
 
     scenario: str
-    observation: str
-    evidence: Probability
-    evidence_bits: float
-    rows: tuple[ReportRow, ...]
+    transfer: TransferReport
     kl_bits: float
     mi_bits: float
 
@@ -101,82 +84,53 @@ def build_report(scenario: Scenario, observation: str) -> ReportDocument:
     om = scenario.observation_model
     all_updates = updates(scenario.model_space, om)
     u = select_update(all_updates, om, observation)
-    report = u.report()
-    kl = kl_from_update(u)
-    mi = mi_from_updates(all_updates)
-    rows = tuple(
-        ReportRow(
-            model=entry.model,
-            prior=entry.prior_prob,
-            prior_bits=entry.prior_info,
-            evidence_bits=entry.evidence_info,
-            likelihood_bits=entry.likelihood_info,
-            tic_bits=entry.tic,
-            sign=entry.sign_class.value if entry.sign_class is not None else None,
-            posterior_bits=entry.posterior_info,
-            posterior_prob=entry.posterior_prob,
-        )
-        for entry in report.entries
-    )
     return ReportDocument(
         scenario=scenario.name,
-        observation=observation,
-        evidence=report.evidence,
-        evidence_bits=info_content(report.evidence),
-        rows=rows,
-        kl_bits=kl.value,
-        mi_bits=mi.value,
+        transfer=u.report(),
+        kl_bits=kl_from_update(u).clamped,
+        mi_bits=mi_from_updates(all_updates).clamped,
     )
 
 
-# --- formatting helpers ------------------------------------------------------
+def _cells(entry: ModelTransfer) -> tuple[Any, ...]:
+    """A model's report values in :data:`CSV_HEADER` order."""
+    sign = entry.sign_class.value if entry.sign_class is not None else None
+    return (
+        entry.model,
+        entry.prior_prob,
+        entry.prior_info,
+        entry.evidence_info,
+        entry.likelihood_info,
+        entry.tic,
+        sign,
+        entry.posterior_info,
+        entry.posterior_prob,
+    )
 
 
-def _clean(x: float) -> float:
-    # collapse -0.0 so formatted output never shows a negative zero
-    return 0.0 if x == 0.0 else x
+# --- cell formatters: None, a label, a Fraction or a float -------------------
 
 
-def _fmt_bits(x: float | None, precision: int) -> str:
-    if x is None:
-        return "n/a"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{_clean(x):.{precision}f}"
+def _cell(v: Any, none: Any, number: Callable[[float], Any]) -> Any:
+    if v is None:
+        return none
+    if isinstance(v, float):
+        # collapse -0.0 so formatted output never shows a negative zero
+        return number(0.0 if v == 0.0 else v)
+    return v if isinstance(v, str) else probability_repr(v)
 
 
-def _fmt_prob(p: Probability, precision: int) -> str:
-    if isinstance(p, Fraction):
-        return probability_repr(p)
-    return f"{_clean(p):.{precision}f}"
+def _text(v: Any, precision: int) -> str:
+    return _cell(v, "n/a", lambda x: f"{x:.{precision}f}")
 
 
-def _machine_bits(x: float | None) -> Any:
-    # JSON value: full-precision number, or "Infinity"/"-Infinity" strings
-    # since JSON numbers cannot carry infinities
-    if x is None:
-        return None
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return _clean(x)
+def _json(v: Any) -> Any:
+    # JSON numbers cannot carry infinities, so those become strings
+    return _cell(v, None, lambda x: x if math.isfinite(x) else "Infinity" if x > 0 else "-Infinity")
 
 
-def _machine_prob(p: Probability) -> Any:
-    if isinstance(p, Fraction):
-        return probability_repr(p)
-    return _clean(p)
-
-
-def _csv_bits(x: float | None) -> str:
-    if x is None:
-        return ""
-    return repr(_clean(x))
-
-
-def _csv_prob(p: Probability) -> str:
-    if isinstance(p, Fraction):
-        return probability_repr(p)
-    return repr(_clean(p))
+def _csv(v: Any) -> str:
+    return _cell(v, "", repr)
 
 
 def _align_table(header: list[str], body: list[list[str]], left: set[int]) -> str:
@@ -195,58 +149,34 @@ def _align_table(header: list[str], body: list[list[str]], left: set[int]) -> st
 
 
 def render_table(doc: ReportDocument, precision: int) -> str:
-    body = []
-    for row in doc.rows:
-        body.append(
-            [
-                row.model,
-                _fmt_prob(row.prior, precision),
-                _fmt_bits(row.prior_bits, precision),
-                _fmt_bits(row.evidence_bits, precision),
-                _fmt_bits(row.likelihood_bits, precision),
-                _fmt_bits(row.tic_bits, precision),
-                row.sign if row.sign is not None else "n/a",
-                _fmt_bits(row.posterior_bits, precision),
-                _fmt_bits(row.posterior_prob, precision),
-            ]
-        )
-    table = _align_table(list(CSV_HEADER), body, left={0, 6})
+    report = doc.transfer
+    body = [[_text(v, precision) for v in _cells(entry)] for entry in report.entries]
     lines = [
         f"scenario: {doc.scenario}",
-        f"observation: {doc.observation}",
-        f"evidence: {_fmt_prob(doc.evidence, precision)} "
-        f"({_fmt_bits(doc.evidence_bits, precision)} bits)",
+        f"observation: {report.observation}",
+        f"evidence: {_text(report.evidence, precision)} "
+        f"({_text(report.evidence_info, precision)} bits)",
         "",
-        table,
+        _align_table(CSV_HEADER, body, left={0, 6}),
         "",
-        f"KL(posterior || prior): {_fmt_bits(max(0.0, doc.kl_bits), precision)} bits",
-        f"mutual information: {_fmt_bits(max(0.0, doc.mi_bits), precision)} bits",
+        f"KL(posterior || prior): {_text(doc.kl_bits, precision)} bits",
+        f"mutual information: {_text(doc.mi_bits, precision)} bits",
     ]
     return "\n".join(lines) + "\n"
 
 
 def render_json(doc: ReportDocument) -> str:
+    report = doc.transfer
     payload = {
         "scenario": doc.scenario,
-        "observation": doc.observation,
-        "evidence": _machine_prob(doc.evidence),
-        "evidence_bits": _machine_bits(doc.evidence_bits),
+        "observation": report.observation,
+        "evidence": _json(report.evidence),
+        "evidence_bits": _json(report.evidence_info),
         "models": [
-            {
-                "model": row.model,
-                "prior": _machine_prob(row.prior),
-                "prior_bits": _machine_bits(row.prior_bits),
-                "evidence_bits": _machine_bits(row.evidence_bits),
-                "likelihood_bits": _machine_bits(row.likelihood_bits),
-                "tic_bits": _machine_bits(row.tic_bits),
-                "sign": row.sign,
-                "posterior_bits": _machine_bits(row.posterior_bits),
-                "posterior_prob": _machine_bits(row.posterior_prob),
-            }
-            for row in doc.rows
+            dict(zip(CSV_HEADER, map(_json, _cells(entry)))) for entry in report.entries
         ],
-        "kl_bits": _machine_bits(max(0.0, doc.kl_bits)),
-        "mi_bits": _machine_bits(max(0.0, doc.mi_bits)),
+        "kl_bits": _json(doc.kl_bits),
+        "mi_bits": _json(doc.mi_bits),
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -255,20 +185,7 @@ def render_csv(doc: ReportDocument) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in doc.rows:
-        writer.writerow(
-            [
-                row.model,
-                _csv_prob(row.prior),
-                _csv_bits(row.prior_bits),
-                _csv_bits(row.evidence_bits),
-                _csv_bits(row.likelihood_bits),
-                _csv_bits(row.tic_bits),
-                row.sign if row.sign is not None else "",
-                _csv_bits(row.posterior_bits),
-                _csv_bits(row.posterior_prob),
-            ]
-        )
+    writer.writerows([_csv(v) for v in _cells(entry)] for entry in doc.transfer.entries)
     return buffer.getvalue()
 
 
@@ -276,48 +193,42 @@ def render_csv(doc: ReportDocument) -> str:
 
 _CUSTOM_RE = re.compile(r"^custom(?:-(.+))?$")
 
+_PRESETS: dict[str, tuple[str, dict[str, Any]]] = {
+    "traditional": ("Traditional Monty Hall", {}),
+    "biased": ("Biased Monty Hall", {"prior": Distribution(door_labels(3), ("1/2", "1/3", "1/6"))}),
+    "forgetful": ("Forgetful Monty Hall", {"host_policy": HostPolicy.FORGETFUL}),
+}
+
 
 def _parse_prior_flag(raw: str, doors: tuple[str, ...]) -> Distribution:
-    parts = [part.strip() for part in raw.split(",")]
-    try:
-        probs = [Fraction(part) for part in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse --prior {raw!r}: {exc}") from exc
-    if len(probs) != len(doors):
+    parts = raw.split(",")
+    if len(parts) != len(doors):
         raise DomainError(
-            f"--prior has {len(probs)} entries but the game has {len(doors)} doors"
+            f"--prior has {len(parts)} entries but the game has {len(doors)} doors"
         )
-    return Distribution(doors, probs)
+    return Distribution(doors, [part.strip() for part in parts])
 
 
 def _mhp_from_args(args: argparse.Namespace) -> Scenario:
     variant: str = args.variant
     custom = _CUSTOM_RE.match(variant)
-    if variant in ("traditional", "biased", "forgetful"):
+    if variant in _PRESETS:
         for flag in ("doors", "pick", "prior", "policy"):
             if getattr(args, flag) is not None:
                 raise DomainError(
                     f"--{flag} only applies to the custom variant; "
                     f"{variant!r} is a fixed preset"
                 )
-        if variant == "traditional":
-            cfg = MhpConfig()
-            name = "Traditional Monty Hall"
-        elif variant == "biased":
-            prior = Distribution(
-                ("A", "B", "C"), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-            )
-            cfg = MhpConfig(prior=prior)
-            name = "Biased Monty Hall"
-        else:
-            cfg = MhpConfig(host_policy=HostPolicy.FORGETFUL)
-            name = "Forgetful Monty Hall"
-        scenario = mhp_scenario(cfg, name=name)
+        name, options = _PRESETS[variant]
+        scenario = mhp_scenario(MhpConfig(**options), name=name)
     elif custom is not None:
         suffix = custom.group(1)
         doors = args.doors
         if suffix is not None and suffix.isdigit():
-            inline = int(suffix)
+            try:
+                inline = int(suffix)
+            except ValueError:  # more digits than CPython converts, or non-ASCII digits
+                raise DomainError(f"custom-N needs a door count of at most {MAX_DOORS}") from None
             if doors is not None and doors != inline:
                 raise DomainError(
                     f"variant {variant!r} names {inline} doors but --doors says {doors}"
@@ -325,7 +236,7 @@ def _mhp_from_args(args: argparse.Namespace) -> Scenario:
             doors = inline
         if doors is None:
             raise DomainError("custom variant needs --doors (or a custom-<N> count)")
-        labels = MhpConfig(door_count=doors).prior.labels  # type: ignore[union-attr]
+        labels = door_labels(doors)
         prior = _parse_prior_flag(args.prior, labels) if args.prior is not None else None
         cfg = MhpConfig(
             door_count=doors,
@@ -365,78 +276,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _both_paths(quantity: str, via_tic: float, classical: float, precision: int) -> int:
+    print(f"{quantity}_expected_tic_bits: {_text(max(0.0, via_tic), precision)}")
+    print(f"{quantity}_classical_bits: {_text(max(0.0, classical), precision)}")
+    print(f"difference: {_csv(via_tic - classical)}")
+    return 0
+
+
 def cmd_kl(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     u = update(scenario.model_space, scenario.observation_model, args.observe)
-    via_tic = kl_from_update(u).value
-    classical = kl_classical_from_update(u)
-    p = args.precision
     print(f"scenario: {scenario.name}")
     print(f"observation: {args.observe}")
-    print(f"kl_expected_tic_bits: {_fmt_bits(max(0.0, via_tic), p)}")
-    print(f"kl_classical_bits: {_fmt_bits(max(0.0, classical), p)}")
-    print(f"difference: {repr(_clean(via_tic - classical))}")
-    return 0
+    return _both_paths("kl", kl_from_update(u).value, kl_classical_from_update(u), args.precision)
 
 
 def cmd_mi(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     all_updates = updates(scenario.model_space, scenario.observation_model)
+    print(f"scenario: {scenario.name}")
     via_tic = mi_from_updates(all_updates).value
     classical = mi_classical_from_updates(scenario.model_space.prior, all_updates)
-    p = args.precision
-    print(f"scenario: {scenario.name}")
-    print(f"mi_expected_tic_bits: {_fmt_bits(max(0.0, via_tic), p)}")
-    print(f"mi_classical_bits: {_fmt_bits(max(0.0, classical), p)}")
-    print(f"difference: {repr(_clean(via_tic - classical))}")
-    return 0
-
-
-def _deviation(a: float | None, b: float | None) -> float:
-    """Absolute gap between two bit values; equal infinities count as 0."""
-    if a is None or b is None:
-        return 0.0 if a is b else math.inf
-    if a == b:
-        return 0.0
-    if math.isnan(a) or math.isnan(b):
-        return math.inf
-    return abs(a - b)
-
-
-def verify_scenario(scenario: Scenario) -> tuple[float, int]:
-    """Max engine-vs-oracle deviation in bits, and the comparison count."""
-    ms, om = scenario.model_space, scenario.observation_model
-    table = enumerate_joint(scenario)
-    max_dev = 0.0
-    checks = 0
-
-    def check(a: float | None, b: float | None) -> None:
-        nonlocal max_dev, checks
-        max_dev = max(max_dev, _deviation(a, b))
-        checks += 1
-
-    all_updates = updates(ms, om)
-    all_metrics = observation_metrics(table)
-    for u, metrics in zip(all_updates, all_metrics):
-        if u is None:
-            continue
-        if metrics is None:
-            raise ImpossibleObservationError(
-                f"observation {u.observation!r} has zero probability under the prior"
-            )
-        check(u.evidence_info, info_content(metrics.evidence))
-        for j, theta in enumerate(om.model_labels):
-            check(prob_from_info(u.posterior_infos[j]), float(metrics.posterior[theta]))
-            oracle_tic = metrics.tic_bits[theta]
-            check(u.tics[j] if oracle_tic is not None else None, oracle_tic)
-            if oracle_tic is not None:
-                check(u.local_transfer_entropy(j), oracle_tic)
-        check(kl_from_update(u).value, metrics.kl_bits)
-        check(kl_classical_from_update(u), metrics.kl_bits)
-    mi_oracle = oracle_mi_from_metrics(all_metrics)
-    check(mi_from_updates(all_updates).value, mi_oracle)
-    check(mi_classical_from_updates(ms.prior, all_updates), mi_oracle)
-    return max_dev, checks
+    return _both_paths("mi", via_tic, classical, args.precision)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -444,7 +305,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     max_dev, checks = verify_scenario(scenario)
     print(f"scenario: {scenario.name}")
     print(f"comparisons: {checks}")
-    print(f"max_deviation_bits: {repr(_clean(max_dev))}")
+    print(f"max_deviation_bits: {_csv(max_dev)}")
     print(f"tolerance_bits: {repr(VERIFY_TOL)}")
     ok = max_dev <= VERIFY_TOL
     print(f"status: {'PASS' if ok else 'FAIL'}")
@@ -453,16 +314,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
-
-def _precision(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid precision {raw!r}") from None
-    if not 0 <= value <= 17:
-        raise argparse.ArgumentTypeError("precision must be between 0 and 17")
-    return value
-
+_PRECISION: dict[str, Any] = dict(type=int, choices=range(18), default=6, metavar="PRECISION")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -498,18 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--format", choices=["table", "json", "csv"], default="table", help="output format"
     )
-    p_solve.add_argument("--precision", type=_precision, default=6, help="table decimal places")
+    p_solve.add_argument("--precision", **_PRECISION, help="table decimal places")
     p_solve.set_defaults(func=cmd_solve)
 
     p_kl = sub.add_parser("kl", help="KL(posterior || prior) via both paths")
     p_kl.add_argument("scenario", help="path to a scenario JSON file")
     p_kl.add_argument("--observe", required=True, help="observation label to condition on")
-    p_kl.add_argument("--precision", type=_precision, default=6, help="decimal places")
+    p_kl.add_argument("--precision", **_PRECISION, help="decimal places")
     p_kl.set_defaults(func=cmd_kl)
 
     p_mi = sub.add_parser("mi", help="mutual information via both paths")
     p_mi.add_argument("scenario", help="path to a scenario JSON file")
-    p_mi.add_argument("--precision", type=_precision, default=6, help="decimal places")
+    p_mi.add_argument("--precision", **_PRECISION, help="decimal places")
     p_mi.set_defaults(func=cmd_mi)
 
     p_verify = sub.add_parser("verify", help="compare the engine against the exact oracle")

@@ -18,6 +18,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -112,9 +113,18 @@ def is_exact(p: Probability) -> bool:
 
 
 def probability_repr(p: Probability) -> str:
-    """Stable text form: ``"num/den"`` for exact values, repr for floats."""
+    """Stable text form: ``"num/den"`` for exact values, repr for floats.
+
+    A numerator or denominator with more digits than CPython prints
+    (4300 by default) raises :class:`DomainError`.
+    """
     if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
+        try:
+            return f"{p.numerator}/{p.denominator}"
+        except ValueError as exc:
+            raise DomainError(
+                f"exact value has over {sys.get_int_max_str_digits()} digits, too long to print"
+            ) from exc
     return repr(p)
 
 
@@ -129,6 +139,8 @@ def _log2_positive(p: Probability) -> float:
             x = float(p)
         except OverflowError:
             x = 0.0
+        if x == 1.0:  # any rational within 2**-53 of 1: log1p keeps its offset
+            return math.log1p((p.numerator - p.denominator) / p.denominator) / math.log(2)
         if x > 0.0:
             return math.log2(x)
         return math.log2(p.numerator) - math.log2(p.denominator)

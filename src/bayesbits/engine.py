@@ -298,6 +298,7 @@ class TransferReport:
 
     observation: str
     evidence: Probability
+    evidence_info: Bits
     entries: tuple[ModelTransfer, ...]
 
     def entry_for(self, theta: str) -> ModelTransfer:
@@ -355,9 +356,7 @@ class ObservationUpdate:
                 self.posterior_infos,
             )
         ]
-        return TransferReport(
-            observation=self.observation, evidence=self.evidence, entries=tuple(entries)
-        )
+        return TransferReport(self.observation, self.evidence, self.evidence_info, tuple(entries))
 
     def local_transfer_entropy(self, j: int) -> Bits:
         """Log-odds update ``log2(P(theta|x) / P(theta))`` of model ``j``.
@@ -409,7 +408,9 @@ def _apply(
     ev, posteriors, excess = _joint_row(ms.prior.probs, scaled_prior, row)
     if ev == 0:
         return None
-    ev_info = info_content(ev)
+    # A float evidence can round a step above 1 (a prior summing to
+    # 1 + 2**-52, within FLOAT_SUM_TOL); it is certain, so 0 bits.
+    ev_info = 0.0 if ev > 1 else info_content(ev)
     # One pass into plain lists: building these tuples from generators left
     # about 0.6 MiB more resident over a few hundred calls (CPython 3.11).
     lik_infos, tics, signs, posterior_infos = [], [], [], []

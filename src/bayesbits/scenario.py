@@ -21,12 +21,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .core import Distribution, Probability, probability_repr
+from .core import Distribution, Probability, as_probability, probability_repr
 from .engine import ModelSpace, ObservationModel
 from .errors import DomainError, InvariantViolation, ScenarioFormatError, UnknownLabelError
 
 __all__ = [
     "HostPolicy",
+    "MAX_DOORS",
     "MhpConfig",
     "Scenario",
     "door_labels",
@@ -66,10 +67,17 @@ class HostPolicy(enum.Enum):
     FORGETFUL = "forgetful"
 
 
+# The likelihood matrix of an N-door game has O(N^2) cells, so the door
+# count is bounded before any label or cell is built.
+MAX_DOORS = 1000
+
+
 def door_labels(door_count: int) -> tuple[str, ...]:
     """Stable door names: A, B, C, then D4, D5, ... for larger games."""
     if door_count < 3:
         raise DomainError(f"Monty Hall needs at least 3 doors, got {door_count}")
+    if door_count > MAX_DOORS:
+        raise DomainError(f"Monty Hall supports at most {MAX_DOORS} doors, got {door_count}")
     labels = ["A", "B", "C"] + [f"D{i}" for i in range(4, door_count + 1)]
     return tuple(labels)
 
@@ -179,13 +187,8 @@ _RATIONAL_RE = re.compile(r"^\s*(\d+)\s*/\s*(\d+)\s*$")
 
 
 def _parse_prob(value: Any, where: str) -> Probability:
-    if isinstance(value, bool):
-        raise ScenarioFormatError(f"{where}: expected a probability, got {value!r}")
-    if isinstance(value, int):
-        prob: Probability = Fraction(value)
-    elif isinstance(value, float):
-        prob = value
-    elif isinstance(value, str):
+    """One cell's file syntax; :func:`as_probability` checks its type and range."""
+    if isinstance(value, str):
         m = _RATIONAL_RE.match(value)
         if m is None:
             raise ScenarioFormatError(
@@ -197,19 +200,15 @@ def _parse_prob(value: Any, where: str) -> Probability:
             raise ScenarioFormatError(f"{where}: 'num/den' string too long: {exc}") from exc
         if den == 0:
             raise ScenarioFormatError(f"{where}: zero denominator in {value!r}")
-        prob = Fraction(num, den)
-    else:
+        value = Fraction(num, den)
+    elif not isinstance(value, (int, float)):
         raise ScenarioFormatError(
             f"{where}: expected a number or 'num/den' string, got {type(value).__name__}"
         )
-    if isinstance(prob, Fraction):
-        # a Fraction's denominator is positive, so this is 0 <= prob <= 1
-        in_range = 0 <= prob.numerator <= prob.denominator
-    else:
-        in_range = 0 <= prob <= 1
-    if not in_range:
-        raise ScenarioFormatError(f"{where}: probability {value!r} outside [0, 1]")
-    return prob
+    try:
+        return as_probability(value)
+    except DomainError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
 def _prob_to_json(p: Probability) -> Any:

@@ -2,9 +2,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+# src/ for the package, scripts/ for the seeded scenario generator the tests share
+ROOT = Path(__file__).resolve().parent.parent
+for path in (ROOT / "scripts", ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
 import pytest
 

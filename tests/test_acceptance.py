@@ -25,7 +25,8 @@ from bayesbits import (
     tic,
     transfer_report,
 )
-from helpers import bits_gap, random_rational_scenario
+from bayesbits.verify import bits_deviation
+from random_agreement_sweep import random_scenario
 
 LOG2_3 = 1.584962500721156
 
@@ -97,7 +98,7 @@ def test_criterion_5_randomized_property_sweep():
     with criterion(5, "1000 random rational scenarios: all cross-path identities hold"):
         rng = random.Random(20260819)
         for _ in range(1000):
-            scenario = random_rational_scenario(rng, max_models=8, max_observations=8)
+            scenario = random_scenario(rng, max_models=8, max_observations=8)
             ms, om = scenario.model_space, scenario.observation_model
             table = enumerate_joint(scenario)
             assert mutual_information(ms, om).value >= -1e-9
@@ -108,12 +109,12 @@ def test_criterion_5_randomized_property_sweep():
                 assert kl_expected_tic(ms, om, x).value >= -1e-9
                 report = transfer_report(ms, om, x)
                 for entry in report.entries:
-                    assert bits_gap(
+                    assert bits_deviation(
                         entry.posterior_prob, float(metrics.posterior[entry.model])
                     ) <= 1e-9
                     if entry.tic is not None:
                         lte = local_transfer_entropy(ms, om, x, entry.model)
-                        assert bits_gap(lte, entry.tic) <= 1e-9
+                        assert bits_deviation(lte, entry.tic) <= 1e-9
                 if len(om.model_labels) >= 2:
                     t1, t2 = rng.sample(om.model_labels, 2)
                     lik1 = om.likelihood_of(x, t1)

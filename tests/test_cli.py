@@ -1,10 +1,13 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from bayesbits import cli, load_scenario
+from bayesbits.scenario import MAX_DOORS
 
 
 @pytest.fixture(scope="module")
@@ -311,3 +314,107 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "bayesbits" in capsys.readouterr().out
+
+
+def _write(tmp_path, name, models, observations, likelihood):
+    path = tmp_path / f"{name}.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": name,
+                "models": [{"label": f"M{i}", "prior": p} for i, p in enumerate(models)],
+                "observations": observations,
+                "likelihood": likelihood,
+            }
+        )
+    )
+    return str(path)
+
+
+class TestLimits:
+    """Inputs past a stated limit exit 2 with ``error:``, never a traceback."""
+
+    def test_unprintable_evidence_exit_2(self, tmp_path, capsys):
+        # Every value has < 4300 digits, but the evidence 1/2 (3**-6000 + 5**-4000)
+        # has a ~5660-digit denominator, too long for CPython to print.
+        a, b = 3**6000, 5**4000
+        path = _write(
+            tmp_path,
+            "wide",
+            ["1/2", "1/2"],
+            ["x", "y"],
+            [[f"1/{a}", f"1/{b}"], [f"{a - 1}/{a}", f"{b - 1}/{b}"]],
+        )
+        for fmt in ("table", "json"):
+            assert cli.main(["solve", path, "--observe", "x", "--format", fmt]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "too long to print" in err
+        # CSV rows print no evidence, so nothing there is too long
+        assert cli.main(["solve", path, "--observe", "x", "--format", "csv"]) == 0
+        assert cli.main(["kl", path, "--observe", "x"]) == 0
+        assert cli.main(["verify", path]) == 0
+
+    def test_unprintable_prior_sum_exit_2(self, tmp_path, capsys):
+        # The prior does not sum to 1, and its sum has too many digits to name.
+        path = _write(tmp_path, "bad-sum", [f"1/{3**4000}", f"1/{7**4000}"], ["x"], [[1, 1]])
+        for argv in (["solve", path, "--observe", "x"], ["mi", path], ["verify", path]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_float_evidence_a_rounding_step_above_one(self, tmp_path, capsys):
+        # The prior sums to 1.0000000000000002 (within FLOAT_SUM_TOL), so the
+        # evidence of a certain observation does too: it carries 0 bits.
+        prior = [1 / 3, 1 / 24, 7 / 24, 7 / 24, 1 / 24]
+        assert sum(prior) > 1
+        path = _write(tmp_path, "above-one", prior, ["x"], [[1.0] * 5])
+        assert cli.main(["solve", path, "--observe", "x"]) == 0
+        assert "(0.000000 bits)" in capsys.readouterr().out
+        assert cli.main(["solve", path, "--observe", "x", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["evidence_bits"] == 0
+        assert [m["evidence_bits"] for m in doc["models"]] == [0] * 5
+        assert cli.main(["solve", path, "--observe", "x", "--format", "csv"]) == 0
+        assert [row.split(",")[3] for row in capsys.readouterr().out.splitlines()[1:]] == ["0.0"] * 5
+        assert cli.main(["kl", path, "--observe", "x"]) == 0
+        assert cli.main(["mi", path]) == 0
+
+    def test_door_limit(self, capsys):
+        assert cli.main(["mhp", f"custom-{MAX_DOORS + 1}"]) == 2
+        assert f"at most {MAX_DOORS} doors" in capsys.readouterr().err
+        assert cli.main(["mhp", "custom-N", "--doors", str(MAX_DOORS + 1)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_over_long_door_count_exit_2(self, capsys):
+        # more digits than CPython converts to int
+        assert cli.main(["mhp", "custom-" + "1" * 5000]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_prior_flag_range_checked_by_distribution(self, capsys):
+        assert cli.main(["mhp", "custom-3", "--prior", "3/2,-1/4,-1/4"]) == 2
+        assert "outside [0, 1]" in capsys.readouterr().err
+        assert cli.main(["mhp", "custom-3", "--prior", "1/2, 1/4 ,0.25"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [m["prior"] for m in doc["models"]] == ["1/2", "1/4", "1/4"]
+
+
+class TestCellFormatters:
+    """One formatter per output format, each taking None, a label, a Fraction or a float."""
+
+    @pytest.mark.parametrize(
+        "value, text, machine, csv_cell",
+        [
+            (None, "n/a", None, ""),
+            ("informs", "informs", "informs", "informs"),
+            (Fraction(7, 12), "7/12", "7/12", "7/12"),
+            (0.5, "0.500", 0.5, "0.5"),
+            (-0.0, "0.000", 0.0, "0.0"),
+            (math.inf, "inf", "Infinity", "inf"),
+            (-math.inf, "-inf", "-Infinity", "-inf"),
+        ],
+    )
+    def test_each_format(self, value, text, machine, csv_cell):
+        assert cli._text(value, 3) == text
+        assert cli._json(value) == machine
+        assert cli._csv(value) == csv_cell
+        if value == 0.0:
+            assert math.copysign(1.0, cli._json(value)) == 1.0

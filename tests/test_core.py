@@ -96,6 +96,12 @@ class TestInfoContent:
         p = Fraction(1, 2**4000)
         assert info_content(p) == pytest.approx(4000.0, abs=1e-6)
 
+    def test_rational_a_hair_below_one_is_not_certain(self):
+        # float() rounds both to 1.0; the exact offset still shows in the bits
+        assert info_content(1 - Fraction(1, 2**60)) == pytest.approx(2**-60 / math.log(2), rel=1e-12)
+        p = Fraction(2731113904815422123190291, 2731113904815422273486848)
+        assert 0.0 < info_content(p) == pytest.approx(float(1 - p) / math.log(2), rel=1e-12)
+
     def test_never_nan(self):
         assert not math.isnan(info_content(Fraction(1, 7)))
 

@@ -22,13 +22,9 @@ from bayesbits import (
     tic,
 )
 from bayesbits.oracle import observation_metrics, oracle_mi_from_metrics
-from helpers import (
-    bits_gap,
-    random_rational_scenario,
-    wide_36_bit,
-    wide_coprime,
-    wide_rational_scenario,
-)
+from bayesbits.verify import bits_deviation
+from helpers import wide_36_bit, wide_coprime, wide_rational_scenario
+from random_agreement_sweep import random_scenario
 
 
 class TestEnumerateJoint:
@@ -167,21 +163,21 @@ class TestEngineAgreement:
             for x in om.observation_labels:
                 m = oracle_metrics(table, x)
                 for theta in om.model_labels:
-                    assert bits_gap(
+                    assert bits_deviation(
                         posterior_prob_info_form(ms, om, x, theta),
                         float(m.posterior[theta]),
                     ) <= 1e-9
                     if m.tic_bits[theta] is not None:
-                        assert bits_gap(tic(ms, om, x, theta), m.tic_bits[theta]) <= 1e-9
-                assert bits_gap(kl_expected_tic(ms, om, x).value, m.kl_bits) <= 1e-9
-            assert bits_gap(
+                        assert bits_deviation(tic(ms, om, x, theta), m.tic_bits[theta]) <= 1e-9
+                assert bits_deviation(kl_expected_tic(ms, om, x).value, m.kl_bits) <= 1e-9
+            assert bits_deviation(
                 mutual_information(ms, om).value, oracle_mi(table)
             ) <= 1e-9
 
     def test_random_scenarios(self):
         rng = random.Random(20250819)
         for _ in range(50):
-            scenario = random_rational_scenario(rng, max_models=5, max_observations=5)
+            scenario = random_scenario(rng, max_models=5, max_observations=5)
             ms, om = scenario.model_space, scenario.observation_model
             table = enumerate_joint(scenario)
             for x in om.observation_labels:
@@ -189,7 +185,7 @@ class TestEngineAgreement:
                     continue
                 m = oracle_metrics(table, x)
                 for theta in om.model_labels:
-                    assert bits_gap(
+                    assert bits_deviation(
                         posterior_prob_info_form(ms, om, x, theta),
                         float(m.posterior[theta]),
                     ) <= 1e-9
@@ -206,7 +202,7 @@ class TestKernels:
     def scenarios():
         rng = random.Random(20261018)
         for _ in range(60):
-            yield random_rational_scenario(rng, max_models=6, max_observations=6)
+            yield random_scenario(rng, max_models=6, max_observations=6)
         for denominators in (wide_36_bit, wide_coprime):
             for _ in range(30):
                 yield wide_rational_scenario(rng, denominators)

@@ -29,7 +29,7 @@ from bayesbits import (
     tic,
     transfer_report,
 )
-from helpers import bits_gap
+from bayesbits.verify import bits_deviation
 
 weight_lists = st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(
     lambda w: sum(w) > 0
@@ -136,7 +136,7 @@ class TestUpdateProperties:
         for x in xs:
             metrics = oracle_metrics(table, x)
             for theta in om.model_labels:
-                gap = bits_gap(
+                gap = bits_deviation(
                     posterior_prob_info_form(ms, om, x, theta),
                     float(metrics.posterior[theta]),
                 )
@@ -162,7 +162,7 @@ class TestUpdateProperties:
             for theta in om.model_labels:
                 if ms.prior_of(theta) == 0:
                     continue
-                assert bits_gap(
+                assert bits_deviation(
                     local_transfer_entropy(ms, om, x, theta), tic(ms, om, x, theta)
                 ) <= 1e-9
 

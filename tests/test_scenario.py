@@ -1,10 +1,14 @@
 """Monty Hall generators and the scenario file format."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bayesbits import (
+    BayesBitsError,
     Distribution,
     DomainError,
     HostPolicy,
@@ -22,6 +26,7 @@ from bayesbits import (
     scenario_from_json_text,
     scenario_to_json_text,
 )
+from bayesbits.scenario import MAX_DOORS
 
 
 class TestDoorLabels:
@@ -34,6 +39,16 @@ class TestDoorLabels:
     def test_too_few(self):
         with pytest.raises(DomainError):
             door_labels(2)
+
+    def test_at_the_limit(self):
+        assert door_labels(MAX_DOORS)[-1] == f"D{MAX_DOORS}"
+
+    def test_too_many(self):
+        # refused before any label or likelihood cell is built
+        with pytest.raises(DomainError, match=f"at most {MAX_DOORS} doors"):
+            door_labels(MAX_DOORS + 1)
+        with pytest.raises(DomainError):
+            MhpConfig(door_count=10**12)
 
 
 class TestMhpConfig:
@@ -294,3 +309,72 @@ class TestFileFormat:
 
     def test_serialized_text_is_stable(self, traditional):
         assert scenario_to_json_text(traditional) == scenario_to_json_text(traditional)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=12), children, max_size=4),
+    max_leaves=20,
+)
+
+# One probability cell as a file may hold it: valid or not, any JSON type.
+cells = st.one_of(
+    st.integers(-2, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.sampled_from(["1/1", "0/1", "1/2", " 1 / 2 ", "1/0", "-1/2", "0.5", "1e0", "half", ""]),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def scenario_documents(draw):
+    """A valid scenario document with some cells and labels spoiled, or a row cut short."""
+    n_models, n_obs = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    spoiled = st.integers(0, 3).map(lambda k: k == 0)  # true one time in four
+
+    def dist(size):
+        weights = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+        return [draw(cells) if draw(spoiled) else f"{w}/{sum(weights)}" for w in weights]
+
+    def label(text):
+        return draw(st.sampled_from(["M0", "x0", ""]) | json_values) if draw(spoiled) else text
+
+    columns = [dist(n_obs) for _ in range(n_models)]
+    doc = {
+        "name": "fuzz",
+        "models": [{"label": label(f"M{i}"), "prior": p} for i, p in enumerate(dist(n_models))],
+        "observations": [label(f"x{i}") for i in range(n_obs)],
+        "likelihood": [[columns[j][i] for j in range(n_models)] for i in range(n_obs)],
+    }
+    if draw(spoiled):
+        draw(st.sampled_from(doc["likelihood"])).pop()
+    if draw(st.booleans()):
+        doc["metadata"] = draw(json_values)
+    return json.dumps(doc)
+
+
+def parses_or_fails_cleanly(text):
+    """A Scenario, or a BayesBitsError: never any other exception."""
+    try:
+        result = scenario_from_json_text(text)
+    except BayesBitsError:
+        return
+    assert isinstance(result, Scenario)
+
+
+class TestParserFuzz:
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        parses_or_fails_cleanly(text)
+
+    @given(json_values)
+    def test_arbitrary_json(self, value):
+        parses_or_fails_cleanly(json.dumps(value))
+
+    @given(scenario_documents())
+    def test_scenario_shaped_documents(self, text):
+        parses_or_fails_cleanly(text)

@@ -13,9 +13,11 @@ from fractions import Fraction
 import pytest
 
 from bayesbits import (
+    Distribution,
     HostPolicy,
     ImpossibleObservationError,
     MhpConfig,
+    ModelSpace,
     ObservationModel,
     Scenario,
     SignClass,
@@ -31,10 +33,11 @@ from bayesbits import (
     transfer_report,
 )
 from bayesbits import engine, oracle
-from bayesbits.cli import verify_scenario
 from bayesbits.engine import update, updates
+from bayesbits.verify import verify_scenario
 
-from helpers import random_rational_scenario, wide_36_bit, wide_coprime, wide_rational_scenario
+from helpers import wide_36_bit, wide_coprime, wide_rational_scenario
+from random_agreement_sweep import random_scenario
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -76,6 +79,8 @@ def check_against_formulas(scenario) -> int:
         assert u.evidence == ev
         report = transfer_report(ms, om, x)
         assert report == u.report()
+        assert same_bits(report.evidence_info, info_content(ev))
+        assert all(same_bits(e.evidence_info, report.evidence_info) for e in report.entries)
         for j, theta in enumerate(ms.labels):
             lik, prior_p = row[j], ms.prior.probs[j]
             post = posterior_prob_oracle(ms, om, x, theta)
@@ -100,7 +105,7 @@ def test_update_matches_wrappers_and_formulas():
     rng = random.Random(20261017)
     impossible = 0
     for _ in range(300):
-        scenario = random_rational_scenario(rng, max_models=6, max_observations=6)
+        scenario = random_scenario(rng, max_models=6, max_observations=6)
         impossible += check_against_formulas(scenario)
     # the seed must reach the zero-evidence branch, or that half is untested
     assert impossible > 0
@@ -127,7 +132,7 @@ def test_mixed_exact_prior_float_likelihood_takes_float_path():
     # An exact prior with a float row is worked in float arithmetic, as before.
     rng = random.Random(7)
     for _ in range(100):
-        base = random_rational_scenario(rng, max_models=5, max_observations=5)
+        base = random_scenario(rng, max_models=5, max_observations=5)
         om = base.observation_model
         floats = [[float(p) for p in row] for row in om.likelihood]
         scenario = Scenario(
@@ -177,3 +182,15 @@ def test_one_oracle_pass_per_observation(monkeypatch):
     monkeypatch.setattr(oracle, "_metrics", counting)
     assert verify_scenario(scenario)[0] <= 1e-9
     assert 0 < calls <= n_obs
+
+
+def test_float_evidence_above_one_carries_zero_bits():
+    # A float prior summing to 1.0000000000000002 is accepted within
+    # FLOAT_SUM_TOL; a certain observation's evidence rounds to that sum.
+    prior = Distribution([f"M{i}" for i in range(5)], [1 / 3, 1 / 24, 7 / 24, 7 / 24, 1 / 24])
+    om = ObservationModel(["x"], prior.labels, [[1.0] * 5])
+    u = update(ModelSpace(prior), om, "x")
+    assert u.evidence > 1
+    assert u.evidence_info == 0.0 and u.report().evidence_info == 0.0
+    assert u.tics == (0.0,) * 5
+    assert u.posterior_infos == u.prior_infos
