@@ -13,9 +13,10 @@ nonnegative because a refuted model carries posterior weight 0 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .core import Bits, Distribution, Probability, entropy, info_content
+from .core import Bits, Distribution, Probability, _float, _info, entropy
 from .engine import ModelSpace, ObservationModel, ObservationUpdate, update, updates
 
 __all__ = [
@@ -44,12 +45,20 @@ class KlResult:
     """KL(posterior || prior) for one observation, with its term breakdown.
 
     ``value`` is the raw sum and may dip a hair below 0 from float noise;
-    ``clamped`` is the display form pinned at 0.
+    ``clamped`` is the display form pinned at 0. ``terms`` is built from
+    ``update`` on first access: the sum itself needs no per-model object.
     """
 
     observation: str
     value: Bits
-    terms: tuple[KlTerm, ...]
+    update: ObservationUpdate = field(repr=False)
+
+    @cached_property
+    def terms(self) -> tuple[KlTerm, ...]:
+        u = self.update
+        return tuple(
+            [KlTerm(model=m, weight=w, tic=t) for m, w, t in zip(u.models, u.posteriors, u.tics)]
+        )
 
     @property
     def clamped(self) -> Bits:
@@ -67,13 +76,11 @@ def kl_expected_tic(ms: ModelSpace, om: ObservationModel, x: str) -> KlResult:
 
 def kl_from_update(u: ObservationUpdate) -> KlResult:
     """:func:`kl_expected_tic` of an observation already applied."""
-    terms = []
     value = 0.0
-    for theta, weight, t in zip(u.models, u.posteriors, u.tics):
-        terms.append(KlTerm(model=theta, weight=weight, tic=t))
+    for weight, t in zip(u.posteriors, u.tics):
         if weight != 0:
-            value += float(weight) * t
-    return KlResult(observation=u.observation, value=value, terms=tuple(terms))
+            value += _float(weight) * t
+    return KlResult(observation=u.observation, value=value, update=u)
 
 
 def kl_classical(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
@@ -87,7 +94,7 @@ def kl_classical_from_update(u: ObservationUpdate) -> Bits:
     for post, prior_i in zip(u.posteriors, u.prior_infos):
         if post == 0:
             continue
-        value += float(post) * (prior_i - info_content(post))
+        value += _float(post) * (prior_i - _info(post))
     return value
 
 
@@ -130,7 +137,7 @@ def mi_from_updates(us: tuple[ObservationUpdate | None, ...]) -> MiResult:
             continue
         kl = kl_from_update(u)
         terms.append(MiTerm(observation=u.observation, evidence=u.evidence, kl=kl))
-        value += float(u.evidence) * kl.value
+        value += _float(u.evidence) * kl.value
     return MiResult(value=value, per_observation=tuple(terms))
 
 
@@ -145,5 +152,5 @@ def mi_classical_from_updates(prior: Distribution, us: tuple[ObservationUpdate |
     for u in us:
         if u is None:
             continue
-        conditional += float(u.evidence) * entropy(Distribution(prior.labels, u.posteriors))
+        conditional += _float(u.evidence) * entropy(Distribution(prior.labels, u.posteriors))
     return entropy(prior) - conditional

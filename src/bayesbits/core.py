@@ -57,25 +57,28 @@ def as_probability(value: Probability | int | str) -> Probability:
     which parses to an exact rational. Rejects values outside [0, 1] and
     non-finite floats.
     """
-    if isinstance(value, str):
-        try:
+    if type(value) is not Fraction:  # a Fraction, the common case, needs no conversion
+        if isinstance(value, str):
+            try:
+                value = Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DomainError(f"cannot parse probability from {value!r}") from exc
+        if isinstance(value, bool):
+            raise DomainError(f"probability must be numeric, got {value!r}")
+        if isinstance(value, int):
             value = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot parse probability from {value!r}") from exc
-    if isinstance(value, bool):
-        raise DomainError(f"probability must be numeric, got {value!r}")
-    if isinstance(value, int):
-        value = Fraction(value)
-    if isinstance(value, Fraction):
-        # a Fraction's denominator is positive, so this is 0 <= value <= 1
-        if not 0 <= value.numerator <= value.denominator:
-            raise DomainError(f"probability {value} outside [0, 1]")
-        return value
-    if isinstance(value, float):
-        if math.isnan(value) or not 0.0 <= value <= 1.0:
-            raise DomainError(f"probability {value!r} outside [0, 1]")
-        return value
-    raise DomainError(f"probability must be Fraction, int, or float, got {type(value).__name__}")
+        elif isinstance(value, float):
+            if math.isnan(value) or not 0.0 <= value <= 1.0:
+                raise DomainError(f"probability {value!r} outside [0, 1]")
+            return value
+        elif not isinstance(value, Fraction):
+            raise DomainError(
+                f"probability must be Fraction, int, or float, got {type(value).__name__}"
+            )
+    # a Fraction's denominator is positive, so this is 0 <= value <= 1
+    if not 0 <= value.numerator <= value.denominator:
+        raise DomainError(f"probability {value} outside [0, 1]")
+    return value
 
 
 def _common_denominator(ps: Sequence[Probability]) -> tuple[list[int], int] | None:
@@ -128,15 +131,30 @@ def probability_repr(p: Probability) -> str:
     return repr(p)
 
 
-def _log2_positive(p: Probability) -> float:
-    """log2 of a probability known to be > 0.
+def _float(p: Probability) -> float:
+    """``float(p)``, bit for bit.
 
-    For rationals whose float image would underflow to 0, fall back to
-    integer logs so adversarial denominators still give a finite answer.
+    For a Fraction this is the int true division that
+    ``numbers.Rational.__float__`` runs, without its call overhead: the
+    exact kernels take one float per cell. Raises OverflowError like
+    ``float(p)`` when the value exceeds the float range.
+    """
+    if isinstance(p, Fraction):
+        return p.numerator / p.denominator
+    return p
+
+
+def _log2_positive(p: Probability) -> float:
+    """log2 of a rational or float known to be > 0.
+
+    For rationals whose float image would underflow to 0 or overflow
+    (a ratio such as posterior / prior can exceed the float range), fall
+    back to integer logs so adversarial denominators still give a finite
+    answer.
     """
     if isinstance(p, Fraction):
         try:
-            x = float(p)
+            x = _float(p)
         except OverflowError:
             x = 0.0
         if x == 1.0:  # any rational within 2**-53 of 1: log1p keeps its offset
@@ -153,7 +171,11 @@ def info_content(p: Probability | int | str) -> Bits:
     Returns ``-log2(p)``: 0 bits for certainty, ``+inf`` for an
     impossible event. Rejects values outside [0, 1].
     """
-    p = as_probability(p)
+    return _info(as_probability(p))
+
+
+def _info(p: Probability) -> Bits:
+    """:func:`info_content` of a value :func:`as_probability` already accepted."""
     if p == 0:
         return math.inf
     lg = _log2_positive(p)
@@ -250,5 +272,5 @@ def entropy(d: Distribution) -> Bits:
     for p in d.probs:
         if p == 0:
             continue
-        total += float(p) * info_content(p)
+        total += _float(p) * _info(p)
     return total

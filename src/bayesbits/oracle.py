@@ -59,15 +59,19 @@ class JointOutcomeTable:
     model_labels: tuple[str, ...]
     observation_labels: tuple[str, ...]
     prior: tuple[Fraction, ...]
-    rows: tuple[JointRow, ...]
-    # observation -> model -> joint cell, built once from ``rows``
-    _cells: dict[str, dict[str, Fraction]] = field(init=False, repr=False, compare=False)
+    # observation -> model -> joint cell, models in order
+    _cells: dict[str, dict[str, Fraction]] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        cells: dict[str, dict[str, Fraction]] = {}
-        for row in self.rows:
-            cells.setdefault(row.observation, {})[row.model] = row.prob
-        object.__setattr__(self, "_cells", cells)
+    @property
+    def rows(self) -> tuple[JointRow, ...]:
+        """Every cell as a row, model-major; built on each access."""
+        return tuple(
+            [
+                JointRow(model=theta, observation=x, prob=self._cells[x][theta])
+                for theta in self.model_labels
+                for x in self.observation_labels
+            ]
+        )
 
     def joint(self, model: str, observation: str) -> Fraction:
         try:
@@ -78,7 +82,7 @@ class JointOutcomeTable:
     def evidence(self, observation: str) -> Fraction:
         if observation not in self.observation_labels:
             raise KeyError(f"unknown observation {observation!r}")
-        return _exact_sum(list(self._cells.get(observation, {}).values()))
+        return _exact_sum(list(self._cells[observation].values()))
 
     def prior_of(self, model: str) -> Fraction:
         return self.prior[self.model_labels.index(model)]
@@ -99,17 +103,17 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
     ms = scenario.model_space
     om = scenario.observation_model
     prior = tuple(Fraction(p) for p in ms.prior.probs)
-    rows: list[JointRow] = []
+    cells: dict[str, dict[str, Fraction]] = {x: {} for x in om.observation_labels}
+    by_observation = list(cells.values())
     marginals: list[Fraction] = []
     for i, theta in enumerate(om.model_labels):
         num, den = prior[i].numerator, prior[i].denominator
-        cells: list[Fraction] = []
-        for j, x in enumerate(om.observation_labels):
-            lik = om.likelihood[j][i]  # a Fraction: the scenario is exact
-            prob = Fraction(num * lik.numerator, den * lik.denominator)
-            rows.append(JointRow(model=theta, observation=x, prob=prob))
-            cells.append(prob)
-        marginals.append(_exact_sum(cells))
+        column: list[Fraction] = []
+        for joint_of, row in zip(by_observation, om.likelihood):
+            lik = row[i]  # a Fraction: the scenario is exact
+            joint_of[theta] = prob = Fraction(num * lik.numerator, den * lik.denominator)
+            column.append(prob)
+        marginals.append(_exact_sum(column))
 
     total = _exact_sum(marginals)
     if total != 1:
@@ -123,7 +127,7 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
         model_labels=tuple(om.model_labels),
         observation_labels=tuple(om.observation_labels),
         prior=prior,
-        rows=tuple(rows),
+        _cells=cells,
     )
 
 
@@ -163,7 +167,7 @@ def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None
     built once from integer parts; that one ratio gives both the TIC and
     the model's KL term.
     """
-    joint_of = table._cells.get(observation, {})
+    joint_of = table._cells[observation]
     evidence = _exact_sum(list(joint_of.values()))
     if evidence == 0:
         return None
@@ -182,7 +186,7 @@ def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None
         else:
             ratio = Fraction(post.numerator * prior.denominator, post.denominator * prior.numerator)
             tic_bits[theta] = bits = _log2_ratio(ratio)
-            kl += float(post) * bits
+            kl += post.numerator / post.denominator * bits  # float(post), bit for bit
     return OracleMetrics(
         observation=observation,
         evidence=evidence,
@@ -208,5 +212,5 @@ def oracle_mi_from_metrics(metrics: Iterable[OracleMetrics | None]) -> float:
     for m in metrics:
         if m is None:
             continue
-        mi += float(m.evidence) * m.kl_bits
+        mi += m.evidence.numerator / m.evidence.denominator * m.kl_bits  # float(evidence)
     return mi

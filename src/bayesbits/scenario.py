@@ -211,6 +211,15 @@ def _parse_prob(value: Any, where: str) -> Probability:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
+def _printable(text: str, where: str) -> str:
+    """``text`` when it encodes as UTF-8; a lone surrogate would fail only when printed."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ScenarioFormatError(f"{where}: not encodable as UTF-8: {exc.reason}") from exc
+    return text
+
+
 def _prob_to_json(p: Probability) -> Any:
     if isinstance(p, Fraction):
         return probability_repr(p)
@@ -256,6 +265,7 @@ def scenario_from_json_text(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioFormatError(f"{source}: missing required key {key!r}")
     if not isinstance(doc["name"], str):
         raise ScenarioFormatError(f"{source}: name: expected a string")
+    _printable(doc["name"], f"{source}: name")
     if not isinstance(doc["models"], list) or not doc["models"]:
         raise ScenarioFormatError(f"{source}: models: expected a non-empty list")
 
@@ -272,14 +282,16 @@ def scenario_from_json_text(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioFormatError(f"{where}: needs both 'label' and 'prior'")
         if not isinstance(entry["label"], str):
             raise ScenarioFormatError(f"{where}.label: expected a string")
-        model_labels.append(entry["label"])
+        model_labels.append(_printable(entry["label"], f"{where}.label"))
         priors.append(_parse_prob(entry["prior"], f"{where}.prior"))
 
     if not isinstance(doc["observations"], list) or not all(
         isinstance(x, str) for x in doc["observations"]
     ):
         raise ScenarioFormatError(f"{source}: observations: expected a list of strings")
-    observations: list[str] = doc["observations"]
+    observations = [
+        _printable(x, f"{source}: observations[{i}]") for i, x in enumerate(doc["observations"])
+    ]
 
     if not isinstance(doc["likelihood"], list):
         raise ScenarioFormatError(f"{source}: likelihood: expected a list of rows")
@@ -313,6 +325,6 @@ def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"{p}: cannot read scenario file: {exc}") from exc
     return scenario_from_json_text(text, source=str(p))

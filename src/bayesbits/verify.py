@@ -15,7 +15,7 @@ from .aggregates import (
     mi_classical_from_updates,
     mi_from_updates,
 )
-from .core import info_content, prob_from_info
+from .core import _float, info_content, prob_from_info
 from .engine import updates
 from .errors import ImpossibleObservationError
 from .oracle import enumerate_joint, observation_metrics, oracle_mi_from_metrics
@@ -61,7 +61,7 @@ def verify_scenario(scenario: Scenario) -> tuple[float, int]:
             )
         check(u.evidence_info, info_content(metrics.evidence))
         for j, theta in enumerate(om.model_labels):
-            check(prob_from_info(u.posterior_infos[j]), float(metrics.posterior[theta]))
+            check(prob_from_info(u.posterior_infos[j]), _float(metrics.posterior[theta]))
             oracle_tic = metrics.tic_bits[theta]
             check(u.tics[j] if oracle_tic is not None else None, oracle_tic)
             if oracle_tic is not None:

@@ -8,6 +8,11 @@ from fractions import Fraction
 from bayesbits import Distribution, ModelSpace, ObservationModel, Scenario
 
 
+def same_bits(a: float, b: float) -> bool:
+    """Equal as binary64 values, telling -0.0 from 0.0 (float.hex covers +/-inf)."""
+    return a.hex() == b.hex()
+
+
 # Primes up to 3000 (trial division up to sqrt(3000) < 55), pairwise coprime.
 PRIMES = [p for p in range(1009, 3000) if all(p % q for q in range(2, 55))]
 

@@ -1,6 +1,7 @@
 """KL divergence and mutual information via TIC expectations."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from bayesbits import (
     mutual_information,
     mutual_information_classical,
 )
+from bayesbits.engine import updates
+from random_agreement_sweep import random_scenario
 
 LOG2_3 = 1.584962500721156
 
@@ -75,6 +78,20 @@ class TestKl:
             float(t.weight) * t.tic for t in result.terms if t.weight != 0
         )
         assert result.value == without_b
+
+    def test_terms_are_the_update_triples(self):
+        # terms are built from the update on first access, then kept
+        rng = random.Random(20261019)
+        for _ in range(100):
+            scenario = random_scenario(rng, max_models=6, max_observations=6)
+            for u in updates(*parts(scenario)):
+                if u is None:
+                    continue
+                result = kl_expected_tic(*parts(scenario), u.observation)
+                assert [(t.model, t.weight, t.tic) for t in result.terms] == list(
+                    zip(u.models, u.posteriors, u.tics)
+                )
+                assert result.terms is result.terms
 
     def test_value_is_finite(self, traditional, biased, forgetful):
         for scenario in (traditional, biased, forgetful):

@@ -397,6 +397,34 @@ class TestLimits:
         assert [m["prior"] for m in doc["models"]] == ["1/2", "1/4", "1/4"]
 
 
+class TestUnencodableText:
+    """Text that is not UTF-8, in the file or in a label, exits 2 at parse time."""
+
+    def test_file_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert cli.main(["verify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("field", ["name", "model", "observation"])
+    def test_lone_surrogate_exit_2(self, tmp_path, capsys, field):
+        # json.dumps writes the surrogate as the escape \ud800, which loads;
+        # printing it would raise UnicodeEncodeError on a real stdout.
+        doc = {
+            "name": "x\ud800" if field == "name" else "x",
+            "models": [{"label": "A\ud800" if field == "model" else "A", "prior": 1}],
+            "observations": ["y\ud800" if field == "observation" else "y"],
+            "likelihood": [[1]],
+        }
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["solve", str(path), "--observe", doc["observations"][0]], ["verify", str(path)]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "not encodable as UTF-8" in err
+
+
 class TestCellFormatters:
     """One formatter per output format, each taking None, a label, a Fraction or a float."""
 

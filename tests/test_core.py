@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bayesbits import (
     Distribution,
@@ -17,6 +19,8 @@ from bayesbits import (
     prob_from_info,
     probability_repr,
 )
+from bayesbits.core import _float, _info
+from helpers import same_bits
 
 LOG2_3 = 1.584962500721156
 
@@ -214,3 +218,33 @@ class TestEntropy:
     def test_bounds(self):
         d = Distribution(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
         assert 0.0 <= entropy(d) <= LOG2_3
+
+
+@st.composite
+def unit_fractions(draw):
+    """A Fraction in [0, 1] whose denominator has up to 4000 bits."""
+    den = draw(st.integers(1, 2 ** draw(st.integers(1, 4000))))
+    return Fraction(draw(st.integers(0, den)), den)
+
+
+class TestPerCellKernels:
+    """The exact kernels' float and info helpers give the public functions' bits."""
+
+    @given(unit_fractions())
+    @example(Fraction(1, 2**1075))  # half the least subnormal: rounds to 0.0
+    @example(Fraction(3, 2**1076))  # rounds up to the least subnormal
+    @example(Fraction(1, 3**4000))  # thousands of bits, underflows to 0.0
+    @example(Fraction(3**2000 - 1, 3**2000))  # thousands of bits, rounds to 1.0
+    @example(Fraction(0))
+    @example(Fraction(1))
+    def test_float_is_float(self, p):
+        assert same_bits(_float(p), float(p))
+
+    def test_float_of_a_float_is_itself(self):
+        assert same_bits(_float(0.1), 0.1)
+
+    @given(unit_fractions() | st.floats(0.0, 1.0))
+    @example(Fraction(1, 3**4000))
+    @example(Fraction(3**2000 - 1, 3**2000))
+    def test_info_is_info_content(self, p):
+        assert same_bits(_info(p), info_content(p))

@@ -23,7 +23,7 @@ from bayesbits import (
 )
 from bayesbits.oracle import observation_metrics, oracle_mi_from_metrics
 from bayesbits.verify import bits_deviation
-from helpers import wide_36_bit, wide_coprime, wide_rational_scenario
+from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
 from random_agreement_sweep import random_scenario
 
 
@@ -31,6 +31,20 @@ class TestEnumerateJoint:
     def test_cells_total_one(self, traditional):
         table = enumerate_joint(traditional)
         assert sum((row.prob for row in table.rows), Fraction(0)) == 1
+
+    def test_rows_are_model_major_and_total_one(self):
+        # rows are built on access from the observation-major index
+        rng = random.Random(20261018)
+        for _ in range(100):
+            scenario = random_scenario(rng, max_models=6, max_observations=6)
+            om = scenario.observation_model
+            table = enumerate_joint(scenario)
+            rows = table.rows
+            assert [(r.model, r.observation) for r in rows] == [
+                (theta, x) for theta in om.model_labels for x in om.observation_labels
+            ]
+            assert all(r.prob == table.joint(r.model, r.observation) for r in rows)
+            assert sum((r.prob for r in rows), Fraction(0)) == 1
 
     def test_joint_values(self, traditional):
         table = enumerate_joint(traditional)
@@ -189,10 +203,6 @@ class TestEngineAgreement:
                         posterior_prob_info_form(ms, om, x, theta),
                         float(m.posterior[theta]),
                     ) <= 1e-9
-
-
-def same_bits(a: float, b: float) -> bool:
-    return a.hex() == b.hex()
 
 
 class TestKernels:

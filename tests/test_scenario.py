@@ -26,6 +26,7 @@ from bayesbits import (
     scenario_from_json_text,
     scenario_to_json_text,
 )
+from bayesbits.cli import build_report, render_csv, render_json, render_table
 from bayesbits.scenario import MAX_DOORS
 
 
@@ -341,11 +342,12 @@ def scenario_documents(draw):
         return [draw(cells) if draw(spoiled) else f"{w}/{sum(weights)}" for w in weights]
 
     def label(text):
-        return draw(st.sampled_from(["M0", "x0", ""]) | json_values) if draw(spoiled) else text
+        bad = st.sampled_from(["M0", "x0", "", "x\ud800", "\udfff"]) | json_values
+        return draw(bad) if draw(spoiled) else text
 
     columns = [dist(n_obs) for _ in range(n_models)]
     doc = {
-        "name": "fuzz",
+        "name": label("fuzz"),
         "models": [{"label": label(f"M{i}"), "prior": p} for i, p in enumerate(dist(n_models))],
         "observations": [label(f"x{i}") for i in range(n_obs)],
         "likelihood": [[columns[j][i] for j in range(n_models)] for i in range(n_obs)],
@@ -358,12 +360,13 @@ def scenario_documents(draw):
 
 
 def parses_or_fails_cleanly(text):
-    """A Scenario, or a BayesBitsError: never any other exception."""
+    """A Scenario, or a BayesBitsError (then None): never any other exception."""
     try:
         result = scenario_from_json_text(text)
     except BayesBitsError:
-        return
+        return None
     assert isinstance(result, Scenario)
+    return result
 
 
 class TestParserFuzz:
@@ -377,4 +380,14 @@ class TestParserFuzz:
 
     @given(scenario_documents())
     def test_scenario_shaped_documents(self, text):
-        parses_or_fails_cleanly(text)
+        scenario = parses_or_fails_cleanly(text)
+        if scenario is None:
+            return
+        # what parses also prints: every format encodes as UTF-8
+        ms, om = scenario.model_space, scenario.observation_model
+        x = next((x for x in om.observation_labels if evidence(ms, om, x) != 0), None)
+        if x is None:
+            return
+        doc = build_report(scenario, x)
+        for text in (render_table(doc, 6), render_json(doc), render_csv(doc)):
+            text.encode("utf-8")

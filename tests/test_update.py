@@ -7,6 +7,7 @@ bit for bit, so CLI output does not depend on which route computed a
 number.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -32,17 +33,20 @@ from bayesbits import (
     tic,
     transfer_report,
 )
-from bayesbits import engine, oracle
+from bayesbits import aggregates, engine, oracle
+from bayesbits.cli import build_report
+from bayesbits.core import _log2_positive
 from bayesbits.engine import update, updates
 from bayesbits.verify import verify_scenario
 
-from helpers import wide_36_bit, wide_coprime, wide_rational_scenario
+from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
 from random_agreement_sweep import random_scenario
 
 
-def same_bits(a: float, b: float) -> bool:
-    """Equal as binary64 values, telling -0.0 from 0.0 (float.hex covers +/-inf)."""
-    return a.hex() == b.hex()
+def log_odds_reference(u, j: int) -> float:
+    """``log2(posterior / prior)`` of the reduced ratio: the integer-part kernel must give its bits."""
+    post = u.posteriors[j]
+    return -math.inf if post == 0 else _log2_positive(post / u.priors[j])
 
 
 def expected_sign(lik, ev, t):
@@ -95,9 +99,9 @@ def check_against_formulas(scenario) -> int:
             assert same_bits(post_i, u.posterior_infos[j])
             assert same_bits(post_i, info_content(prior_p) - t)
             if prior_p != 0:
-                assert same_bits(
-                    local_transfer_entropy(ms, om, x, theta), u.local_transfer_entropy(j)
-                )
+                lte = u.local_transfer_entropy(j)
+                assert same_bits(local_transfer_entropy(ms, om, x, theta), lte)
+                assert same_bits(lte, log_odds_reference(u, j))
     return impossible
 
 
@@ -182,6 +186,82 @@ def test_one_oracle_pass_per_observation(monkeypatch):
     monkeypatch.setattr(oracle, "_metrics", counting)
     assert verify_scenario(scenario)[0] <= 1e-9
     assert 0 < calls <= n_obs
+
+def two_model_update(prior_0: Fraction, lik_0: Fraction, lik_1: Fraction):
+    """Observation ``x`` of a two-model scenario, from model 0's prior and both likelihoods."""
+    prior = Distribution(["M0", "M1"], [prior_0, 1 - prior_0])
+    om = ObservationModel(["x", "y"], prior.labels, [[lik_0, lik_1], [1 - lik_0, 1 - lik_1]])
+    return update(ModelSpace(prior), om, "x")
+
+
+@pytest.mark.parametrize(
+    "prior_0, lik_0, lik_1, bits",
+    [
+        # ratio 1 / (1 + 2**-60) rounds to 1.0: the log1p path
+        pytest.param(
+            Fraction(1, 2), Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**60),
+            -(2.0**-60) / math.log(2), id="within-2**-53-of-1",
+        ),
+        # ratio about 2**-1199 underflows to 0.0: integer logs
+        pytest.param(Fraction(1, 2), Fraction(1, 2**1200), Fraction(1), -1199.0, id="below-2**-1074"),
+        # prior 1/3**700, posterior 1: ratio 3**700 overflows the float range
+        pytest.param(Fraction(1, 3**700), Fraction(1), Fraction(0), 700 * math.log2(3), id="overflow"),
+    ],
+)
+def test_log_odds_edge_ratios(prior_0, lik_0, lik_1, bits):
+    u = two_model_update(prior_0, lik_0, lik_1)
+    lte = u.local_transfer_entropy(0)
+    assert same_bits(lte, log_odds_reference(u, 0))
+    assert lte == pytest.approx(bits, rel=1e-12)
+
+
+def call_counter(monkeypatch, owner, name: str) -> list[int]:
+    """Count calls of ``owner.name`` from now on, in the returned one-item list."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_kl_and_mi_build_no_kl_terms(monkeypatch):
+    # verify and solve sum KL and MI without one KlTerm per model
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    calls = call_counter(monkeypatch, aggregates, "KlTerm")
+    assert verify_scenario(scenario)[0] <= 1e-9
+    build_report(scenario, scenario.observation_model.observation_labels[0])
+    assert calls == [0]
+
+
+def test_enumeration_builds_no_joint_rows(monkeypatch):
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    calls = call_counter(monkeypatch, oracle, "JointRow")
+    table = oracle.enumerate_joint(scenario)
+    assert calls == [0]
+    assert len(table.rows) == calls[0] == 12 * 22  # built on access only
+
+
+def test_log_odds_updates_divide_no_fractions(monkeypatch):
+    # each log-odds update takes its ratio from integer parts
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    divisions = call_counter(monkeypatch, Fraction, "__truediv__")
+    reflected = call_counter(monkeypatch, Fraction, "__rtruediv__")
+    per_call = []
+    log_odds = engine.ObservationUpdate.local_transfer_entropy
+
+    def watched(self, j):
+        before = divisions[0] + reflected[0]
+        result = log_odds(self, j)
+        per_call.append(divisions[0] + reflected[0] - before)
+        return result
+
+    monkeypatch.setattr(engine.ObservationUpdate, "local_transfer_entropy", watched)
+    assert verify_scenario(scenario)[0] <= 1e-9
+    assert per_call and not any(per_call)
 
 
 def test_float_evidence_above_one_carries_zero_bits():
