@@ -6,140 +6,54 @@ and the familiar Shannon quantities (KL divergence, mutual information)
 fall out as expectations of those transfers. Exact rational arithmetic
 is supported end to end, and an independent probability-space oracle
 re-derives every number for cross-checking.
+
+The names below load their submodule on first access, so importing the
+package (or ``bayesbits.cli``) loads no more than the caller uses. Every
+other name is imported from its submodule, e.g. ``bayesbits.errors``.
 """
 
-from .aggregates import (
-    KlResult,
-    KlTerm,
-    MiResult,
-    MiTerm,
-    kl_classical,
-    kl_expected_tic,
-    mutual_information,
-    mutual_information_classical,
-)
-from .core import (
-    FLOAT_SUM_TOL,
-    Bits,
-    Distribution,
-    Probability,
-    as_probability,
-    entropy,
-    info_content,
-    is_exact,
-    prob_from_info,
-    probability_repr,
-)
-from .engine import (
-    TIC_NEUTRAL_TOL,
-    BayesFactor,
-    ModelSpace,
-    ModelTransfer,
-    ObservationModel,
-    SignClass,
-    TransferReport,
-    bayes_factor,
-    classify_tic,
-    evidence,
-    local_transfer_entropy,
-    log2_bayes_factor,
-    posterior_info,
-    posterior_prob_info_form,
-    posterior_prob_oracle,
-    tic,
-    transfer_report,
-)
-from .errors import (
-    BayesBitsError,
-    DomainError,
-    ExactnessError,
-    ImpossibleObservationError,
-    InvariantViolation,
-    ScenarioFormatError,
-    UndefinedLogError,
-    UnknownLabelError,
-    ZeroLikelihoodRatioError,
-)
-from .oracle import (
-    JointOutcomeTable,
-    JointRow,
-    OracleMetrics,
-    enumerate_joint,
-    oracle_metrics,
-    oracle_mi,
-)
-from .scenario import (
-    HostPolicy,
-    MhpConfig,
-    Scenario,
-    door_labels,
-    load_scenario,
-    mhp_scenario,
-    save_scenario,
-    scenario_from_json_text,
-    scenario_to_json_text,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BayesBitsError",
-    "BayesFactor",
-    "Bits",
-    "Distribution",
-    "DomainError",
-    "ExactnessError",
-    "FLOAT_SUM_TOL",
-    "HostPolicy",
-    "ImpossibleObservationError",
-    "InvariantViolation",
-    "JointOutcomeTable",
-    "JointRow",
-    "KlResult",
-    "KlTerm",
-    "MhpConfig",
-    "MiResult",
-    "MiTerm",
-    "ModelSpace",
-    "ModelTransfer",
-    "ObservationModel",
-    "OracleMetrics",
-    "Probability",
-    "Scenario",
-    "ScenarioFormatError",
-    "SignClass",
-    "TIC_NEUTRAL_TOL",
-    "TransferReport",
-    "UndefinedLogError",
-    "UnknownLabelError",
-    "ZeroLikelihoodRatioError",
-    "as_probability",
-    "bayes_factor",
-    "classify_tic",
-    "door_labels",
-    "entropy",
-    "enumerate_joint",
-    "evidence",
-    "info_content",
-    "is_exact",
-    "kl_classical",
-    "kl_expected_tic",
-    "load_scenario",
-    "local_transfer_entropy",
-    "log2_bayes_factor",
-    "mhp_scenario",
-    "mutual_information",
-    "mutual_information_classical",
-    "oracle_metrics",
-    "oracle_mi",
-    "posterior_info",
-    "posterior_prob_info_form",
-    "posterior_prob_oracle",
-    "prob_from_info",
-    "probability_repr",
-    "save_scenario",
-    "scenario_from_json_text",
-    "scenario_to_json_text",
-    "tic",
-    "transfer_report",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "Distribution": "core",
+    "ModelSpace": "engine",
+    "ObservationModel": "engine",
+    "evidence": "engine",
+    "local_transfer_entropy": "engine",
+    "posterior_prob_info_form": "engine",
+    "tic": "engine",
+    "transfer_report": "engine",
+    "kl_classical": "aggregates",
+    "kl_expected_tic": "aggregates",
+    "mutual_information": "aggregates",
+    "mutual_information_classical": "aggregates",
+    "HostPolicy": "scenario",
+    "MhpConfig": "scenario",
+    "Scenario": "scenario",
+    "door_labels": "scenario",
+    "load_scenario": "scenario",
+    "mhp_scenario": "scenario",
+    "save_scenario": "scenario",
+    "enumerate_joint": "oracle",
+    "oracle_metrics": "oracle",
+    "oracle_mi": "oracle",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

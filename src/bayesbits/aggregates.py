@@ -13,11 +13,12 @@ nonnegative because a refuted model carries posterior weight 0 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
-from .core import Bits, Distribution, Probability, _float, _info, entropy
+from .core import Bits, Distribution, Probability, _entropy, _float, _info, entropy
 from .engine import ModelSpace, ObservationModel, ObservationUpdate, update, updates
+from .record import Record
 
 __all__ = [
     "KlResult",
@@ -31,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KlTerm:
+class KlTerm(NamedTuple):
     """One model's contribution: posterior weight times its TIC."""
 
     model: str
@@ -40,8 +40,7 @@ class KlTerm:
     tic: Bits
 
 
-@dataclass(frozen=True)
-class KlResult:
+class KlResult(Record):
     """KL(posterior || prior) for one observation, with its term breakdown.
 
     ``value`` is the raw sum and may dip a hair below 0 from float noise;
@@ -49,9 +48,15 @@ class KlResult:
     ``update`` on first access: the sum itself needs no per-model object.
     """
 
+    _fields = ("observation", "value", "update")
+    _hidden = ("update",)
+    __slots__ = _fields + ("__dict__",)  # the dict holds the cached terms
     observation: str
     value: Bits
-    update: ObservationUpdate = field(repr=False)
+    update: ObservationUpdate
+
+    def __init__(self, observation: str, value: Bits, update: ObservationUpdate) -> None:
+        self._set(observation=observation, value=value, update=update)
 
     @cached_property
     def terms(self) -> tuple[KlTerm, ...]:
@@ -98,8 +103,7 @@ def kl_classical_from_update(u: ObservationUpdate) -> Bits:
     return value
 
 
-@dataclass(frozen=True)
-class MiTerm:
+class MiTerm(NamedTuple):
     """One observation's contribution: evidence weight times its KL."""
 
     observation: str
@@ -107,12 +111,21 @@ class MiTerm:
     kl: KlResult
 
 
-@dataclass(frozen=True)
-class MiResult:
-    """Mutual information between models and observations, with breakdown."""
+class MiResult(NamedTuple):
+    """Mutual information between models and observations, with breakdown.
+
+    ``kls`` holds the KL of every observation with nonzero evidence;
+    ``per_observation`` is built from them on each access.
+    """
 
     value: Bits
-    per_observation: tuple[MiTerm, ...]
+    kls: tuple[KlResult, ...]
+
+    @property
+    def per_observation(self) -> tuple[MiTerm, ...]:
+        return tuple(
+            [MiTerm(observation=k.observation, evidence=k.update.evidence, kl=k) for k in self.kls]
+        )
 
     @property
     def clamped(self) -> Bits:
@@ -130,15 +143,15 @@ def mutual_information(ms: ModelSpace, om: ObservationModel) -> MiResult:
 
 def mi_from_updates(us: tuple[ObservationUpdate | None, ...]) -> MiResult:
     """:func:`mutual_information` from the updates of every observation."""
-    terms = []
+    return mi_from_kls([kl_from_update(u) for u in us if u is not None])
+
+
+def mi_from_kls(kls: Sequence[KlResult]) -> MiResult:
+    """:func:`mutual_information` from the KL of every observation with nonzero evidence."""
     value = 0.0
-    for u in us:
-        if u is None:
-            continue
-        kl = kl_from_update(u)
-        terms.append(MiTerm(observation=u.observation, evidence=u.evidence, kl=kl))
-        value += _float(u.evidence) * kl.value
-    return MiResult(value=value, per_observation=tuple(terms))
+    for kl in kls:
+        value += _float(kl.update.evidence) * kl.value
+    return MiResult(value=value, kls=tuple(kls))
 
 
 def mutual_information_classical(ms: ModelSpace, om: ObservationModel) -> Bits:
@@ -147,10 +160,14 @@ def mutual_information_classical(ms: ModelSpace, om: ObservationModel) -> Bits:
 
 
 def mi_classical_from_updates(prior: Distribution, us: tuple[ObservationUpdate | None, ...]) -> Bits:
-    """:func:`mutual_information_classical` from the updates of every observation."""
+    """:func:`mutual_information_classical` from the updates of every observation.
+
+    The engine's posteriors already form a distribution, so their entropy
+    is taken as they are, without building and checking a new one.
+    """
     conditional = 0.0
     for u in us:
         if u is None:
             continue
-        conditional += _float(u.evidence) * entropy(Distribution(prior.labels, u.posteriors))
+        conditional += _float(u.evidence) * _entropy(u.posteriors)
     return entropy(prior) - conditional

@@ -15,27 +15,22 @@ Subcommands:
 All output is deterministic: stable ordering, fixed formatting, no
 timestamps. Exit codes: 0 success, 2 usage or parse error, 3 impossible
 observation, 4 verification failure.
+
+A process loads only what its subcommand runs: ``aggregates`` is
+imported by ``solve``, ``kl``, ``mi`` and ``verify``, ``verify`` (with
+the oracle) by the ``verify`` subcommand alone, and ``csv`` by CSV
+output. Keep new work out of module level.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import io
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from .aggregates import (
-    kl_classical_from_update,
-    kl_from_update,
-    mi_classical_from_updates,
-    mi_from_updates,
-)
 from .core import Distribution, probability_repr
 from .engine import ModelTransfer, TransferReport, select_update, update, updates
 from .errors import BayesBitsError, DomainError, ImpossibleObservationError
@@ -50,7 +45,6 @@ from .scenario import (
     save_scenario,
     scenario_to_json_text,
 )
-from .verify import VERIFY_TOL, verify_scenario
 
 __all__ = ["ReportDocument", "build_report", "entry_point", "main"]
 
@@ -70,8 +64,7 @@ CSV_HEADER = [
 # --- report document ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """Everything one solve run prints, before any formatting."""
 
     scenario: str
@@ -81,6 +74,8 @@ class ReportDocument:
 
 
 def build_report(scenario: Scenario, observation: str) -> ReportDocument:
+    from .aggregates import kl_from_update, mi_from_updates
+
     om = scenario.observation_model
     all_updates = updates(scenario.model_space, om)
     u = select_update(all_updates, om, observation)
@@ -182,6 +177,9 @@ def render_json(doc: ReportDocument) -> str:
 
 
 def render_csv(doc: ReportDocument) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -191,12 +189,11 @@ def render_csv(doc: ReportDocument) -> str:
 
 # --- subcommands -------------------------------------------------------------
 
-_CUSTOM_RE = re.compile(r"^custom(?:-(.+))?$")
-
-_PRESETS: dict[str, tuple[str, dict[str, Any]]] = {
-    "traditional": ("Traditional Monty Hall", {}),
-    "biased": ("Biased Monty Hall", {"prior": Distribution(door_labels(3), ("1/2", "1/3", "1/6"))}),
-    "forgetful": ("Forgetful Monty Hall", {"host_policy": HostPolicy.FORGETFUL}),
+# preset -> (scenario name, --prior, --policy) of a 3-door game with pick A
+_PRESETS: dict[str, tuple[str, str | None, str | None]] = {
+    "traditional": ("Traditional Monty Hall", None, None),
+    "biased": ("Biased Monty Hall", "1/2,1/3,1/6", None),
+    "forgetful": ("Forgetful Monty Hall", None, "forgetful"),
 }
 
 
@@ -209,9 +206,30 @@ def _parse_prior_flag(raw: str, doors: tuple[str, ...]) -> Distribution:
     return Distribution(doors, [part.strip() for part in parts])
 
 
+def _custom_door_count(variant: str, doors: int | None) -> int:
+    """Door count of a ``custom`` or ``custom-<N>`` variant, agreeing with ``--doors``."""
+    custom = re.match(r"^custom(?:-(.+))?$", variant)
+    if custom is None:
+        raise DomainError(
+            f"unknown variant {variant!r}; expected traditional, biased, "
+            "forgetful, or custom-N"
+        )
+    suffix = custom.group(1)
+    if suffix is not None and suffix.isdigit():
+        try:
+            inline = int(suffix)
+        except ValueError:  # more digits than CPython converts, or non-ASCII digits
+            raise DomainError(f"custom-N needs a door count of at most {MAX_DOORS}") from None
+        if doors is not None and doors != inline:
+            raise DomainError(f"variant {variant!r} names {inline} doors but --doors says {doors}")
+        doors = inline
+    if doors is None:
+        raise DomainError("custom variant needs --doors (or a custom-<N> count)")
+    return doors
+
+
 def _mhp_from_args(args: argparse.Namespace) -> Scenario:
     variant: str = args.variant
-    custom = _CUSTOM_RE.match(variant)
     if variant in _PRESETS:
         for flag in ("doors", "pick", "prior", "policy"):
             if getattr(args, flag) is not None:
@@ -219,39 +237,21 @@ def _mhp_from_args(args: argparse.Namespace) -> Scenario:
                     f"--{flag} only applies to the custom variant; "
                     f"{variant!r} is a fixed preset"
                 )
-        name, options = _PRESETS[variant]
-        scenario = mhp_scenario(MhpConfig(**options), name=name)
-    elif custom is not None:
-        suffix = custom.group(1)
-        doors = args.doors
-        if suffix is not None and suffix.isdigit():
-            try:
-                inline = int(suffix)
-            except ValueError:  # more digits than CPython converts, or non-ASCII digits
-                raise DomainError(f"custom-N needs a door count of at most {MAX_DOORS}") from None
-            if doors is not None and doors != inline:
-                raise DomainError(
-                    f"variant {variant!r} names {inline} doors but --doors says {doors}"
-                )
-            doors = inline
-        if doors is None:
-            raise DomainError("custom variant needs --doors (or a custom-<N> count)")
-        labels = door_labels(doors)
-        prior = _parse_prior_flag(args.prior, labels) if args.prior is not None else None
-        cfg = MhpConfig(
-            door_count=doors,
-            prior=prior,
-            contestant_pick=args.pick if args.pick is not None else "A",
-            host_policy=HostPolicy(args.policy) if args.policy is not None else HostPolicy.STANDARD,
-        )
-        scenario = mhp_scenario(cfg)
+        name, prior, policy = _PRESETS[variant]
+        doors, pick = 3, None
     else:
-        raise DomainError(
-            f"unknown variant {variant!r}; expected traditional, biased, "
-            "forgetful, or custom-N"
-        )
+        name, prior, policy, pick = None, args.prior, args.policy, args.pick
+        doors = _custom_door_count(variant, args.doors)
+    labels = door_labels(doors)
+    cfg = MhpConfig(
+        door_count=doors,
+        prior=_parse_prior_flag(prior, labels) if prior is not None else None,
+        contestant_pick=pick if pick is not None else "A",
+        host_policy=HostPolicy(policy) if policy is not None else HostPolicy.STANDARD,
+    )
+    scenario = mhp_scenario(cfg, name=name)
     metadata = {"variant": variant, **scenario.metadata}
-    return dataclasses.replace(scenario, metadata=metadata)
+    return Scenario(scenario.name, scenario.model_space, scenario.observation_model, metadata)
 
 
 def cmd_mhp(args: argparse.Namespace) -> int:
@@ -284,6 +284,8 @@ def _both_paths(quantity: str, via_tic: float, classical: float, precision: int)
 
 
 def cmd_kl(args: argparse.Namespace) -> int:
+    from .aggregates import kl_classical_from_update, kl_from_update
+
     scenario = load_scenario(args.scenario)
     u = update(scenario.model_space, scenario.observation_model, args.observe)
     print(f"scenario: {scenario.name}")
@@ -292,6 +294,8 @@ def cmd_kl(args: argparse.Namespace) -> int:
 
 
 def cmd_mi(args: argparse.Namespace) -> int:
+    from .aggregates import mi_classical_from_updates, mi_from_updates
+
     scenario = load_scenario(args.scenario)
     all_updates = updates(scenario.model_space, scenario.observation_model)
     print(f"scenario: {scenario.name}")
@@ -301,13 +305,15 @@ def cmd_mi(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     scenario = load_scenario(args.scenario)
-    max_dev, checks = verify_scenario(scenario)
+    max_dev, checks = verify.verify_scenario(scenario)
     print(f"scenario: {scenario.name}")
     print(f"comparisons: {checks}")
     print(f"max_deviation_bits: {_csv(max_dev)}")
-    print(f"tolerance_bits: {repr(VERIFY_TOL)}")
-    ok = max_dev <= VERIFY_TOL
+    print(f"tolerance_bits: {repr(verify.VERIFY_TOL)}")
+    ok = max_dev <= verify.VERIFY_TOL
     print(f"status: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 4
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, InvariantViolation, UnknownLabelError
+from .record import Record
 
 __all__ = [
     "Bits",
@@ -35,6 +35,7 @@ __all__ = [
     "entropy",
     "info_content",
     "is_exact",
+    "parse_probability",
     "prob_from_info",
     "probability_repr",
 ]
@@ -50,22 +51,50 @@ Bits = float
 FLOAT_SUM_TOL = 1e-9
 
 
+def parse_probability(text: str) -> Fraction:
+    """The exact rational a probability string names.
+
+    The one grammar of probability strings, in scenario files and on the
+    command line: ``"num/den"`` or a decimal such as ``"0.25"``, each
+    part a run of digits, with whitespace allowed around the parts. Both
+    forms parse to an exact ``Fraction``. Signs, exponents, underscores
+    and a bare ``".25"`` are refused, and so is a number with more
+    digits than CPython converts. :func:`as_probability` checks the range.
+    """
+    num, slash, den = text.partition("/")
+    if slash:
+        num, den = num.strip(), den.strip()
+        valid = num.isdecimal() and den.isdecimal()
+    else:
+        whole, point, decimals = text.strip().partition(".")
+        num, den = whole + decimals, "1" + "0" * len(decimals)
+        valid = whole.isdecimal() and (decimals.isdecimal() or not point)
+    if not valid:
+        raise DomainError(
+            f"cannot parse probability from {text!r}: expected 'num/den' or a decimal"
+        )
+    try:
+        num, den = int(num), int(den)
+    except ValueError as exc:  # more digits than CPython converts to int
+        raise DomainError(f"probability string too long: {exc}") from None
+    if den == 0:
+        raise DomainError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
+
+
 def as_probability(value: Probability | int | str) -> Probability:
     """Validate and normalize one probability value.
 
-    Accepts a Fraction, an int (exact), a float, or a string ``"num/den"``
-    which parses to an exact rational. Rejects values outside [0, 1] and
-    non-finite floats.
+    Accepts a Fraction, an int (exact), a float, or a string in the
+    grammar of :func:`parse_probability` (exact). Rejects values outside
+    [0, 1] and non-finite floats.
     """
     if type(value) is not Fraction:  # a Fraction, the common case, needs no conversion
         if isinstance(value, str):
-            try:
-                value = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(f"cannot parse probability from {value!r}") from exc
-        if isinstance(value, bool):
+            value = parse_probability(value)
+        elif isinstance(value, bool):
             raise DomainError(f"probability must be numeric, got {value!r}")
-        if isinstance(value, int):
+        elif isinstance(value, int):
             value = Fraction(value)
         elif isinstance(value, float):
             if math.isnan(value) or not 0.0 <= value <= 1.0:
@@ -207,8 +236,7 @@ def prob_from_info(bits: Bits) -> float:
     return 2.0 ** (-bits)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """A finite distribution over labeled events.
 
     Labels are unique and ordered; probabilities line up with them. A
@@ -216,6 +244,7 @@ class Distribution:
     any float entries must sum to 1 within :data:`FLOAT_SUM_TOL`.
     """
 
+    __slots__ = _fields = ("labels", "probs")
     labels: tuple[str, ...]
     probs: tuple[Probability, ...]
 
@@ -224,8 +253,7 @@ class Distribution:
         labels: Sequence[str],
         probs: Iterable[Probability | int | str],
     ) -> None:
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "probs", tuple(as_probability(p) for p in probs))
+        self._set(labels=tuple(labels), probs=tuple([as_probability(p) for p in probs]))
         self._check()
 
     def _check(self) -> None:
@@ -268,8 +296,13 @@ def entropy(d: Distribution) -> Bits:
     convention that zero-probability events contribute nothing. Bounded
     by 0 and log2(n).
     """
+    return _entropy(d.probs)
+
+
+def _entropy(probs: Iterable[Probability]) -> Bits:
+    """:func:`entropy` of probabilities already validated as a distribution."""
     total = 0.0
-    for p in d.probs:
+    for p in probs:
         if p == 0:
             continue
         total += _float(p) * _info(p)

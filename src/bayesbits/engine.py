@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     Bits,
@@ -47,6 +46,7 @@ from .errors import (
     UnknownLabelError,
     ZeroLikelihoodRatioError,
 )
+from .record import Record
 
 __all__ = [
     "BayesFactor",
@@ -74,11 +74,14 @@ __all__ = [
 TIC_NEUTRAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModelSpace:
+class ModelSpace(Record):
     """The hypothesis space: a prior distribution over model labels."""
 
+    __slots__ = _fields = ("prior",)
     prior: Distribution
+
+    def __init__(self, prior: Distribution) -> None:
+        self._set(prior=prior)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -88,8 +91,7 @@ class ModelSpace:
         return self.prior.prob_of(theta)
 
 
-@dataclass(frozen=True)
-class ObservationModel:
+class ObservationModel(Record):
     """Likelihood matrix P(x | theta), rows = observations, columns = models.
 
     Every column is itself a distribution over the observation space: for
@@ -97,6 +99,7 @@ class ObservationModel:
     all rationals, within the float tolerance otherwise).
     """
 
+    __slots__ = _fields = ("observation_labels", "model_labels", "likelihood")
     observation_labels: tuple[str, ...]
     model_labels: tuple[str, ...]
     likelihood: tuple[tuple[Probability, ...], ...]
@@ -107,12 +110,10 @@ class ObservationModel:
         model_labels: Sequence[str],
         likelihood: Iterable[Iterable[Probability | int | str]],
     ) -> None:
-        object.__setattr__(self, "observation_labels", tuple(observation_labels))
-        object.__setattr__(self, "model_labels", tuple(model_labels))
-        object.__setattr__(
-            self,
-            "likelihood",
-            tuple(tuple(as_probability(p) for p in row) for row in likelihood),
+        self._set(
+            observation_labels=tuple(observation_labels),
+            model_labels=tuple(model_labels),
+            likelihood=tuple([tuple([as_probability(p) for p in row]) for row in likelihood]),
         )
         self._check()
 
@@ -273,8 +274,7 @@ def posterior_prob_oracle(ms: ModelSpace, om: ObservationModel, x: str, theta: s
     return update(ms, om, x).posteriors[om._theta_index(theta)]
 
 
-@dataclass(frozen=True)
-class ModelTransfer:
+class ModelTransfer(NamedTuple):
     """One model's row of a transfer report.
 
     ``tic`` and ``sign_class`` are None when the prior is 0: the transfer
@@ -293,8 +293,7 @@ class ModelTransfer:
     posterior_prob: float
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     """Per-model decomposition of one observation's effect."""
 
     observation: str
@@ -309,8 +308,7 @@ class TransferReport:
         raise UnknownLabelError(f"no entry for model {theta!r}")
 
 
-@dataclass(frozen=True)
-class ObservationUpdate:
+class ObservationUpdate(NamedTuple):
     """One observation applied to every model in a single pass.
 
     The evidence ``P(x)`` is marginalised once and shared by every
@@ -507,8 +505,7 @@ def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> TransferRep
     return update(ms, om, x).report()
 
 
-@dataclass(frozen=True)
-class BayesFactor:
+class BayesFactor(NamedTuple):
     """Likelihood ratio of two models for one observation, plus its log."""
 
     ratio: Probability

@@ -14,11 +14,11 @@ than silently rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ExactnessError, ImpossibleObservationError, InvariantViolation
+from .record import Record
 from .scenario import Scenario
 
 __all__ = [
@@ -45,22 +45,36 @@ def _log2_ratio(fr: Fraction) -> float:
     return math.log2(fr.numerator) - math.log2(fr.denominator)
 
 
-@dataclass(frozen=True)
-class JointRow:
+class JointRow(NamedTuple):
     model: str
     observation: str
     prob: Fraction
 
 
-@dataclass(frozen=True)
-class JointOutcomeTable:
+class JointOutcomeTable(Record):
     """Exhaustive P(model, observation) enumeration, exact throughout."""
 
+    __slots__ = _fields = ("model_labels", "observation_labels", "prior", "_cells")
+    _hidden = ("_cells",)
     model_labels: tuple[str, ...]
     observation_labels: tuple[str, ...]
     prior: tuple[Fraction, ...]
     # observation -> model -> joint cell, models in order
-    _cells: dict[str, dict[str, Fraction]] = field(repr=False)
+    _cells: dict[str, dict[str, Fraction]]
+
+    def __init__(
+        self,
+        model_labels: tuple[str, ...],
+        observation_labels: tuple[str, ...],
+        prior: tuple[Fraction, ...],
+        _cells: dict[str, dict[str, Fraction]],
+    ) -> None:
+        self._set(
+            model_labels=model_labels,
+            observation_labels=observation_labels,
+            prior=prior,
+            _cells=_cells,
+        )
 
     @property
     def rows(self) -> tuple[JointRow, ...]:
@@ -131,8 +145,7 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
     )
 
 
-@dataclass(frozen=True)
-class OracleMetrics:
+class OracleMetrics(NamedTuple):
     """Everything the oracle can say about one observation."""
 
     observation: str

@@ -5,8 +5,9 @@ observations. The Monty Hall family is generated rather than hand-typed: doors a
 models (car locations), host actions are observations, and the host
 policy fixes the likelihoods.
 
-Scenario files are JSON. Probabilities may be written as decimal numbers
-(parsed as floats) or as ``"num/den"`` strings (parsed as exact
+Scenario files are JSON. Probabilities may be written as JSON numbers
+(decimals parse as floats) or as strings in the grammar of
+``core.parse_probability``, ``"num/den"`` or ``"0.25"`` (parsed as exact
 rationals); exact values round-trip exactly. Unknown keys are rejected
 so typos fail loudly.
 """
@@ -15,8 +16,6 @@ from __future__ import annotations
 
 import enum
 import json
-import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -24,6 +23,7 @@ from typing import Any
 from .core import Distribution, Probability, as_probability, probability_repr
 from .engine import ModelSpace, ObservationModel
 from .errors import DomainError, InvariantViolation, ScenarioFormatError, UnknownLabelError
+from .record import Record
 
 __all__ = [
     "HostPolicy",
@@ -39,21 +39,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A named model space plus observation model, with free annotations."""
 
+    __slots__ = _fields = ("name", "model_space", "observation_model", "metadata")
     name: str
     model_space: ModelSpace
     observation_model: ObservationModel
-    metadata: dict[str, Any] = field(default_factory=dict)
+    metadata: dict[str, Any]
 
-    def __post_init__(self) -> None:
-        if self.model_space.labels != self.observation_model.model_labels:
+    def __init__(
+        self,
+        name: str,
+        model_space: ModelSpace,
+        observation_model: ObservationModel,
+        metadata: dict[str, Any] | None = None,
+    ) -> None:
+        if model_space.labels != observation_model.model_labels:
             raise InvariantViolation(
-                f"prior is over models {list(self.model_space.labels)} but likelihood "
-                f"columns are {list(self.observation_model.model_labels)}"
+                f"prior is over models {list(model_space.labels)} but likelihood "
+                f"columns are {list(observation_model.model_labels)}"
             )
+        self._set(
+            name=name,
+            model_space=model_space,
+            observation_model=observation_model,
+            metadata={} if metadata is None else metadata,
+        )
 
     @property
     def is_exact(self) -> bool:
@@ -82,8 +94,7 @@ def door_labels(door_count: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-@dataclass(frozen=True)
-class MhpConfig:
+class MhpConfig(Record):
     """Parameters of one Monty Hall game.
 
     ``prior`` defaults to uniform over the doors. The standard host
@@ -92,23 +103,36 @@ class MhpConfig:
     uniformly, which makes car reveals possible outcomes.
     """
 
-    door_count: int = 3
-    prior: Distribution | None = None
-    contestant_pick: str = "A"
-    host_policy: HostPolicy = HostPolicy.STANDARD
+    __slots__ = _fields = ("door_count", "prior", "contestant_pick", "host_policy")
+    door_count: int
+    prior: Distribution
+    contestant_pick: str
+    host_policy: HostPolicy
 
-    def __post_init__(self) -> None:
-        doors = door_labels(self.door_count)
-        if self.contestant_pick not in doors:
+    def __init__(
+        self,
+        door_count: int = 3,
+        prior: Distribution | None = None,
+        contestant_pick: str = "A",
+        host_policy: HostPolicy = HostPolicy.STANDARD,
+    ) -> None:
+        doors = door_labels(door_count)
+        if contestant_pick not in doors:
             raise UnknownLabelError(
-                f"contestant pick {self.contestant_pick!r} is not one of {list(doors)}"
+                f"contestant pick {contestant_pick!r} is not one of {list(doors)}"
             )
-        if self.prior is None:
-            object.__setattr__(self, "prior", Distribution.uniform(doors))
-        elif self.prior.labels != doors:
+        if prior is None:
+            prior = Distribution.uniform(doors)
+        elif prior.labels != doors:
             raise InvariantViolation(
-                f"prior is over {list(self.prior.labels)} but the doors are {list(doors)}"
+                f"prior is over {list(prior.labels)} but the doors are {list(doors)}"
             )
+        self._set(
+            door_count=door_count,
+            prior=prior,
+            contestant_pick=contestant_pick,
+            host_policy=host_policy,
+        )
 
 
 def _standard_likelihood(doors: tuple[str, ...], pick: str) -> tuple[list[str], list[list[Probability]]]:
@@ -155,7 +179,6 @@ def mhp_scenario(cfg: MhpConfig, name: str | None = None) -> Scenario:
     observations. All generated probabilities are exact rationals.
     """
     doors = door_labels(cfg.door_count)
-    assert cfg.prior is not None
     if cfg.host_policy is HostPolicy.STANDARD:
         observations, rows = _standard_likelihood(doors, cfg.contestant_pick)
     else:
@@ -183,25 +206,11 @@ def mhp_scenario(cfg: MhpConfig, name: str | None = None) -> Scenario:
 
 _TOP_KEYS = {"name", "models", "observations", "likelihood", "metadata"}
 _MODEL_KEYS = {"label", "prior"}
-_RATIONAL_RE = re.compile(r"^\s*(\d+)\s*/\s*(\d+)\s*$")
 
 
 def _parse_prob(value: Any, where: str) -> Probability:
-    """One cell's file syntax; :func:`as_probability` checks its type and range."""
-    if isinstance(value, str):
-        m = _RATIONAL_RE.match(value)
-        if m is None:
-            raise ScenarioFormatError(
-                f"{where}: expected a number or 'num/den' string, got {value!r}"
-            )
-        try:
-            num, den = int(m.group(1)), int(m.group(2))
-        except ValueError as exc:  # more digits than CPython converts to int
-            raise ScenarioFormatError(f"{where}: 'num/den' string too long: {exc}") from exc
-        if den == 0:
-            raise ScenarioFormatError(f"{where}: zero denominator in {value!r}")
-        value = Fraction(num, den)
-    elif not isinstance(value, (int, float)):
+    """One cell: :func:`as_probability` parses a string and checks type and range."""
+    if not isinstance(value, (str, int, float)):
         raise ScenarioFormatError(
             f"{where}: expected a number or 'num/den' string, got {type(value).__name__}"
         )

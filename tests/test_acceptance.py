@@ -16,15 +16,14 @@ from bayesbits import (
     kl_classical,
     kl_expected_tic,
     local_transfer_entropy,
-    log2_bayes_factor,
     mutual_information,
     mutual_information_classical,
     oracle_metrics,
     posterior_prob_info_form,
-    posterior_prob_oracle,
     tic,
     transfer_report,
 )
+from bayesbits.engine import log2_bayes_factor, posterior_prob_oracle
 from bayesbits.verify import bits_deviation
 from random_agreement_sweep import random_scenario
 

@@ -168,7 +168,7 @@ class TestMutualInformation:
             assert mutual_information(ms, om).value >= -1e-9
 
     def test_bounded_by_prior_entropy(self, traditional, biased, forgetful):
-        from bayesbits import entropy
+        from bayesbits.core import entropy
 
         for scenario in (traditional, biased, forgetful):
             ms, om = parts(scenario)

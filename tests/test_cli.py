@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bayesbits import cli, load_scenario
+from bayesbits import cli, load_scenario, verify
 from bayesbits.scenario import MAX_DOORS
 
 
@@ -295,7 +295,8 @@ class TestVerify:
         assert "oracle requires exact rationals" in capsys.readouterr().err
 
     def test_failure_exits_4(self, scenario_files, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "VERIFY_TOL", -1.0)
+        # the verify subcommand reads the tolerance where it is defined
+        monkeypatch.setattr(verify, "VERIFY_TOL", -1.0)
         assert cli.main(["verify", scenario_files["traditional"]]) == 4
         assert "status: FAIL" in capsys.readouterr().out
 
@@ -395,6 +396,39 @@ class TestLimits:
         assert cli.main(["mhp", "custom-3", "--prior", "1/2, 1/4 ,0.25"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [m["prior"] for m in doc["models"]] == ["1/2", "1/4", "1/4"]
+
+    @pytest.mark.parametrize(
+        "text, exact",
+        [
+            ("1/4", "1/4"),
+            (" 1 / 4 ", "1/4"),
+            ("0.25", "1/4"),
+            ("00.250", "1/4"),
+            ("1e-1", None),
+            ("+1/4", None),
+            ("-0", None),
+            ("1_0/40", None),
+            ("2.5e-1", None),
+            (".25", None),
+            ("0x1", None),
+        ],
+    )
+    def test_prior_flag_and_file_share_one_grammar(self, tmp_path, capsys, text, exact):
+        # --prior and a file's string cells accept the same strings, as the same exact value
+        flag = cli.main(["mhp", "custom-3", "--prior", f"1/2,1/4,{text}"])
+        flag_out, flag_err = capsys.readouterr()
+        path = _write(tmp_path, "grammar", ["1/2", "1/4", text], ["x"], [[1, 1, 1]])
+        cell = cli.main(["solve", path, "--observe", "x", "--format", "csv"])
+        cell_out, cell_err = capsys.readouterr()
+        if exact is None:
+            assert flag == cell == 2
+            expected = f"cannot parse probability from {text!r}: expected 'num/den' or a decimal\n"
+            assert flag_err == f"error: {expected}"
+            assert cell_err == f"error: {path}: models[2].prior: {expected}"
+        else:
+            assert flag == cell == 0
+            assert json.loads(flag_out)["models"][2]["prior"] == exact
+            assert cell_out.splitlines()[3].split(",")[1] == exact
 
 
 class TestUnencodableText:

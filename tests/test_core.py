@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bayesbits import (
-    Distribution,
-    DomainError,
-    InvariantViolation,
-    UnknownLabelError,
+from bayesbits import Distribution
+from bayesbits.core import (
+    _float,
+    _info,
     as_probability,
     entropy,
     info_content,
@@ -19,7 +18,7 @@ from bayesbits import (
     prob_from_info,
     probability_repr,
 )
-from bayesbits.core import _float, _info
+from bayesbits.errors import DomainError, InvariantViolation, UnknownLabelError
 from helpers import same_bits
 
 LOG2_3 = 1.584962500721156

@@ -7,26 +7,30 @@ import pytest
 
 from bayesbits import (
     Distribution,
-    ImpossibleObservationError,
-    InvariantViolation,
     ModelSpace,
     ObservationModel,
-    SignClass,
+    evidence,
+    local_transfer_entropy,
+    posterior_prob_info_form,
+    tic,
+    transfer_report,
+)
+from bayesbits.core import info_content
+from bayesbits.engine import (
     TIC_NEUTRAL_TOL,
+    SignClass,
+    bayes_factor,
+    classify_tic,
+    log2_bayes_factor,
+    posterior_info,
+    posterior_prob_oracle,
+)
+from bayesbits.errors import (
+    ImpossibleObservationError,
+    InvariantViolation,
     UndefinedLogError,
     UnknownLabelError,
     ZeroLikelihoodRatioError,
-    bayes_factor,
-    classify_tic,
-    evidence,
-    info_content,
-    local_transfer_entropy,
-    log2_bayes_factor,
-    posterior_info,
-    posterior_prob_info_form,
-    posterior_prob_oracle,
-    tic,
-    transfer_report,
 )
 
 LOG2_3 = 1.584962500721156

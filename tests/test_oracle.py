@@ -8,8 +8,6 @@ import pytest
 
 from bayesbits import (
     Distribution,
-    ExactnessError,
-    ImpossibleObservationError,
     ModelSpace,
     ObservationModel,
     Scenario,
@@ -21,6 +19,7 @@ from bayesbits import (
     posterior_prob_info_form,
     tic,
 )
+from bayesbits.errors import ExactnessError, ImpossibleObservationError
 from bayesbits.oracle import observation_metrics, oracle_mi_from_metrics
 from bayesbits.verify import bits_deviation
 from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario

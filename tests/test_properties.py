@@ -9,26 +9,22 @@ from hypothesis import strategies as st
 
 from bayesbits import (
     Distribution,
-    InvariantViolation,
     ModelSpace,
     ObservationModel,
     Scenario,
-    entropy,
     enumerate_joint,
-    info_content,
     kl_expected_tic,
     local_transfer_entropy,
-    log2_bayes_factor,
     mutual_information,
     oracle_metrics,
-    posterior_info,
     posterior_prob_info_form,
-    prob_from_info,
-    scenario_from_json_text,
-    scenario_to_json_text,
     tic,
     transfer_report,
 )
+from bayesbits.core import entropy, info_content, prob_from_info
+from bayesbits.engine import log2_bayes_factor, posterior_info
+from bayesbits.errors import InvariantViolation
+from bayesbits.scenario import scenario_from_json_text, scenario_to_json_text
 from bayesbits.verify import bits_deviation
 
 weight_lists = st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(

@@ -8,24 +8,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bayesbits import (
-    BayesBitsError,
     Distribution,
-    DomainError,
     HostPolicy,
-    InvariantViolation,
     MhpConfig,
     Scenario,
-    ScenarioFormatError,
-    UnknownLabelError,
     door_labels,
     evidence,
     load_scenario,
     mhp_scenario,
-    posterior_prob_oracle,
     save_scenario,
-    scenario_from_json_text,
-    scenario_to_json_text,
 )
+from bayesbits.engine import posterior_prob_oracle
+from bayesbits.errors import (
+    BayesBitsError,
+    DomainError,
+    InvariantViolation,
+    ScenarioFormatError,
+    UnknownLabelError,
+)
+from bayesbits.scenario import scenario_from_json_text, scenario_to_json_text
 from bayesbits.cli import build_report, render_csv, render_json, render_table
 from bayesbits.scenario import MAX_DOORS
 

@@ -16,27 +16,29 @@ import pytest
 from bayesbits import (
     Distribution,
     HostPolicy,
-    ImpossibleObservationError,
     MhpConfig,
     ModelSpace,
     ObservationModel,
     Scenario,
-    SignClass,
-    classify_tic,
     evidence,
-    info_content,
     local_transfer_entropy,
     mhp_scenario,
     mutual_information,
-    posterior_info,
-    posterior_prob_oracle,
     tic,
     transfer_report,
 )
-from bayesbits import aggregates, engine, oracle
+from bayesbits import aggregates, engine, oracle, verify
 from bayesbits.cli import build_report
-from bayesbits.core import _log2_positive
-from bayesbits.engine import update, updates
+from bayesbits.core import _log2_positive, info_content
+from bayesbits.engine import (
+    SignClass,
+    classify_tic,
+    posterior_info,
+    posterior_prob_oracle,
+    update,
+    updates,
+)
+from bayesbits.errors import ImpossibleObservationError
 from bayesbits.verify import verify_scenario
 
 from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
@@ -229,11 +231,34 @@ def call_counter(monkeypatch, owner, name: str) -> list[int]:
 
 
 def test_kl_and_mi_build_no_kl_terms(monkeypatch):
-    # verify and solve sum KL and MI without one KlTerm per model
+    # verify and solve sum KL and MI without one KlTerm per model or MiTerm per observation
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
     calls = call_counter(monkeypatch, aggregates, "KlTerm")
+    mi_terms = call_counter(monkeypatch, aggregates, "MiTerm")
     assert verify_scenario(scenario)[0] <= 1e-9
     build_report(scenario, scenario.observation_model.observation_labels[0])
+    assert calls == mi_terms == [0]
+
+
+def test_verify_sums_each_kl_once(monkeypatch):
+    # MI reuses the KL that verify already summed for each observation
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    n_obs = len(scenario.observation_model.observation_labels)
+    direct = call_counter(monkeypatch, verify, "kl_from_update")
+    inner = call_counter(monkeypatch, aggregates, "kl_from_update")
+    assert verify_scenario(scenario)[0] <= 1e-9
+    assert 0 < direct[0] + inner[0] <= n_obs == 22
+
+
+def test_classical_mi_builds_no_distribution(monkeypatch):
+    # the engine's posteriors are a distribution already: no re-validation per observation
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    calls = call_counter(monkeypatch, aggregates, "Distribution")
+    ms, om = scenario.model_space, scenario.observation_model
+    assert aggregates.mi_classical_from_updates(ms.prior, updates(ms, om)) == pytest.approx(
+        oracle.oracle_mi(oracle.enumerate_joint(scenario)), abs=1e-9
+    )
+    assert verify_scenario(scenario)[0] <= 1e-9
     assert calls == [0]
 
 
