@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 import json
+import os
+import stat
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -229,27 +231,47 @@ def _printable(text: str, where: str) -> str:
     return text
 
 
-def _prob_to_json(p: Probability) -> Any:
+def _json_at(value: Any, level: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads nested ``level`` deep in a document."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _json_list(items: list[str], level: int) -> str:
+    """The JSON array of the encoded ``items``, laid out as ``indent=2`` lays it ``level`` deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+
+
+def _prob_json(p: Probability) -> str:
+    """One probability as JSON: a "num/den" string when exact, else a number."""
     if isinstance(p, Fraction):
-        return probability_repr(p)
-    return p
+        return f'"{probability_repr(p)}"'  # digits and a slash need no escapes
+    return json.dumps(p)
 
 
 def scenario_to_json_text(s: Scenario) -> str:
-    """Canonical JSON text of a scenario; exact values stay "num/den"."""
-    doc = {
-        "name": s.name,
-        "models": [
-            {"label": label, "prior": _prob_to_json(p)}
-            for label, p in zip(s.model_space.labels, s.model_space.prior.probs)
-        ],
-        "observations": list(s.observation_model.observation_labels),
-        "likelihood": [
-            [_prob_to_json(p) for p in row] for row in s.observation_model.likelihood
-        ],
-        "metadata": dict(s.metadata),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical JSON text of a scenario; exact values stay "num/den".
+
+    The text is ``json.dumps(document, indent=2)``, laid out here: given
+    an indent, ``json`` encodes in pure Python, which cost more than the
+    rest of a save. Only the free-form metadata still goes through it.
+    """
+    ms, om = s.model_space, s.observation_model
+    models = [
+        '{\n      "label": ' + _json_at(label, 3) + ',\n      "prior": ' + _prob_json(p) + "\n    }"
+        for label, p in zip(ms.labels, ms.prior.probs)
+    ]
+    rows = [_json_list([_prob_json(p) for p in row], 2) for row in om.likelihood]
+    return (
+        '{\n  "name": ' + _json_at(s.name, 1)
+        + ',\n  "models": ' + _json_list(models, 1)
+        + ',\n  "observations": ' + _json_list([_json_at(x, 2) for x in om.observation_labels], 1)
+        + ',\n  "likelihood": ' + _json_list(rows, 1)
+        + ',\n  "metadata": ' + _json_at(dict(s.metadata), 1)
+        + "\n}\n"
+    )
 
 
 def scenario_from_json_text(text: str, source: str = "<string>") -> Scenario:
@@ -327,7 +349,18 @@ def scenario_from_json_text(text: str, source: str = "<string>") -> Scenario:
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:
-    Path(path).write_text(scenario_to_json_text(s), encoding="utf-8")
+    """Write :func:`scenario_to_json_text` of ``s`` to ``path``, created or replaced.
+
+    A regular file is written over and then cut to length, not emptied
+    on open: ext4 flushes a file truncated to zero to the disk when it is
+    closed, so each save would wait, for a varying time, on the disk.
+    """
+    data = scenario_to_json_text(s).encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()  # drop what is left of a longer old file
 
 
 def load_scenario(path: str | Path) -> Scenario:

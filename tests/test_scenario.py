@@ -1,6 +1,7 @@
 """Monty Hall generators and the scenario file format."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from bayesbits import (
     mhp_scenario,
     save_scenario,
 )
-from bayesbits.engine import posterior_prob_oracle
+from bayesbits.engine import ModelSpace, ObservationModel, posterior_prob_oracle
 from bayesbits.errors import (
     BayesBitsError,
     DomainError,
@@ -392,3 +393,54 @@ class TestParserFuzz:
         doc = build_report(scenario, x)
         for text in (render_table(doc, 6), render_json(doc), render_csv(doc)):
             text.encode("utf-8")
+
+
+@st.composite
+def printable_scenarios(draw):
+    """Scenarios with any labels, name and metadata, exact or float cells."""
+    n_models, n_obs = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    labels = st.lists(st.text(max_size=6), unique=True, min_size=n_models + n_obs,
+                      max_size=n_models + n_obs)
+    names = draw(labels)
+
+    def dist(size):
+        weights = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size).filter(any))
+        exact = [Fraction(w, sum(weights)) for w in weights]
+        return exact if draw(st.booleans()) else [float(p) for p in exact]
+
+    columns = [dist(n_obs) for _ in range(n_models)]
+    return Scenario(
+        draw(st.text()),
+        ModelSpace(Distribution(names[:n_models], dist(n_models))),
+        ObservationModel(names[n_models:], names[:n_models],
+                         [[columns[j][i] for j in range(n_models)] for i in range(n_obs)]),
+        draw(st.dictionaries(st.text(max_size=12), json_values, max_size=4)),
+    )
+
+
+class TestCanonicalText:
+    @given(printable_scenarios())
+    def test_text_is_json_dumps_with_indent(self, scenario):
+        ms, om = scenario.model_space, scenario.observation_model
+
+        def cell(p):
+            return f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else p
+
+        doc = {
+            "name": scenario.name,
+            "models": [{"label": m, "prior": cell(p)} for m, p in zip(ms.labels, ms.prior.probs)],
+            "observations": list(om.observation_labels),
+            "likelihood": [[cell(p) for p in row] for row in om.likelihood],
+            "metadata": scenario.metadata,
+        }
+        assert scenario_to_json_text(scenario) == json.dumps(doc, indent=2) + "\n"
+
+    def test_save_over_a_longer_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_scenario(mhp_scenario(MhpConfig(door_count=9)), path)
+        small = mhp_scenario(MhpConfig())
+        save_scenario(small, path)
+        assert path.read_text(encoding="utf-8") == scenario_to_json_text(small)
+
+    def test_save_to_a_device(self):
+        save_scenario(mhp_scenario(MhpConfig()), os.devnull)
