@@ -9,22 +9,19 @@ from probabilities, so the TIC route is always cross-checkable.
 Individual TIC terms can be negative or ``-inf``; the expectations stay
 nonnegative because a refuted model carries posterior weight 0 and
 ``0 * (+/-inf)`` counts as 0 inside these sums.
+
+Each function returns bits as a plain float. The terms it sums are
+columns of the engine's :class:`~bayesbits.engine.ObservationUpdate`.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable
 
 from .core import Bits, Distribution, Probability, _entropy, _float, _info, entropy
 from .engine import ModelSpace, ObservationModel, ObservationUpdate, update, updates
-from .record import Record
 
 __all__ = [
-    "KlResult",
-    "KlTerm",
-    "MiResult",
-    "MiTerm",
     "kl_classical",
     "kl_expected_tic",
     "mutual_information",
@@ -32,60 +29,23 @@ __all__ = [
 ]
 
 
-class KlTerm(NamedTuple):
-    """One model's contribution: posterior weight times its TIC."""
-
-    model: str
-    weight: Probability
-    tic: Bits
-
-
-class KlResult(Record):
-    """KL(posterior || prior) for one observation, with its term breakdown.
-
-    ``value`` is the raw sum and may dip a hair below 0 from float noise;
-    ``clamped`` is the display form pinned at 0. ``terms`` is built from
-    ``update`` on first access: the sum itself needs no per-model object.
-    """
-
-    _fields = ("observation", "value", "update")
-    _hidden = ("update",)
-    __slots__ = _fields + ("__dict__",)  # the dict holds the cached terms
-    observation: str
-    value: Bits
-    update: ObservationUpdate
-
-    def __init__(self, observation: str, value: Bits, update: ObservationUpdate) -> None:
-        self._set(observation=observation, value=value, update=update)
-
-    @cached_property
-    def terms(self) -> tuple[KlTerm, ...]:
-        u = self.update
-        return tuple(
-            [KlTerm(model=m, weight=w, tic=t) for m, w, t in zip(u.models, u.posteriors, u.tics)]
-        )
-
-    @property
-    def clamped(self) -> Bits:
-        return max(0.0, self.value)
-
-
-def kl_expected_tic(ms: ModelSpace, om: ObservationModel, x: str) -> KlResult:
+def kl_expected_tic(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
     """KL divergence as the posterior-weighted expected TIC of ``x``.
 
     Zero-weight terms contribute exactly 0 even when their TIC is
-    ``-inf``, so refuted models drop out of the sum.
+    ``-inf``, so refuted models drop out of the sum. The raw sum may dip
+    a hair below 0 from float noise; the CLI displays it clamped at 0.
     """
     return kl_from_update(update(ms, om, x))
 
 
-def kl_from_update(u: ObservationUpdate) -> KlResult:
+def kl_from_update(u: ObservationUpdate) -> Bits:
     """:func:`kl_expected_tic` of an observation already applied."""
     value = 0.0
     for weight, t in zip(u.posteriors, u.tics):
         if weight != 0:
             value += _float(weight) * t
-    return KlResult(observation=u.observation, value=value, update=u)
+    return value
 
 
 def kl_classical(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
@@ -103,36 +63,7 @@ def kl_classical_from_update(u: ObservationUpdate) -> Bits:
     return value
 
 
-class MiTerm(NamedTuple):
-    """One observation's contribution: evidence weight times its KL."""
-
-    observation: str
-    evidence: Probability
-    kl: KlResult
-
-
-class MiResult(NamedTuple):
-    """Mutual information between models and observations, with breakdown.
-
-    ``kls`` holds the KL of every observation with nonzero evidence;
-    ``per_observation`` is built from them on each access.
-    """
-
-    value: Bits
-    kls: tuple[KlResult, ...]
-
-    @property
-    def per_observation(self) -> tuple[MiTerm, ...]:
-        return tuple(
-            [MiTerm(observation=k.observation, evidence=k.update.evidence, kl=k) for k in self.kls]
-        )
-
-    @property
-    def clamped(self) -> Bits:
-        return max(0.0, self.value)
-
-
-def mutual_information(ms: ModelSpace, om: ObservationModel) -> MiResult:
+def mutual_information(ms: ModelSpace, om: ObservationModel) -> Bits:
     """Mutual information as the evidence-weighted average per-observation KL.
 
     Observations with zero evidence cannot occur and are skipped; they
@@ -141,17 +72,17 @@ def mutual_information(ms: ModelSpace, om: ObservationModel) -> MiResult:
     return mi_from_updates(updates(ms, om))
 
 
-def mi_from_updates(us: tuple[ObservationUpdate | None, ...]) -> MiResult:
+def mi_from_updates(us: tuple[ObservationUpdate | None, ...]) -> Bits:
     """:func:`mutual_information` from the updates of every observation."""
-    return mi_from_kls([kl_from_update(u) for u in us if u is not None])
+    return mi_from_kls([(u.evidence, kl_from_update(u)) for u in us if u is not None])
 
 
-def mi_from_kls(kls: Sequence[KlResult]) -> MiResult:
-    """:func:`mutual_information` from the KL of every observation with nonzero evidence."""
+def mi_from_kls(kls: Iterable[tuple[Probability, Bits]]) -> Bits:
+    """:func:`mutual_information` from the (evidence, KL) pair of every possible observation."""
     value = 0.0
-    for kl in kls:
-        value += _float(kl.update.evidence) * kl.value
-    return MiResult(value=value, kls=tuple(kls))
+    for ev, kl in kls:
+        value += _float(ev) * kl
+    return value
 
 
 def mutual_information_classical(ms: ModelSpace, om: ObservationModel) -> Bits:

@@ -27,12 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .core import Distribution, probability_repr
-from .engine import ModelTransfer, TransferReport, select_update, update, updates
+from .engine import ModelTransfer, ObservationUpdate, select_update, update, updates
 from .errors import BayesBitsError, DomainError, ImpossibleObservationError
 from .scenario import (
     MAX_DOORS,
@@ -68,7 +67,7 @@ class ReportDocument(NamedTuple):
     """Everything one solve run prints, before any formatting."""
 
     scenario: str
-    transfer: TransferReport
+    transfer: ObservationUpdate
     kl_bits: float
     mi_bits: float
 
@@ -81,9 +80,9 @@ def build_report(scenario: Scenario, observation: str) -> ReportDocument:
     u = select_update(all_updates, om, observation)
     return ReportDocument(
         scenario=scenario.name,
-        transfer=u.report(),
-        kl_bits=kl_from_update(u).clamped,
-        mi_bits=mi_from_updates(all_updates).clamped,
+        transfer=u,
+        kl_bits=max(0.0, kl_from_update(u)),
+        mi_bits=max(0.0, mi_from_updates(all_updates)),
     )
 
 
@@ -207,18 +206,21 @@ def _parse_prior_flag(raw: str, doors: tuple[str, ...]) -> Distribution:
 
 
 def _custom_door_count(variant: str, doors: int | None) -> int:
-    """Door count of a ``custom`` or ``custom-<N>`` variant, agreeing with ``--doors``."""
-    custom = re.match(r"^custom(?:-(.+))?$", variant)
-    if custom is None:
+    """Door count of a ``custom``, ``custom-N`` or ``custom-<digits>`` variant.
+
+    The count must agree with ``--doors`` when both are given.
+    """
+    suffix = variant[len("custom-"):] if variant.startswith("custom-") else None
+    digits = suffix is not None and suffix.isascii() and suffix.isdigit()
+    if variant != "custom" and suffix != "N" and not digits:
         raise DomainError(
             f"unknown variant {variant!r}; expected traditional, biased, "
             "forgetful, or custom-N"
         )
-    suffix = custom.group(1)
-    if suffix is not None and suffix.isdigit():
+    if digits:
         try:
             inline = int(suffix)
-        except ValueError:  # more digits than CPython converts, or non-ASCII digits
+        except ValueError:  # more digits than CPython converts
             raise DomainError(f"custom-N needs a door count of at most {MAX_DOORS}") from None
         if doors is not None and doors != inline:
             raise DomainError(f"variant {variant!r} names {inline} doors but --doors says {doors}")
@@ -290,7 +292,7 @@ def cmd_kl(args: argparse.Namespace) -> int:
     u = update(scenario.model_space, scenario.observation_model, args.observe)
     print(f"scenario: {scenario.name}")
     print(f"observation: {args.observe}")
-    return _both_paths("kl", kl_from_update(u).value, kl_classical_from_update(u), args.precision)
+    return _both_paths("kl", kl_from_update(u), kl_classical_from_update(u), args.precision)
 
 
 def cmd_mi(args: argparse.Namespace) -> int:
@@ -299,7 +301,7 @@ def cmd_mi(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     all_updates = updates(scenario.model_space, scenario.observation_model)
     print(f"scenario: {scenario.name}")
-    via_tic = mi_from_updates(all_updates).value
+    via_tic = mi_from_updates(all_updates)
     classical = mi_classical_from_updates(scenario.model_space.prior, all_updates)
     return _both_paths("mi", via_tic, classical, args.precision)
 

@@ -56,7 +56,7 @@ def parse_probability(text: str) -> Fraction:
 
     The one grammar of probability strings, in scenario files and on the
     command line: ``"num/den"`` or a decimal such as ``"0.25"``, each
-    part a run of digits, with whitespace allowed around the parts. Both
+    part a run of ASCII digits, with whitespace allowed around the parts. Both
     forms parse to an exact ``Fraction``. Signs, exponents, underscores
     and a bare ``".25"`` are refused, and so is a number with more
     digits than CPython converts. :func:`as_probability` checks the range.
@@ -69,7 +69,7 @@ def parse_probability(text: str) -> Fraction:
         whole, point, decimals = text.strip().partition(".")
         num, den = whole + decimals, "1" + "0" * len(decimals)
         valid = whole.isdecimal() and (decimals.isdecimal() or not point)
-    if not valid:
+    if not (valid and (num + den).isascii()):
         raise DomainError(
             f"cannot parse probability from {text!r}: expected 'num/den' or a decimal"
         )

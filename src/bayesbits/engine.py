@@ -54,8 +54,6 @@ __all__ = [
     "ModelTransfer",
     "ObservationModel",
     "SignClass",
-    "TIC_NEUTRAL_TOL",
-    "TransferReport",
     "bayes_factor",
     "classify_tic",
     "evidence",
@@ -67,12 +65,6 @@ __all__ = [
     "tic",
     "transfer_report",
 ]
-
-# Band around zero inside which a TIC counts as neutral; float-form
-# scenarios cannot hit 0 exactly. Exact rows need no band: their sign
-# comes from comparing P(x | theta) with P(x) exactly.
-TIC_NEUTRAL_TOL = 1e-12
-
 
 class ModelSpace(Record):
     """The hypothesis space: a prior distribution over model labels."""
@@ -240,13 +232,17 @@ def tic(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Bits:
     return update(ms, om, x).tics[om._theta_index(theta)]
 
 
-def classify_tic(t: Bits, tolerance: float = TIC_NEUTRAL_TOL) -> SignClass:
+def classify_tic(t: Bits) -> SignClass:
     """Sign classification of a TIC value with a neutral band around zero."""
+    # Band around zero inside which a TIC counts as neutral; float-form
+    # scenarios cannot hit 0 exactly. Exact rows need no band: their sign
+    # comes from comparing P(x | theta) with P(x) exactly.
+    TIC_NEUTRAL_TOL = 1e-12
     if math.isnan(t):
         raise InvariantViolation("TIC value must not be NaN")
-    if t > tolerance:
+    if t > TIC_NEUTRAL_TOL:
         return SignClass.INFORMS
-    if t < -tolerance:
+    if t < -TIC_NEUTRAL_TOL:
         return SignClass.MISLEADS
     return SignClass.NEUTRAL
 
@@ -293,21 +289,6 @@ class ModelTransfer(NamedTuple):
     posterior_prob: float
 
 
-class TransferReport(NamedTuple):
-    """Per-model decomposition of one observation's effect."""
-
-    observation: str
-    evidence: Probability
-    evidence_info: Bits
-    entries: tuple[ModelTransfer, ...]
-
-    def entry_for(self, theta: str) -> ModelTransfer:
-        for entry in self.entries:
-            if entry.model == theta:
-                return entry
-        raise UnknownLabelError(f"no entry for model {theta!r}")
-
-
 class ObservationUpdate(NamedTuple):
     """One observation applied to every model in a single pass.
 
@@ -316,7 +297,8 @@ class ObservationUpdate(NamedTuple):
     ``tics`` and ``posterior_infos`` cover models with prior 0 too
     (``posterior_info`` is then ``+inf``); their ``signs`` entry is None.
     ``posteriors`` come from Bayes' rule in probability space, exact
-    when the inputs are rational.
+    when the inputs are rational. ``entries`` lays the same values out
+    as a transfer report, one :class:`ModelTransfer` row per model.
     """
 
     observation: str
@@ -331,31 +313,30 @@ class ObservationUpdate(NamedTuple):
     posteriors: tuple[Probability, ...]
     posterior_infos: tuple[Bits, ...]
 
-    def report(self) -> TransferReport:
-        """The per-model transfer report of this observation."""
-        entries = [
-            ModelTransfer(
-                model=theta,
-                prior_prob=prior_p,
-                prior_info=prior_i,
-                evidence_info=self.evidence_info,
-                likelihood_info=lik_i,
-                tic=None if prior_p == 0 else t,
-                sign_class=sign,
-                posterior_info=post_i,
-                posterior_prob=prob_from_info(post_i),
-            )
-            for theta, prior_p, prior_i, lik_i, t, sign, post_i in zip(
-                self.models,
-                self.priors,
-                self.prior_infos,
-                self.likelihood_infos,
-                self.tics,
-                self.signs,
-                self.posterior_infos,
-            )
-        ]
-        return TransferReport(self.observation, self.evidence, self.evidence_info, tuple(entries))
+    @property
+    def entries(self) -> tuple[ModelTransfer, ...]:
+        """One row per model, in model order, built on each access."""
+        return tuple([self._entry(j) for j in range(len(self.models))])
+
+    def entry_for(self, theta: str) -> ModelTransfer:
+        """The transfer report's entry of model ``theta``."""
+        if theta not in self.models:
+            raise UnknownLabelError(f"no entry for model {theta!r}")
+        return self._entry(self.models.index(theta))
+
+    def _entry(self, j: int) -> ModelTransfer:
+        prior_p, post_i = self.priors[j], self.posterior_infos[j]
+        return ModelTransfer(
+            model=self.models[j],
+            prior_prob=prior_p,
+            prior_info=self.prior_infos[j],
+            evidence_info=self.evidence_info,
+            likelihood_info=self.likelihood_infos[j],
+            tic=None if prior_p == 0 else self.tics[j],
+            sign_class=self.signs[j],
+            posterior_info=post_i,
+            posterior_prob=prob_from_info(post_i),
+        )
 
     def local_transfer_entropy(self, j: int) -> Bits:
         """Log-odds update ``log2(P(theta|x) / P(theta))`` of model ``j``.
@@ -414,7 +395,7 @@ def _apply(
 
     Exact rows take their sign classes from the exact comparison of each
     likelihood with the evidence; float rows classify the TIC with
-    :data:`TIC_NEUTRAL_TOL`.
+    :func:`classify_tic`.
     """
     scaled_prior, prior_infos = prior_terms
     ev, posteriors, excess = _joint_row(ms.prior.probs, scaled_prior, row)
@@ -465,7 +446,8 @@ def update(ms: ModelSpace, om: ObservationModel, x: str) -> ObservationUpdate:
     """Apply observation ``x`` to every model at once.
 
     The per-label functions (:func:`tic`, :func:`posterior_prob_oracle`,
-    ...) and :func:`transfer_report` read their values from this update.
+    ...) read their values from this update; :func:`transfer_report`
+    returns it.
     """
     _check_pairing(ms, om)
     row = om.likelihood[om._x_index(x)]
@@ -496,13 +478,14 @@ def select_update(
     return _require_possible(us[om._x_index(x)], x)
 
 
-def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> TransferReport:
-    """Full information-transfer decomposition of observation ``x``.
+def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> ObservationUpdate:
+    """Full information-transfer decomposition of observation ``x``: its update.
 
-    One entry per model: both surprisal sources, the TIC, its sign class,
-    and the posterior computed via the information-space route.
+    The update's ``entries`` hold one row per model: both surprisal
+    sources, the TIC, its sign class, and the posterior computed via the
+    information-space route.
     """
-    return update(ms, om, x).report()
+    return update(ms, om, x)
 
 
 class BayesFactor(NamedTuple):

@@ -23,7 +23,6 @@ from .scenario import Scenario
 
 __all__ = [
     "JointOutcomeTable",
-    "JointRow",
     "OracleMetrics",
     "enumerate_joint",
     "observation_metrics",
@@ -43,12 +42,6 @@ def _log2_ratio(fr: Fraction) -> float:
     # math.log2 handles arbitrarily large ints without overflow, so the
     # ratio never has to pass through a float before the log.
     return math.log2(fr.numerator) - math.log2(fr.denominator)
-
-
-class JointRow(NamedTuple):
-    model: str
-    observation: str
-    prob: Fraction
 
 
 class JointOutcomeTable(Record):
@@ -74,17 +67,6 @@ class JointOutcomeTable(Record):
             observation_labels=observation_labels,
             prior=prior,
             _cells=_cells,
-        )
-
-    @property
-    def rows(self) -> tuple[JointRow, ...]:
-        """Every cell as a row, model-major; built on each access."""
-        return tuple(
-            [
-                JointRow(model=theta, observation=x, prob=self._cells[x][theta])
-                for theta in self.model_labels
-                for x in self.observation_labels
-            ]
         )
 
     def joint(self, model: str, observation: str) -> Fraction:

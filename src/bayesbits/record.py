@@ -1,8 +1,9 @@
-"""Base class of the package's immutable types that validate or cache.
+"""Base class of the package's immutable types that are not tuples.
 
-Plain result records are ``typing.NamedTuple`` classes. A type that
-validates its arguments or caches a derived value subclasses
-:class:`Record` instead: it lists its fields in ``_fields`` and
+Plain result records are ``typing.NamedTuple`` classes. The input
+types, which validate their arguments, and the oracle's joint table,
+which keeps its cell index out of the repr, subclass :class:`Record`
+instead. Such a type lists its fields in ``_fields`` and
 ``__slots__`` and sets them once, in its own ``__init__``, with
 :meth:`Record._set`. It then has a ``Name(field=value, ...)`` repr,
 equality and hashing over its fields, and no assignment afterwards.

@@ -68,10 +68,10 @@ def verify_scenario(scenario: Scenario) -> tuple[float, int]:
             if oracle_tic is not None:
                 check(u.local_transfer_entropy(j), oracle_tic)
         kl = kl_from_update(u)
-        kls.append(kl)
-        check(kl.value, metrics.kl_bits)
+        kls.append((u.evidence, kl))
+        check(kl, metrics.kl_bits)
         check(kl_classical_from_update(u), metrics.kl_bits)
     mi_oracle = oracle_mi_from_metrics(all_metrics)
-    check(mi_from_kls(kls).value, mi_oracle)
+    check(mi_from_kls(kls), mi_oracle)
     check(mi_classical_from_updates(ms.prior, all_updates), mi_oracle)
     return max_dev, checks

@@ -390,6 +390,39 @@ class TestLimits:
         assert cli.main(["mhp", "custom-" + "1" * 5000]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "variant, doors",
+        [
+            ("custom", 4),
+            ("custom-N", 4),
+            ("custom-4", 4),
+            ("custom-004", 4),
+            ("custom-4\n", None),
+            ("custom\n", None),
+            ("custom-", None),
+            ("custom-n", None),
+            ("custom-foo", None),
+            ("custom-4 ", None),
+            ("custom-\uff14", None),  # full-width 4
+            ("custom-\u00b2", None),  # superscript 2
+        ],
+    )
+    def test_custom_variant_spellings(self, capsys, variant, doors):
+        # custom, custom-N, or custom- and ASCII digits; any other spelling is unknown
+        code = cli.main(["mhp", variant, "--doors", "4"])
+        out, err = capsys.readouterr()
+        if doors is None:
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: unknown variant {variant!r}; expected traditional, biased, "
+                "forgetful, or custom-N\n"
+            )
+        else:
+            assert code == 0 and err == ""
+            doc = json.loads(out)
+            assert doc["metadata"]["variant"] == variant
+            assert len(doc["models"]) == doors
+
     def test_prior_flag_range_checked_by_distribution(self, capsys):
         assert cli.main(["mhp", "custom-3", "--prior", "3/2,-1/4,-1/4"]) == 2
         assert "outside [0, 1]" in capsys.readouterr().err
@@ -411,6 +444,9 @@ class TestLimits:
             ("2.5e-1", None),
             (".25", None),
             ("0x1", None),
+            ("\uff11/\uff12", None),  # full-width digits
+            ("\u0661/\u0662", None),  # Arabic-Indic digits
+            ("0.\uff15", None),
         ],
     )
     def test_prior_flag_and_file_share_one_grammar(self, tmp_path, capsys, text, exact):

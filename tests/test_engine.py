@@ -17,7 +17,6 @@ from bayesbits import (
 )
 from bayesbits.core import info_content
 from bayesbits.engine import (
-    TIC_NEUTRAL_TOL,
     SignClass,
     bayes_factor,
     classify_tic,
@@ -169,9 +168,6 @@ class TestClassifyTic:
         assert classify_tic(-5e-13) is SignClass.NEUTRAL
         assert classify_tic(5e-12) is SignClass.INFORMS
 
-    def test_custom_tolerance(self):
-        assert classify_tic(0.01, tolerance=0.1) is SignClass.NEUTRAL
-
     def test_infinite(self):
         assert classify_tic(math.inf) is SignClass.INFORMS
         assert classify_tic(-math.inf) is SignClass.MISLEADS
@@ -200,7 +196,8 @@ class TestExactSign:
         report = transfer_report(ms, om, "x")
         assert report.evidence == Fraction(1, 2)
         # |TIC| is ~2.9e-14 bits, inside the float neutral band
-        assert 0 < report.entry_for("A").tic < TIC_NEUTRAL_TOL
+        assert report.entry_for("A").tic > 0
+        assert classify_tic(report.entry_for("A").tic) is SignClass.NEUTRAL
         assert report.entry_for("A").sign_class is SignClass.INFORMS
         assert report.entry_for("B").sign_class is SignClass.MISLEADS
 
