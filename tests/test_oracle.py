@@ -30,11 +30,21 @@ from random_agreement_sweep import random_scenario
 
 class TestEnumerateJoint:
     def test_cells_total_one(self, traditional):
+        table = enumerate_joint(traditional)
+        om = traditional.observation_model
+        cells = [table.joint(theta, x) for theta in om.model_labels for x in om.observation_labels]
+        assert sum(cells, Fraction(0)) == 1
+
+    def test_rows_are_model_major_and_total_one(self):
+        # the table keeps the scenario's label order; its cells, walked
+        # model-major, total exactly one
         rng = random.Random(20261018)
-        scenarios = [random_scenario(rng, max_models=6, max_observations=6) for _ in range(100)]
-        for scenario in [traditional, *scenarios]:
+        for _ in range(100):
+            scenario = random_scenario(rng, max_models=6, max_observations=6)
             om = scenario.observation_model
             table = enumerate_joint(scenario)
+            assert table.model_labels == tuple(om.model_labels)
+            assert table.observation_labels == tuple(om.observation_labels)
             cells = [table.joint(theta, x) for theta in om.model_labels for x in om.observation_labels]
             assert sum(cells, Fraction(0)) == 1
 
