@@ -4,7 +4,10 @@ Each case runs ``cli.main`` on a scenario file and compares its exit
 code and stdout with ``tests/golden/<case>.out``. The scenarios are the
 three presets, a forgetful 8-door game with a non-uniform exact prior
 (one door has prior 0, so it has zero likelihoods, refuted models and an
-impossible observation), and a small float scenario.
+impossible observation), a forgetful 12-door game with a 36-bit prior,
+an exact scenario whose values leave the float range or round to 1
+(a ``1/3**700`` prior; posteriors and log-odds ratios within 2**-53 of
+1), and a small float scenario.
 
 After a deliberate output change, regenerate the files with
 
@@ -24,8 +27,9 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# scenario name -> argv of the `mhp` command that writes it; "floaty" is a
-# committed input file because no generator makes float scenarios
+# scenario name -> argv of the `mhp` command that writes it; "floaty" and
+# "edge" are committed input files, because no generator makes float
+# scenarios or values this far out
 SCENARIOS = {
     "traditional": ["mhp", "traditional"],
     "biased": ["mhp", "biased"],
@@ -34,7 +38,16 @@ SCENARIOS = {
         "mhp", "custom-8", "--policy", "forgetful",
         "--prior", "1/4,1/8,1/8,1/16,3/16,1/8,1/8,0",
     ],
+    # the shape of the benchmark's wide priors: weights over their 36-bit sum
+    "custom12w": [
+        "mhp", "custom-12", "--policy", "forgetful", "--prior",
+        "1664541619/34626525389,4007284549/34626525389,1756499120/34626525389,"
+        "4076448287/34626525389,3515793156/34626525389,2018673477/34626525389,"
+        "2883269762/34626525389,2485816653/34626525389,925303984/34626525389,"
+        "4015507085/34626525389,3952302726/34626525389,3325084971/34626525389",
+    ],
 }
+COMMITTED = ("floaty", "edge")
 
 # case name -> (scenario, argv after the scenario path is put in place of
 # "{path}", expected exit code)
@@ -44,7 +57,9 @@ for _name, _obs in (
     ("biased", ["Monty_C"]),
     ("forgetful", ["Monty_B", "Monty_B_car"]),
     ("custom8", ["Monty_C", "Monty_D4_car"]),
+    ("custom12w", ["Monty_C", "Monty_D12_car"]),
     ("floaty", ["y", "z"]),
+    ("edge", ["x", "y"]),
 ):
     for _x in _obs:
         for _fmt in ("table", "json", "csv"):
@@ -73,7 +88,7 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 
 
 def scenario_paths(root: Path) -> dict[str, str]:
-    paths = {"floaty": str(GOLDEN / "floaty.json")}
+    paths = {name: str(GOLDEN / f"{name}.json") for name in COMMITTED}
     for name, argv in SCENARIOS.items():
         path = root / f"{name}.json"
         code, _ = run_cli(argv + ["--out", str(path)])
