@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Bits, Distribution, Probability, _entropy, _float, _info, entropy
+from .core import Bits, Distribution, Probability, _float, _log2_quotient, entropy
 from .engine import ModelSpace, ObservationModel, ObservationUpdate, update, updates
 
 __all__ = [
@@ -42,9 +42,9 @@ def kl_expected_tic(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
 def kl_from_update(u: ObservationUpdate) -> Bits:
     """:func:`kl_expected_tic` of an observation already applied."""
     value = 0.0
-    for weight, t in zip(u.posteriors, u.tics):
-        if weight != 0:
-            value += _float(weight) * t
+    for num, weight, t in zip(u.posterior_nums, u.posterior_floats, u.tics):
+        if num != 0:
+            value += weight * t
     return value
 
 
@@ -55,11 +55,11 @@ def kl_classical(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
 
 def kl_classical_from_update(u: ObservationUpdate) -> Bits:
     """:func:`kl_classical` of an observation already applied."""
-    value = 0.0
-    for post, prior_i in zip(u.posteriors, u.prior_infos):
-        if post == 0:
-            continue
-        value += _float(post) * (prior_i - _info(post))
+    value, den = 0.0, u.posterior_den
+    for num, post, prior_i in zip(u.posterior_nums, u.posterior_floats, u.prior_infos):
+        if num != 0:
+            # prior_i - info(posterior), the posterior's log from its exact parts
+            value += post * (prior_i + _log2_quotient(num, den))
     return value
 
 
@@ -100,5 +100,9 @@ def mi_classical_from_updates(prior: Distribution, us: tuple[ObservationUpdate |
     for u in us:
         if u is None:
             continue
-        conditional += _float(u.evidence) * _entropy(u.posteriors)
+        h, den = 0.0, u.posterior_den
+        for num, post in zip(u.posterior_nums, u.posterior_floats):
+            if num != 0:
+                h -= post * _log2_quotient(num, den)
+        conditional += _float(u.evidence) * h
     return entropy(prior) - conditional

@@ -182,16 +182,27 @@ def _log2_positive(p: Probability) -> float:
     answer.
     """
     if isinstance(p, Fraction):
-        try:
-            x = _float(p)
-        except OverflowError:
-            x = 0.0
-        if x == 1.0:  # any rational within 2**-53 of 1: log1p keeps its offset
-            return math.log1p((p.numerator - p.denominator) / p.denominator) / math.log(2)
-        if x > 0.0:
-            return math.log2(x)
-        return math.log2(p.numerator) - math.log2(p.denominator)
+        return _log2_quotient(p.numerator, p.denominator)
     return math.log2(p)
+
+
+def _log2_quotient(num: int, den: int) -> float:
+    """:func:`_log2_positive` of ``Fraction(num, den)``, from ints ``num, den > 0``.
+
+    The pair need not be reduced: int true division rounds correctly. Only
+    the integer logs, taken out of the float range, reduce it first. A
+    float ``num`` over ``den = 1`` gives ``math.log2(num)``.
+    """
+    try:
+        x = num / den
+    except OverflowError:
+        x = 0.0
+    if x == 1.0:  # any rational within 2**-53 of 1: log1p keeps its offset
+        return math.log1p((num - den) / den) / math.log(2)
+    if x > 0.0:
+        return math.log2(x)
+    g = math.gcd(num, den)
+    return math.log2(num // g) - math.log2(den // g)
 
 
 def info_content(p: Probability | int | str) -> Bits:
@@ -296,14 +307,8 @@ def entropy(d: Distribution) -> Bits:
     convention that zero-probability events contribute nothing. Bounded
     by 0 and log2(n).
     """
-    return _entropy(d.probs)
-
-
-def _entropy(probs: Iterable[Probability]) -> Bits:
-    """:func:`entropy` of probabilities already validated as a distribution."""
     total = 0.0
-    for p in probs:
-        if p == 0:
-            continue
-        total += _float(p) * _info(p)
+    for p in d.probs:
+        if p != 0:
+            total += _float(p) * _info(p)
     return total

@@ -34,6 +34,7 @@ from .core import (
     _common_denominator,
     _info,
     _log2_positive,
+    _log2_quotient,
     _sum_unless_one,
     as_probability,
     info_content,
@@ -178,35 +179,37 @@ def _joint_row(
     prior: tuple[Probability, ...],
     scaled_prior: tuple[list[int], int] | None,
     row: tuple[Probability, ...],
-) -> tuple[Probability, list[Probability], list[int] | None]:
+) -> tuple[Probability, list, Probability, list[float], list[int] | None]:
     """Marginalise one likelihood row: ``P(x)``, each ``P(theta | x)``, exact signs.
 
     The one place a likelihood row is marginalised against the prior.
     ``scaled_prior`` is ``_common_denominator(prior)``, worked out once
-    per command. The posteriors are empty when ``P(x)`` is 0.
+    per command. The posteriors, as numerators over one denominator and as
+    floats, are empty when ``P(x)`` is 0.
 
     When the prior and the row are all Fractions, the joints are integer
     numerators over one common denominator: ``P(x)`` is their sum as one
-    Fraction, each posterior is one Fraction of joint over sum, and the
-    third value holds, per model, an integer with the sign of
+    Fraction, the posteriors are the joints over that sum, and the last
+    value holds, per model, an integer with the sign of
     ``P(x | theta) - P(x)``. Otherwise the row is worked in the values'
-    own arithmetic and the third value is None.
+    own arithmetic, the posteriors are over 1 and the last value is None.
     """
     scaled_row = None if scaled_prior is None else _common_denominator(row)
     if scaled_prior is None or scaled_row is None:
         joints = [lik * p for lik, p in zip(row, prior)]
         ev = sum(joints)
-        return ev, ([] if ev == 0 else [joint / ev for joint in joints]), None
+        posteriors = [] if ev == 0 else [joint / ev for joint in joints]
+        return ev, posteriors, 1, posteriors, None
     prior_nums, prior_den = scaled_prior
     row_nums, row_den = scaled_row
     joints = [lik * p for lik, p in zip(row_nums, prior_nums)]
     total = sum(joints)
     ev = Fraction(total, prior_den * row_den)
     if total == 0:
-        return ev, [], None
+        return ev, [], total, [], None
     # (P(x | theta) - P(x)) * prior_den * row_den
     excess = [lik * prior_den - total for lik in row_nums]
-    return ev, [Fraction(joint, total) for joint in joints], excess
+    return ev, joints, total, [joint / total for joint in joints], excess
 
 
 def evidence(ms: ModelSpace, om: ObservationModel, x: str) -> Probability:
@@ -296,9 +299,12 @@ class ObservationUpdate(NamedTuple):
     model's TIC and posterior. Per-model tuples line up with ``models``.
     ``tics`` and ``posterior_infos`` cover models with prior 0 too
     (``posterior_info`` is then ``+inf``); their ``signs`` entry is None.
-    ``posteriors`` come from Bayes' rule in probability space, exact
-    when the inputs are rational. ``entries`` lays the same values out
-    as a transfer report, one :class:`ModelTransfer` row per model.
+    Bayes' rule in probability space gives posterior ``j`` as
+    ``posterior_nums[j] / posterior_den``: unreduced integers on exact
+    rows, the float over 1 on float rows. ``posterior_floats`` holds their
+    correctly rounded floats; ``posteriors`` builds the values, exact on
+    exact rows, on each access. ``entries`` lays the same values out as a
+    transfer report, one :class:`ModelTransfer` row per model.
     """
 
     observation: str
@@ -310,8 +316,17 @@ class ObservationUpdate(NamedTuple):
     likelihood_infos: tuple[Bits, ...]
     tics: tuple[Bits, ...]
     signs: tuple[SignClass | None, ...]
-    posteriors: tuple[Probability, ...]
+    posterior_nums: tuple[int, ...] | tuple[float, ...]
+    posterior_den: int
+    posterior_floats: tuple[float, ...]
     posterior_infos: tuple[Bits, ...]
+
+    @property
+    def posteriors(self) -> tuple[Probability, ...]:
+        """``P(theta | x)`` per model: Fractions on exact rows, floats otherwise."""
+        if not isinstance(self.evidence, Fraction):
+            return self.posterior_floats
+        return tuple([Fraction(num, self.posterior_den) for num in self.posterior_nums])
 
     @property
     def entries(self) -> tuple[ModelTransfer, ...]:
@@ -325,14 +340,14 @@ class ObservationUpdate(NamedTuple):
         return self._entry(self.models.index(theta))
 
     def _entry(self, j: int) -> ModelTransfer:
-        prior_p, post_i = self.priors[j], self.posterior_infos[j]
+        post_i = self.posterior_infos[j]
         return ModelTransfer(
             model=self.models[j],
-            prior_prob=prior_p,
+            prior_prob=self.priors[j],
             prior_info=self.prior_infos[j],
             evidence_info=self.evidence_info,
             likelihood_info=self.likelihood_infos[j],
-            tic=None if prior_p == 0 else self.tics[j],
+            tic=None if self.signs[j] is None else self.tics[j],  # None: prior 0
             sign_class=self.signs[j],
             posterior_info=post_i,
             posterior_prob=prob_from_info(post_i),
@@ -345,28 +360,16 @@ class ObservationUpdate(NamedTuple):
         independent route to the same number as the TIC. Undefined for a
         model with zero prior.
         """
-        prior_p = self.priors[j]
-        if prior_p == 0:
+        if self.signs[j] is None:
             raise UndefinedLogError(
                 f"log-odds update of {self.models[j]!r} undefined: prior probability is 0"
             )
-        post = self.posteriors[j]
-        if post == 0:
+        num, prior_p = self.posterior_nums[j], self.priors[j]
+        if num == 0:
             return -math.inf
-        if not (isinstance(post, Fraction) and isinstance(prior_p, Fraction)):
-            return _log2_positive(post / prior_p)
-        # The ratio's integer parts, unreduced: int true division rounds
-        # correctly, so its float is that of the reduced ratio.
-        num = post.numerator * prior_p.denominator
-        den = post.denominator * prior_p.numerator
-        try:
-            x = num / den
-        except OverflowError:
-            x = 0.0
-        if x == 0.0 or x == 1.0:
-            # these paths of _log2_positive read the representation itself
-            return _log2_positive(Fraction(num, den))
-        return math.log2(x)
+        if not isinstance(self.evidence, Fraction):
+            return _log2_positive(num / prior_p)
+        return _log2_quotient(num * prior_p.denominator, self.posterior_den * prior_p.numerator)
 
 
 # What every observation's update reuses of the prior: its values over a
@@ -398,8 +401,8 @@ def _apply(
     :func:`classify_tic`.
     """
     scaled_prior, prior_infos = prior_terms
-    ev, posteriors, excess = _joint_row(ms.prior.probs, scaled_prior, row)
-    if ev == 0:
+    ev, post_nums, post_den, post_floats, excess = _joint_row(ms.prior.probs, scaled_prior, row)
+    if not post_nums:
         return None
     # A float evidence can round a step above 1 (a prior summing to
     # 1 + 2**-52, within FLOAT_SUM_TOL); it is certain, so 0 bits.
@@ -407,12 +410,12 @@ def _apply(
     # One pass into plain lists: building these tuples from generators left
     # about 0.6 MiB more resident over a few hundred calls (CPython 3.11).
     lik_infos, tics, signs, posterior_infos = [], [], [], []
-    for j, (lik, prior_p, prior_i) in enumerate(zip(row, ms.prior.probs, prior_infos)):
+    for j, (lik, prior_i) in enumerate(zip(row, prior_infos)):
         lik_i = _info(lik)
         t = ev_info - lik_i
         lik_infos.append(lik_i)
         tics.append(t)
-        if prior_p == 0:
+        if prior_i == math.inf:  # prior 0
             signs.append(None)
         elif excess is None:
             signs.append(classify_tic(t))
@@ -429,7 +432,9 @@ def _apply(
         likelihood_infos=tuple(lik_infos),
         tics=tuple(tics),
         signs=tuple(signs),
-        posteriors=tuple(posteriors),
+        posterior_nums=tuple(post_nums),
+        posterior_den=post_den,
+        posterior_floats=tuple(post_floats),
         posterior_infos=tuple(posterior_infos),
     )
 

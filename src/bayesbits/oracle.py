@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ExactnessError, ImpossibleObservationError, InvariantViolation
 from .record import Record
@@ -32,35 +32,34 @@ __all__ = [
 ]
 
 
-def _exact_sum(values: list[Fraction]) -> Fraction:
-    # Integer numerators over the least common denominator, normalised once.
-    den = math.lcm(*[v.denominator for v in values])
-    return Fraction(sum([v.numerator * (den // v.denominator) for v in values]), den)
-
-
-def _log2_ratio(fr: Fraction) -> float:
-    # math.log2 handles arbitrarily large ints without overflow, so the
-    # ratio never has to pass through a float before the log.
-    return math.log2(fr.numerator) - math.log2(fr.denominator)
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    # The fractions n/d as numerators over their least common denominator,
+    # so that they sum as integers: no gcd per value.
+    den = math.lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 class JointOutcomeTable(Record):
-    """Exhaustive P(model, observation) enumeration, exact throughout."""
+    """Exhaustive P(model, observation) enumeration, exact throughout.
+
+    Cells are unreduced (numerator, denominator) pairs; :meth:`joint` and
+    :meth:`evidence` build Fractions on each call.
+    """
 
     __slots__ = _fields = ("model_labels", "observation_labels", "prior", "_cells")
     _hidden = ("_cells",)
     model_labels: tuple[str, ...]
     observation_labels: tuple[str, ...]
     prior: tuple[Fraction, ...]
-    # observation -> model -> joint cell, models in order
-    _cells: dict[str, dict[str, Fraction]]
+    # observation -> the joint cell of each model, in model order
+    _cells: dict[str, list[tuple[int, int]]]
 
     def __init__(
         self,
         model_labels: tuple[str, ...],
         observation_labels: tuple[str, ...],
         prior: tuple[Fraction, ...],
-        _cells: dict[str, dict[str, Fraction]],
+        _cells: dict[str, list[tuple[int, int]]],
     ) -> None:
         self._set(
             model_labels=model_labels,
@@ -70,15 +69,15 @@ class JointOutcomeTable(Record):
         )
 
     def joint(self, model: str, observation: str) -> Fraction:
-        try:
-            return self._cells[observation][model]
-        except KeyError:
-            raise KeyError(f"no joint cell for ({model!r}, {observation!r})") from None
+        if model not in self.model_labels or observation not in self._cells:
+            raise KeyError(f"no joint cell for ({model!r}, {observation!r})")
+        return Fraction(*self._cells[observation][self.model_labels.index(model)])
 
     def evidence(self, observation: str) -> Fraction:
         if observation not in self.observation_labels:
             raise KeyError(f"unknown observation {observation!r}")
-        return _exact_sum(list(self._cells[observation].values()))
+        nums, den = _over_lcm(self._cells[observation])
+        return Fraction(sum(nums), den)
 
     def prior_of(self, model: str) -> Fraction:
         return self.prior[self.model_labels.index(model)]
@@ -98,24 +97,19 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
         )
     ms = scenario.model_space
     om = scenario.observation_model
-    prior = tuple(Fraction(p) for p in ms.prior.probs)
-    cells: dict[str, dict[str, Fraction]] = {x: {} for x in om.observation_labels}
-    by_observation = list(cells.values())
-    marginals: list[Fraction] = []
-    for i, theta in enumerate(om.model_labels):
-        num, den = prior[i].numerator, prior[i].denominator
-        column: list[Fraction] = []
-        for joint_of, row in zip(by_observation, om.likelihood):
-            lik = row[i]  # a Fraction: the scenario is exact
-            joint_of[theta] = prob = Fraction(num * lik.numerator, den * lik.denominator)
-            column.append(prob)
-        marginals.append(_exact_sum(column))
-
-    total = _exact_sum(marginals)
-    if total != 1:
-        raise InvariantViolation(f"joint table sums to {total}, expected exactly 1")
-    for theta, marginal, p in zip(om.model_labels, marginals, prior):
-        if marginal != p:
+    prior = ms.prior.probs  # Fractions: the scenario is exact
+    parts = [p.as_integer_ratio() for p in prior]
+    cells = {
+        x: [(num * lik.numerator, den * lik.denominator) for (num, den), lik in zip(parts, row)]
+        for x, row in zip(om.observation_labels, om.likelihood)
+    }
+    marginals = [(sum(nums), den) for nums, den in map(_over_lcm, zip(*cells.values()))]
+    nums, den = _over_lcm(marginals)
+    if (total := sum(nums)) != den:
+        raise InvariantViolation(f"joint table sums to {Fraction(total, den)}, expected exactly 1")
+    for theta, (num, den), p in zip(om.model_labels, marginals, prior):
+        if num * p.denominator != den * p.numerator:
+            marginal = Fraction(num, den)
             raise InvariantViolation(
                 f"joint marginal for model {theta!r} is {marginal}, expected the prior {p}"
             )
@@ -128,19 +122,32 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
 
 
 class OracleMetrics(NamedTuple):
-    """Everything the oracle can say about one observation."""
+    """Everything the oracle can say about one observation.
+
+    The posterior of ``models[i]`` is ``posterior_nums[i] / posterior_den``,
+    unreduced, with ``posterior_floats[i]`` its correctly rounded float;
+    ``posterior`` maps each model to it as a Fraction, built on each access.
+    """
 
     observation: str
+    models: tuple[str, ...]
     evidence: Fraction
-    posterior: dict[str, Fraction]
+    posterior_nums: tuple[int, ...]
+    posterior_den: int
+    posterior_floats: tuple[float, ...]
     tic_bits: dict[str, float | None]
     kl_bits: float
+
+    @property
+    def posterior(self) -> dict[str, Fraction]:
+        den = self.posterior_den
+        return {theta: Fraction(num, den) for theta, num in zip(self.models, self.posterior_nums)}
 
 
 def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
     """Evidence, posteriors, per-model bit transfers, and KL for one observation.
 
-    Every probability stays an exact Fraction until the one log2 call
+    Every probability stays exact, as integers, until the one log2 call
     that turns a ratio into bits. Models with zero prior get ``None``
     (their surprisal shift is undefined), and refuted models get -inf.
     """
@@ -157,35 +164,41 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
 def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None:
     """:func:`oracle_metrics` of a known observation; None when it has zero evidence.
 
-    Each model's posterior ``joint / evidence`` and its ratio to the prior
-    ``P(theta | x) / P(theta)``, which equals ``P(x | theta) / P(x)``, are
-    built once from integer parts; that one ratio gives both the TIC and
-    the model's KL term.
+    Over the least common denominator of the observation's cells, each
+    model's posterior ``joint / evidence`` is one integer over their sum.
+    Its ratio to the prior ``P(theta | x) / P(theta)``, which equals
+    ``P(x | theta) / P(x)``, is reduced with one gcd, because the logs of
+    an unreduced pair can differ in the last bits; that one ratio gives
+    both the TIC and the model's KL term.
     """
-    joint_of = table._cells[observation]
-    evidence = _exact_sum(list(joint_of.values()))
-    if evidence == 0:
+    joints, den = _over_lcm(table._cells[observation])
+    total = sum(joints)
+    if total == 0:
         return None
-    ev_num, ev_den = evidence.numerator, evidence.denominator
-    posterior: dict[str, Fraction] = {}
+    floats: list[float] = []
     tic_bits: dict[str, float | None] = {}
     kl = 0.0
-    for theta, prior in zip(table.model_labels, table.prior):
-        joint = joint_of[theta]
-        post = Fraction(joint.numerator * ev_den, joint.denominator * ev_num)
-        posterior[theta] = post
-        if prior == 0:
+    for theta, joint, prior in zip(table.model_labels, joints, table.prior):
+        floats.append(post := joint / total)  # int true division: float(posterior)
+        prior_num, prior_den = prior.as_integer_ratio()
+        if prior_num == 0:
             tic_bits[theta] = None
-        elif post == 0:
+        elif joint == 0:
             tic_bits[theta] = float("-inf")
         else:
-            ratio = Fraction(post.numerator * prior.denominator, post.denominator * prior.numerator)
-            tic_bits[theta] = bits = _log2_ratio(ratio)
-            kl += post.numerator / post.denominator * bits  # float(post), bit for bit
+            ratio_num, ratio_den = joint * prior_den, total * prior_num
+            g = math.gcd(ratio_num, ratio_den)
+            # math.log2 handles arbitrarily large ints without overflow, so
+            # the ratio never has to pass through a float before the log.
+            tic_bits[theta] = bits = math.log2(ratio_num // g) - math.log2(ratio_den // g)
+            kl += post * bits
     return OracleMetrics(
         observation=observation,
-        evidence=evidence,
-        posterior=posterior,
+        models=table.model_labels,
+        evidence=Fraction(total, den),
+        posterior_nums=tuple(joints),
+        posterior_den=total,
+        posterior_floats=tuple(floats),
         tic_bits=tic_bits,
         kl_bits=kl,
     )

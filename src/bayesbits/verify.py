@@ -8,6 +8,7 @@ largest gap in bits, with the number of comparisons made.
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 from .aggregates import (
     kl_classical_from_update,
@@ -15,9 +16,8 @@ from .aggregates import (
     mi_classical_from_updates,
     mi_from_kls,
 )
-from .core import _float, info_content, prob_from_info
+from .core import Distribution, info_content, prob_from_info
 from .engine import updates
-from .errors import ImpossibleObservationError
 from .oracle import enumerate_joint, observation_metrics, oracle_mi_from_metrics
 from .scenario import Scenario
 
@@ -39,39 +39,41 @@ def bits_deviation(a: float | None, b: float | None) -> float:
 
 
 def verify_scenario(scenario: Scenario) -> tuple[float, int]:
-    """Max engine-vs-oracle deviation in bits, and the comparison count."""
+    """Max engine-vs-oracle deviation in bits, and the comparison count.
+
+    Each quantity is an engine column against an oracle column. An
+    observation only one path finds impossible counts as one comparison
+    at deviation ``inf``; one both find impossible is skipped.
+    """
     ms, om = scenario.model_space, scenario.observation_model
-    table = enumerate_joint(scenario)
-    max_dev = 0.0
-    checks = 0
+    pairs = list(zip(updates(ms, om), observation_metrics(enumerate_joint(scenario))))
+    one_sided = sum([(u is None) != (m is None) for u, m in pairs])
+    reduced = [(max(map(bits_deviation, a, b), default=0.0), len(b)) for a, b in _columns(ms.prior, pairs)]
+    max_dev = max([dev for dev, _ in reduced])
+    return (math.inf if one_sided else max_dev), sum([n for _, n in reduced]) + one_sided
 
-    def check(a: float | None, b: float | None) -> None:
-        nonlocal max_dev, checks
-        max_dev = max(max_dev, bits_deviation(a, b))
-        checks += 1
 
-    all_updates = updates(ms, om)
-    all_metrics = observation_metrics(table)
-    kls = []
-    for u, metrics in zip(all_updates, all_metrics):
-        if u is None:
-            continue
-        if metrics is None:
-            raise ImpossibleObservationError(
-                f"observation {u.observation!r} has zero probability under the prior"
-            )
-        check(u.evidence_info, info_content(metrics.evidence))
-        for j, theta in enumerate(om.model_labels):
-            check(prob_from_info(u.posterior_infos[j]), _float(metrics.posterior[theta]))
-            oracle_tic = metrics.tic_bits[theta]
-            check(u.tics[j] if oracle_tic is not None else None, oracle_tic)
-            if oracle_tic is not None:
-                check(u.local_transfer_entropy(j), oracle_tic)
-        kl = kl_from_update(u)
-        kls.append((u.evidence, kl))
-        check(kl, metrics.kl_bits)
-        check(kl_classical_from_update(u), metrics.kl_bits)
-    mi_oracle = oracle_mi_from_metrics(all_metrics)
-    check(mi_from_kls(kls), mi_oracle)
-    check(mi_classical_from_updates(ms.prior, all_updates), mi_oracle)
-    return max_dev, checks
+def _columns(prior: Distribution, pairs: list) -> Iterator[tuple[Iterable, list]]:
+    """The engine's and the oracle's column of each quantity, from (update, metrics) pairs.
+
+    Engine columns are lazy, so a per-cell column is never held in full.
+    """
+    both = [(u, m) for u, m in pairs if u is not None and m is not None]
+    us, oracle = [u for u, _ in both], [m for _, m in both]
+    kls, oracle_kls = [kl_from_update(u) for u in us], [m.kl_bits for m in oracle]
+    mi_oracle = oracle_mi_from_metrics([m for _, m in pairs])
+    yield [mi_from_kls(zip([u.evidence for u in us], kls))], [mi_oracle]
+    yield [mi_classical_from_updates(prior, [u for u, _ in pairs])], [mi_oracle]
+    yield kls, oracle_kls
+    yield map(kl_classical_from_update, us), oracle_kls
+    yield (u.evidence_info for u in us), [info_content(m.evidence) for m in oracle]
+    yield (
+        (prob_from_info(i) for u in us for i in u.posterior_infos),
+        [p for m in oracle for p in m.posterior_floats],
+    )
+    # per cell, the oracle's TIC: None where the prior is 0
+    oracle_tics = [o for m in oracle for o in m.tic_bits.values()]
+    tics = (t for u in us for t in u.tics)
+    yield (None if o is None else t for t, o in zip(tics, oracle_tics)), oracle_tics
+    defined = ((u, j) for u, m in both for j, o in enumerate(m.tic_bits.values()) if o is not None)
+    yield (u.local_transfer_entropy(j) for u, j in defined), [o for o in oracle_tics if o is not None]

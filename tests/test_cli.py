@@ -300,6 +300,27 @@ class TestVerify:
         assert cli.main(["verify", scenario_files["traditional"]]) == 4
         assert "status: FAIL" in capsys.readouterr().out
 
+    @staticmethod
+    def verify_first_dropped(tmp_path, capsys, monkeypatch, path_name: str) -> str:
+        """Verify output once ``verify.<path_name>`` reports observation x impossible."""
+        # prior 1 on M0: the prior's entropy, and so both MIs, are 0 whatever
+        # the observations, so MI cannot catch an observation left out
+        path = _write(tmp_path, "certain", ["1", "0"], ["x", "y"], [["1/2", "1/2"], ["1/2", "1/2"]])
+        assert cli.main(["verify", path]) == 0
+        # per observation: evidence, 2 posteriors, 2 TICs, 1 log-odds, 2 KLs
+        assert "comparisons: 18\n" in capsys.readouterr().out
+        every = getattr(verify, path_name)
+        monkeypatch.setattr(verify, path_name, lambda *args: (None,) + every(*args)[1:])
+        assert cli.main(["verify", path]) == 4
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("path_name", ["updates", "observation_metrics"])
+    def test_observation_impossible_on_one_path_fails(self, tmp_path, capsys, monkeypatch, path_name):
+        # x's 8 comparisons become one, at deviation inf
+        out = self.verify_first_dropped(tmp_path, capsys, monkeypatch, path_name)
+        assert "comparisons: 11\nmax_deviation_bits: inf\n" in out
+        assert out.endswith("status: FAIL\n")
+
 
 class TestUsage:
     def test_no_arguments(self):

@@ -1,7 +1,9 @@
 """Property-based checks over randomized exact-rational scenarios."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,12 +23,19 @@ from bayesbits import (
     tic,
     transfer_report,
 )
+from bayesbits.aggregates import (
+    kl_classical_from_update,
+    kl_from_update,
+    mi_classical_from_updates,
+)
 from bayesbits.cli import build_report
 from bayesbits.core import entropy, info_content, prob_from_info
-from bayesbits.engine import log2_bayes_factor, posterior_info
+from bayesbits.engine import log2_bayes_factor, posterior_info, updates
 from bayesbits.errors import InvariantViolation
-from bayesbits.scenario import scenario_from_json_text, scenario_to_json_text
+from bayesbits.oracle import observation_metrics
+from bayesbits.scenario import load_scenario, scenario_from_json_text, scenario_to_json_text
 from bayesbits.verify import bits_deviation
+from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
 
 weight_lists = st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(
     lambda w: sum(w) > 0
@@ -236,3 +245,104 @@ class TestFileFormatProperties:
         text = scenario_to_json_text(scenario)
         again = scenario_from_json_text(text)
         assert again == scenario
+
+
+def log2_reference(p: Fraction, paths: Counter) -> float:
+    """log2 of a positive Fraction by plain Fraction arithmetic; counts the rare paths taken."""
+    try:
+        x = float(p)
+    except OverflowError:
+        x = 0.0
+    if x == 1.0 and p != 1:
+        paths["log1p"] += 1
+    if x == 1.0:
+        return math.log1p(float(p - 1)) / math.log(2)
+    if x > 0.0:
+        return math.log2(x)
+    paths["out of float range"] += 1
+    return math.log2(p.numerator) - math.log2(p.denominator)
+
+
+def info_reference(p: Fraction, paths: Counter) -> float:
+    if p == 0:
+        return math.inf
+    lg = log2_reference(p, paths)
+    return 0.0 if lg == 0.0 else -lg
+
+
+def check_integer_kernels(scenario) -> Counter:
+    """The integer kernels of engine, aggregates and oracle against Fraction formulas, bit for bit.
+
+    Returns how often the reference took each rare path.
+    """
+    paths: Counter = Counter()
+    ms, om = scenario.model_space, scenario.observation_model
+    prior = ms.prior.probs
+    all_updates = updates(ms, om)
+    all_metrics = observation_metrics(enumerate_joint(scenario))
+    conditional = 0.0
+    for row, u, m in zip(om.likelihood, all_updates, all_metrics):
+        ev = sum((lik * p for lik, p in zip(row, prior)), Fraction(0))
+        assert (u is None) == (m is None) == (ev == 0)
+        if ev == 0:
+            continue
+        posteriors = [lik * p / ev for lik, p in zip(row, prior)]
+        assert u.posteriors == tuple(posteriors)
+        assert list(m.posterior.values()) == posteriors
+        kl = kl_classical = entropy_x = 0.0
+        for j, (lik, p, post) in enumerate(zip(row, prior, posteriors)):
+            assert same_bits(u.posterior_floats[j], float(post))
+            assert same_bits(m.posterior_floats[j], float(post))
+            t = info_reference(ev, paths) - info_reference(lik, paths)
+            assert same_bits(u.tics[j], t)
+            if p == 0:
+                assert m.tic_bits[ms.labels[j]] is None
+                continue
+            if post == 0:
+                assert u.local_transfer_entropy(j) == m.tic_bits[ms.labels[j]] == -math.inf
+                continue
+            ratio = post / p
+            assert same_bits(u.local_transfer_entropy(j), log2_reference(ratio, paths))
+            oracle_tic = math.log2(ratio.numerator) - math.log2(ratio.denominator)
+            assert same_bits(m.tic_bits[ms.labels[j]], oracle_tic)
+            post_info = info_reference(post, paths)
+            kl += float(post) * t
+            kl_classical += float(post) * (info_reference(p, paths) - post_info)
+            entropy_x += float(post) * post_info
+        assert same_bits(kl_from_update(u), kl)
+        assert same_bits(kl_classical_from_update(u), kl_classical)
+        conditional += float(ev) * entropy_x
+    prior_entropy = sum([float(p) * info_reference(p, paths) for p in prior if p != 0])
+    assert same_bits(mi_classical_from_updates(ms.prior, all_updates), prior_entropy - conditional)
+    return paths
+
+
+class TestIntegerKernels:
+    """Integer numerators and unreduced pairs give the bits of the Fraction route."""
+
+    @given(st.randoms(use_true_random=False), st.sampled_from([wide_coprime, wide_36_bit]))
+    @settings(max_examples=120, deadline=None)
+    def test_wide_denominators(self, rng, denominators):
+        check_integer_kernels(wide_rational_scenario(rng, denominators))
+
+    @given(rational_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_small_denominators(self, scenario):
+        check_integer_kernels(scenario)
+
+    def test_values_within_2_53_of_one_and_out_of_float_range(self):
+        # the committed edge scenario: a 1/3**700 prior, posteriors and
+        # log-odds ratios that round to 1.0, posteriors that underflow
+        edge = Path(__file__).resolve().parent / "golden" / "edge.json"
+        paths = check_integer_kernels(load_scenario(edge))
+        assert paths["log1p"] > 0 and paths["out of float range"] > 0
+
+    def test_ratio_below_the_float_range(self):
+        # P(x | M0) = 5**-500: M0's posterior and log-odds ratio on x
+        # underflow, and the ratio's unreduced integer parts share a factor
+        # 3, whose logs would differ from the reduced ratio's in the last bit
+        prior = Distribution(["M0", "M1"], [Fraction(1, 3), Fraction(2, 3)])
+        lik = Fraction(1, 5**500)
+        om = ObservationModel(["x", "y"], prior.labels, [[lik, Fraction(1)], [1 - lik, Fraction(0)]])
+        scenario = Scenario(name="tiny", model_space=ModelSpace(prior), observation_model=om)
+        assert check_integer_kernels(scenario)["out of float range"] >= 2

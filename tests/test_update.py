@@ -28,6 +28,7 @@ from bayesbits import (
     transfer_report,
 )
 from bayesbits import aggregates, engine, oracle, verify
+from bayesbits.cli import build_report
 from bayesbits.core import _log2_positive, info_content
 from bayesbits.engine import (
     SignClass,
@@ -269,6 +270,20 @@ def test_log_odds_updates_divide_no_fractions(monkeypatch):
     monkeypatch.setattr(engine.ObservationUpdate, "local_transfer_entropy", watched)
     assert verify_scenario(scenario)[0] <= 1e-9
     assert per_call and not any(per_call)
+
+
+def test_exact_values_build_no_fraction_per_cell(monkeypatch):
+    # Exact posteriors, joints and ratios stay integers: verify and solve
+    # build a few Fractions per observation, none per cell (264 cells here).
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    n_obs = len(scenario.observation_model.observation_labels)
+    built = call_counter(monkeypatch, Fraction, "__new__")
+    assert verify_scenario(scenario)[0] <= 1e-9
+    assert 0 < built[0] <= 4 * n_obs + 10
+    built[0] = 0
+    report = build_report(scenario, "Monty_C")
+    assert 0 < built[0] <= 4 * n_obs + 10
+    assert report.transfer.evidence == Fraction(1, 12)
 
 
 def test_float_evidence_above_one_carries_zero_bits():
