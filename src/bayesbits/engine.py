@@ -179,7 +179,7 @@ def _joint_row(
     prior: tuple[Probability, ...],
     scaled_prior: tuple[list[int], int] | None,
     row: tuple[Probability, ...],
-) -> tuple[Probability, list, Probability, list[float], list[int] | None]:
+) -> tuple[Probability, list, int, list[float], list[int] | None]:
     """Marginalise one likelihood row: ``P(x)``, each ``P(theta | x)``, exact signs.
 
     The one place a likelihood row is marginalised against the prior.
