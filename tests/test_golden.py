@@ -7,7 +7,9 @@ three presets, a forgetful 8-door game with a non-uniform exact prior
 impossible observation), a forgetful 12-door game with a 36-bit prior,
 an exact scenario whose values leave the float range or round to 1
 (a ``1/3**700`` prior; posteriors and log-odds ratios within 2**-53 of
-1), and a small float scenario.
+1), an exact scenario that repeats unreduced and decimal strings for one
+value (``"2/8"``, ``"0.25"``, ``"1/4"``; ``"0/1"`` and ``"0"``), and a
+small float scenario.
 
 After a deliberate output change, regenerate the files with
 
@@ -27,9 +29,9 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# scenario name -> argv of the `mhp` command that writes it; "floaty" and
-# "edge" are committed input files, because no generator makes float
-# scenarios or values this far out
+# scenario name -> argv of the `mhp` command that writes it; "floaty",
+# "edge" and "repeats" are committed input files, because no generator
+# makes float scenarios, values this far out or unreduced strings
 SCENARIOS = {
     "traditional": ["mhp", "traditional"],
     "biased": ["mhp", "biased"],
@@ -47,7 +49,7 @@ SCENARIOS = {
         "4015507085/34626525389,3952302726/34626525389,3325084971/34626525389",
     ],
 }
-COMMITTED = ("floaty", "edge")
+COMMITTED = ("floaty", "edge", "repeats")
 
 # case name -> (scenario, argv after the scenario path is put in place of
 # "{path}", expected exit code)
@@ -60,6 +62,7 @@ for _name, _obs in (
     ("custom12w", ["Monty_C", "Monty_D12_car"]),
     ("floaty", ["y", "z"]),
     ("edge", ["x", "y"]),
+    ("repeats", ["x", "z"]),
 ):
     for _x in _obs:
         for _fmt in ("table", "json", "csv"):
