@@ -167,18 +167,28 @@ def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None
     Over the least common denominator of the observation's cells, each
     model's posterior ``joint / evidence`` is one integer over their sum.
     Its ratio to the prior ``P(theta | x) / P(theta)``, which equals
-    ``P(x | theta) / P(x)``, is reduced with one gcd, because the logs of
-    an unreduced pair can differ in the last bits; that one ratio gives
-    both the TIC and the model's KL term.
+    ``P(x | theta) / P(x)``, is reduced before its logs, because the logs
+    of an unreduced pair can differ in the last bits; that one ratio gives
+    both the TIC and the model's KL term. It is reduced from reduced parts
+    (the cross gcds of Knuth, *TAOCP* vol. 2, section 4.5.1): the joint
+    cell over the prior, whose integers are small, times the reciprocal of
+    the evidence, reduced once per observation. Each gcd then has one
+    small operand, where a gcd of the unreduced pair would take two
+    operands the size of the whole row's common denominator.
     """
-    joints, den = _over_lcm(table._cells[observation])
+    cells = table._cells[observation]
+    joints, den = _over_lcm(cells)
     total = sum(joints)
     if total == 0:
         return None
+    evidence = Fraction(total, den)
+    ev_num, ev_den = evidence.as_integer_ratio()
     floats: list[float] = []
     tic_bits: dict[str, float | None] = {}
     kl = 0.0
-    for theta, joint, prior in zip(table.model_labels, joints, table.prior):
+    for theta, joint, (cell_num, cell_den), prior in zip(
+        table.model_labels, joints, cells, table.prior
+    ):
         floats.append(post := joint / total)  # int true division: float(posterior)
         prior_num, prior_den = prior.as_integer_ratio()
         if prior_num == 0:
@@ -186,16 +196,21 @@ def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None
         elif joint == 0:
             tic_bits[theta] = float("-inf")
         else:
-            ratio_num, ratio_den = joint * prior_den, total * prior_num
-            g = math.gcd(ratio_num, ratio_den)
+            # P(x | theta) = cell / prior, reduced, then times ev_den / ev_num
+            lik_num, lik_den = cell_num * prior_den, cell_den * prior_num
+            g = math.gcd(lik_num, lik_den)
+            lik_num, lik_den = lik_num // g, lik_den // g
+            g_num, g_den = math.gcd(lik_num, ev_num), math.gcd(ev_den, lik_den)
+            ratio_num = lik_num // g_num * (ev_den // g_den)
+            ratio_den = lik_den // g_den * (ev_num // g_num)
             # math.log2 handles arbitrarily large ints without overflow, so
             # the ratio never has to pass through a float before the log.
-            tic_bits[theta] = bits = math.log2(ratio_num // g) - math.log2(ratio_den // g)
+            tic_bits[theta] = bits = math.log2(ratio_num) - math.log2(ratio_den)
             kl += post * bits
     return OracleMetrics(
         observation=observation,
         models=table.model_labels,
-        evidence=Fraction(total, den),
+        evidence=evidence,
         posterior_nums=tuple(joints),
         posterior_den=total,
         posterior_floats=tuple(floats),

@@ -140,21 +140,18 @@ class MhpConfig(Record):
 def _standard_likelihood(doors: tuple[str, ...], pick: str) -> tuple[list[str], list[list[Probability]]]:
     n = len(doors)
     observations = [f"Monty_{d}" for d in doors if d != pick]
+    zero = Fraction(0)
+    # car behind the pick: host picks uniformly among the other doors
+    picked = Fraction(1, n - 1)
+    # car elsewhere: host avoids both the pick and the car
+    elsewhere = Fraction(1, n - 2)
     rows: list[list[Probability]] = []
     for d in doors:
         if d == pick:
             continue
-        row: list[Probability] = []
-        for theta in doors:
-            if theta == d:
-                row.append(Fraction(0))
-            elif theta == pick:
-                # car behind the pick: host picks uniformly among the other doors
-                row.append(Fraction(1, n - 1))
-            else:
-                # car elsewhere: host avoids both the pick and the car
-                row.append(Fraction(1, n - 2))
-        rows.append(row)
+        rows.append([
+            zero if theta == d else picked if theta == pick else elsewhere for theta in doors
+        ])
     return observations, rows
 
 
@@ -163,14 +160,14 @@ def _forgetful_likelihood(doors: tuple[str, ...], pick: str) -> tuple[list[str],
     # is a real outcome; listing those outcomes keeps every likelihood
     # column a full distribution. Conditioning on "a goat was revealed"
     # happens by querying the goat observation.
-    n = len(doors)
     opened = [d for d in doors if d != pick]
     observations = [f"Monty_{d}" for d in opened] + [f"Monty_{d}_car" for d in opened]
+    zero, one_of = Fraction(0), Fraction(1, len(opened))
     rows: list[list[Probability]] = []
     for d in opened:
-        rows.append([Fraction(0) if theta == d else Fraction(1, n - 1) for theta in doors])
+        rows.append([zero if theta == d else one_of for theta in doors])
     for d in opened:
-        rows.append([Fraction(1, n - 1) if theta == d else Fraction(0) for theta in doors])
+        rows.append([one_of if theta == d else zero for theta in doors])
     return observations, rows
 
 
@@ -210,16 +207,26 @@ _TOP_KEYS = {"name", "models", "observations", "likelihood", "metadata"}
 _MODEL_KEYS = {"label", "prior"}
 
 
-def _parse_prob(value: Any, where: str) -> Probability:
-    """One cell: :func:`as_probability` parses a string and checks type and range."""
+def _parse_prob(value: Any, where: str, parsed: dict[str, Probability]) -> Probability:
+    """One cell: :func:`as_probability` parses a string and checks type and range.
+
+    ``parsed`` maps each string of the document parsed so far to its value,
+    so a string that repeats is parsed once. It holds successes only: a bad
+    string raises at the first place it is read.
+    """
+    if type(value) is str and value in parsed:
+        return parsed[value]
     if not isinstance(value, (str, int, float)):
         raise ScenarioFormatError(
             f"{where}: expected a number or 'num/den' string, got {type(value).__name__}"
         )
     try:
-        return as_probability(value)
+        p = as_probability(value)
     except DomainError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
+    if type(value) is str:
+        parsed[value] = p
+    return p
 
 
 def _printable(text: str, where: str) -> str:
@@ -302,6 +309,7 @@ def scenario_from_json_text(text: str, source: str = "<string>") -> Scenario:
 
     model_labels: list[str] = []
     priors: list[Probability] = []
+    parsed: dict[str, Probability] = {}
     for i, entry in enumerate(doc["models"]):
         where = f"{source}: models[{i}]"
         if not isinstance(entry, dict):
@@ -314,7 +322,7 @@ def scenario_from_json_text(text: str, source: str = "<string>") -> Scenario:
         if not isinstance(entry["label"], str):
             raise ScenarioFormatError(f"{where}.label: expected a string")
         model_labels.append(_printable(entry["label"], f"{where}.label"))
-        priors.append(_parse_prob(entry["prior"], f"{where}.prior"))
+        priors.append(_parse_prob(entry["prior"], f"{where}.prior", parsed))
 
     if not isinstance(doc["observations"], list) or not all(
         isinstance(x, str) for x in doc["observations"]
@@ -330,9 +338,12 @@ def scenario_from_json_text(text: str, source: str = "<string>") -> Scenario:
     for i, row in enumerate(doc["likelihood"]):
         if not isinstance(row, list):
             raise ScenarioFormatError(f"{source}: likelihood[{i}]: expected a list")
-        rows.append(
-            [_parse_prob(v, f"{source}: likelihood[{i}][{j}]") for j, v in enumerate(row)]
-        )
+        # a string parsed before is looked up here, without formatting its location
+        rows.append([
+            parsed[v] if type(v) is str and v in parsed
+            else _parse_prob(v, f"{source}: likelihood[{i}][{j}]", parsed)
+            for j, v in enumerate(row)
+        ])
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -293,7 +293,9 @@ def check_integer_kernels(scenario) -> Counter:
         for j, (lik, p, post) in enumerate(zip(row, prior, posteriors)):
             assert same_bits(u.posterior_floats[j], float(post))
             assert same_bits(m.posterior_floats[j], float(post))
-            t = info_reference(ev, paths) - info_reference(lik, paths)
+            lik_info = info_reference(lik, paths)
+            assert same_bits(u.likelihood_infos[j], lik_info)
+            t = info_reference(ev, paths) - lik_info
             assert same_bits(u.tics[j], t)
             if p == 0:
                 assert m.tic_bits[ms.labels[j]] is None

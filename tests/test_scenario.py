@@ -314,6 +314,59 @@ class TestFileFormat:
         assert scenario_to_json_text(traditional) == scenario_to_json_text(traditional)
 
 
+def scenario_document(priors: list, rows: list[list]) -> str:
+    """Scenario JSON with models M0, M1, ... and observations x0, x1, ..."""
+    return json.dumps({
+        "name": "t",
+        "models": [{"label": f"M{i}", "prior": p} for i, p in enumerate(priors)],
+        "observations": [f"x{i}" for i in range(len(rows))],
+        "likelihood": rows,
+    })
+
+
+class TestRepeatedStrings:
+    """A string that repeats is parsed once per document, with no change in result."""
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("half", "cannot parse probability from 'half': expected 'num/den' or a decimal"),
+            ("3/2", "probability 3/2 outside [0, 1]"),
+            ("1/0", "zero denominator in '1/0'"),
+        ],
+    )
+    def test_bad_string_reported_at_its_first_cell(self, bad, reason):
+        text = scenario_document(["1/2", "1/2"], [["1/2", bad], [bad, "1/2"], ["0", bad]])
+        with pytest.raises(ScenarioFormatError) as exc:
+            scenario_from_json_text(text)
+        assert str(exc.value) == f"<string>: likelihood[0][1]: {reason}"
+
+    def test_spellings_of_one_value(self):
+        # three exact spellings of 1/4 and one JSON number: a float scenario
+        text = scenario_document(
+            ["1/4", "2/8", "0.25", 0.25],
+            [["1/4", "2/8", "0.25", 0.25], ["3/4", "6/8", "0.75", 0.75]],
+        )
+        s = scenario_from_json_text(text)
+        assert not s.is_exact
+        lik = s.observation_model.likelihood
+        for values, exact in (
+            (s.model_space.prior.probs, Fraction(1, 4)),
+            (lik[0], Fraction(1, 4)),
+            (lik[1], Fraction(3, 4)),
+        ):
+            assert [type(p) for p in values] == [Fraction] * 3 + [float]
+            assert values[:3] == (exact,) * 3
+            assert values[3] == float(exact)
+
+    def test_bool_after_equal_values_refused_at_its_cell(self):
+        # true equals and hashes as 1, which the document also holds
+        text = scenario_document(["1/2", 0.5], [[1, "1/2"], [0, True]])
+        with pytest.raises(ScenarioFormatError) as exc:
+            scenario_from_json_text(text)
+        assert str(exc.value) == "<string>: likelihood[1][1]: probability must be numeric, got True"
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: st.lists(children, max_size=4)

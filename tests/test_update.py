@@ -22,12 +22,14 @@ from bayesbits import (
     Scenario,
     evidence,
     local_transfer_entropy,
+    load_scenario,
     mhp_scenario,
     mutual_information,
+    save_scenario,
     tic,
     transfer_report,
 )
-from bayesbits import aggregates, engine, oracle, verify
+from bayesbits import aggregates, core, engine, oracle, verify
 from bayesbits.cli import build_report
 from bayesbits.core import _log2_positive, info_content
 from bayesbits.engine import (
@@ -284,6 +286,37 @@ def test_exact_values_build_no_fraction_per_cell(monkeypatch):
     report = build_report(scenario, "Monty_C")
     assert 0 < built[0] <= 4 * n_obs + 10
     assert report.transfer.evidence == Fraction(1, 12)
+
+
+def test_loading_parses_each_distinct_string_once(monkeypatch, tmp_path):
+    # 480 likelihood cells and 16 priors spell three strings: 1/16, 1/15 and 0/1
+    game = mhp_scenario(MhpConfig(door_count=16, host_policy=HostPolicy.FORGETFUL))
+    path = tmp_path / "custom-16.json"
+    save_scenario(game, path)
+    parsed = call_counter(monkeypatch, core, "parse_probability")
+    assert load_scenario(path) == game
+    assert parsed == [3]
+
+
+@pytest.mark.parametrize("policy", list(HostPolicy))
+def test_generated_game_builds_one_fraction_per_distinct_value(monkeypatch, policy):
+    cfg = MhpConfig(door_count=16, host_policy=policy)
+    built = call_counter(monkeypatch, Fraction, "__new__")
+    om = mhp_scenario(cfg).observation_model
+    assert len(om.likelihood) * len(om.model_labels) >= 15 * 16
+    assert built[0] <= 3
+
+
+def test_one_log_per_distinct_likelihood_per_row(monkeypatch):
+    # Besides one log per prior and one per evidence, each row takes one
+    # log per distinct nonzero likelihood: 30 here, for 480 cells.
+    scenario = mhp_scenario(MhpConfig(door_count=16, host_policy=HostPolicy.FORGETFUL))
+    ms, om = scenario.model_space, scenario.observation_model
+    distinct = sum(len(set(row) - {0}) for row in om.likelihood)
+    logs = [call_counter(monkeypatch, module, "_log2_quotient") for module in (core, engine)]
+    us = updates(ms, om)
+    assert all(us) and distinct == 30
+    assert sum(calls[0] for calls in logs) <= len(ms.labels) + len(om.likelihood) + distinct
 
 
 def test_float_evidence_above_one_carries_zero_bits():
