@@ -17,7 +17,9 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -105,9 +107,30 @@ def as_probability(value: Probability | int | str) -> Probability:
                 f"probability must be Fraction, int, or float, got {type(value).__name__}"
             )
     # a Fraction's denominator is positive, so this is 0 <= value <= 1
-    if not 0 <= value.numerator <= value.denominator:
+    num, den = value.as_integer_ratio()
+    if not 0 <= num <= den:
         raise DomainError(f"probability {value} outside [0, 1]")
     return value
+
+
+def _sum_in_order(values: Iterable[Probability]) -> Probability:
+    """``sum(values)``, added strictly left to right.
+
+    CPython 3.12 made ``sum`` of floats compensated, so its last bit
+    depends on the interpreter; this is the 3.10 and 3.11 result on all.
+    """
+    return functools.reduce(operator.add, values, 0)
+
+
+def _over_lcm(ps: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Numerators of the Fractions ``ps`` over their least common denominator.
+
+    Reads one integer pair per value (``as_integer_ratio()``, not two
+    property reads) and takes the lcm of the distinct denominators.
+    """
+    pairs = [p.as_integer_ratio() for p in ps]
+    den = math.lcm(*{d for _, d in pairs})
+    return [n * (den // d) for n, d in pairs], den
 
 
 def _common_denominator(ps: Sequence[Probability]) -> tuple[list[int], int] | None:
@@ -119,8 +142,14 @@ def _common_denominator(ps: Sequence[Probability]) -> tuple[list[int], int] | No
     """
     if not all(isinstance(p, Fraction) for p in ps):
         return None
-    den = math.lcm(*[p.denominator for p in ps])
-    return [p.numerator * (den // p.denominator) for p in ps], den
+    return _over_lcm(ps)
+
+
+def _exact_sum_unless_one(ps: Iterable[Fraction]) -> str | None:
+    """:func:`_sum_unless_one` of values that are all Fractions."""
+    nums, den = _over_lcm(ps)
+    total = sum(nums)
+    return None if total == den else probability_repr(Fraction(total, den))
 
 
 def _sum_unless_one(ps: Sequence[Probability]) -> str | None:
@@ -130,12 +159,9 @@ def _sum_unless_one(ps: Sequence[Probability]) -> str | None:
     numerators over one common denominator; values with any float must
     sum to 1 within :data:`FLOAT_SUM_TOL`.
     """
-    scaled = _common_denominator(ps)
-    if scaled is not None:
-        nums, den = scaled
-        total = sum(nums)
-        return None if total == den else probability_repr(Fraction(total, den))
-    total = float(sum(ps))
+    if all(isinstance(p, Fraction) for p in ps):
+        return _exact_sum_unless_one(ps)
+    total = float(_sum_in_order(ps))
     return None if abs(total - 1.0) <= FLOAT_SUM_TOL else repr(total)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -32,9 +33,11 @@ from .core import (
     Distribution,
     Probability,
     _common_denominator,
+    _exact_sum_unless_one,
     _info,
     _log2_positive,
     _log2_quotient,
+    _sum_in_order,
     _sum_unless_one,
     as_probability,
     info_content,
@@ -103,14 +106,26 @@ class ObservationModel(Record):
         model_labels: Sequence[str],
         likelihood: Iterable[Iterable[Probability | int | str]],
     ) -> None:
+        # Each distinct cell object is validated once, in row-major order of
+        # first appearance, so the first bad cell raises: generated games
+        # and parsed files repeat a few value objects over many cells.
+        rows = [tuple(row) for row in likelihood]
+        distinct = {id(p): p for row in rows for p in row}
+        values = [as_probability(p) for p in distinct.values()]
+        if not all(map(operator.is_, values, distinct.values())):
+            # ints and strings became Fractions
+            checked = dict(zip(distinct, values))
+            rows = [tuple(map(checked.__getitem__, map(id, row))) for row in rows]
         self._set(
             observation_labels=tuple(observation_labels),
             model_labels=tuple(model_labels),
-            likelihood=tuple([tuple([as_probability(p) for p in row]) for row in likelihood]),
+            likelihood=tuple(rows),
         )
-        self._check()
+        # one type test per distinct value, not per cell
+        self._check(exact=all(isinstance(p, Fraction) for p in values))
 
-    def _check(self) -> None:
+    def _check(self, exact: bool) -> None:
+        """Shape and column sums; ``exact`` when every cell is a Fraction."""
         if not self.observation_labels or not self.model_labels:
             raise InvariantViolation("observation model needs >= 1 observation and >= 1 model")
         if len(set(self.observation_labels)) != len(self.observation_labels):
@@ -128,8 +143,8 @@ class ObservationModel(Record):
                     f"likelihood row {x!r} has {len(row)} entries for "
                     f"{len(self.model_labels)} models"
                 )
-        for j, theta in enumerate(self.model_labels):
-            total = _sum_unless_one([row[j] for row in self.likelihood])
+        for theta, column in zip(self.model_labels, zip(*self.likelihood)):
+            total = _exact_sum_unless_one(column) if exact else _sum_unless_one(column)
             if total is not None:
                 raise InvariantViolation(
                     f"likelihood column for model {theta!r} sums to {total}, expected 1"
@@ -197,7 +212,7 @@ def _joint_row(
     scaled_row = None if scaled_prior is None else _common_denominator(row)
     if scaled_prior is None or scaled_row is None:
         joints = [lik * p for lik, p in zip(row, prior)]
-        ev = sum(joints)
+        ev = _sum_in_order(joints)
         posteriors = [] if ev == 0 else [joint / ev for joint in joints]
         return ev, posteriors, 1, posteriors, None
     prior_nums, prior_den = scaled_prior
@@ -427,19 +442,16 @@ def _apply(
     # 1 + 2**-52, within FLOAT_SUM_TOL); it is certain, so 0 bits.
     ev_info = 0.0 if ev > 1 else info_content(ev)
     lik_infos = [_info(lik) for lik in row] if excess is None else _exact_infos(row)
-    # One pass into plain lists: building these tuples from generators left
-    # about 0.6 MiB more resident over a few hundred calls (CPython 3.11).
-    tics, signs, posterior_infos = [], [], []
-    for j, (lik_i, prior_i) in enumerate(zip(lik_infos, prior_infos)):
-        t = ev_info - lik_i
-        tics.append(t)
-        if prior_i == math.inf:  # prior 0
-            signs.append(None)
-        elif excess is None:
-            signs.append(classify_tic(t))
-        else:
-            signs.append(_exact_sign(excess[j]))
-        posterior_infos.append(prior_i - t)
+    # Whole columns as plain lists: building these tuples from generators
+    # left about 0.6 MiB more resident over a few hundred calls (CPython 3.11).
+    tics = [ev_info - lik_i for lik_i in lik_infos]
+    if excess is None:
+        signs = [None if prior_i == math.inf else classify_tic(t)  # inf: prior 0
+                 for prior_i, t in zip(prior_infos, tics)]
+    else:
+        signs = [None if prior_i == math.inf else _exact_sign(e)
+                 for prior_i, e in zip(prior_infos, excess)]
+    posterior_infos = list(map(operator.sub, prior_infos, tics))
     return ObservationUpdate(
         observation=x,
         models=ms.labels,

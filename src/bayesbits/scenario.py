@@ -19,6 +19,7 @@ import json
 import os
 import stat
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -263,18 +264,22 @@ def scenario_to_json_text(s: Scenario) -> str:
 
     The text is ``json.dumps(document, indent=2)``, laid out here: given
     an indent, ``json`` encodes in pure Python, which cost more than the
-    rest of a save. Only the free-form metadata still goes through it.
+    rest of a save. Only the free-form metadata still goes through it;
+    a string's JSON does not depend on the indent. Each distinct value
+    object is formatted once.
     """
     ms, om = s.model_space, s.observation_model
+    values = [*ms.prior.probs, *chain.from_iterable(om.likelihood)]
+    texts = {key: _prob_json(p) for key, p in dict(zip(map(id, values), values)).items()}
     models = [
-        '{\n      "label": ' + _json_at(label, 3) + ',\n      "prior": ' + _prob_json(p) + "\n    }"
+        '{\n      "label": ' + json.dumps(label) + ',\n      "prior": ' + texts[id(p)] + "\n    }"
         for label, p in zip(ms.labels, ms.prior.probs)
     ]
-    rows = [_json_list([_prob_json(p) for p in row], 2) for row in om.likelihood]
+    rows = [_json_list(list(map(texts.__getitem__, map(id, row))), 2) for row in om.likelihood]
     return (
-        '{\n  "name": ' + _json_at(s.name, 1)
+        '{\n  "name": ' + json.dumps(s.name)
         + ',\n  "models": ' + _json_list(models, 1)
-        + ',\n  "observations": ' + _json_list([_json_at(x, 2) for x in om.observation_labels], 1)
+        + ',\n  "observations": ' + _json_list([json.dumps(x) for x in om.observation_labels], 1)
         + ',\n  "likelihood": ' + _json_list(rows, 1)
         + ',\n  "metadata": ' + _json_at(dict(s.metadata), 1)
         + "\n}\n"

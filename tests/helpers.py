@@ -1,4 +1,4 @@
-"""Shared test utilities: exact-rational scenarios with wide denominators."""
+"""Shared test utilities: exact-rational scenarios with wide denominators, float scenarios."""
 
 from __future__ import annotations
 
@@ -49,6 +49,33 @@ def wide_rational_scenario(rng: random.Random, denominators, max_size: int = 6) 
     return Scenario(
         name=f"wide-{n_models}x{n_obs}",
         model_space=ModelSpace(prior=Distribution(model_labels, prior)),
+        observation_model=ObservationModel(
+            observation_labels=[f"x{i}" for i in range(n_obs)],
+            model_labels=model_labels,
+            likelihood=[[columns[j][i] for j in range(n_models)] for i in range(n_obs)],
+        ),
+    )
+
+
+def random_float_distribution(rng: random.Random, size: int) -> list[float]:
+    """Float weights over their float total, about 15% of them 0; sums 1 within rounding."""
+    weights = [0.0 if rng.random() < 0.15 else rng.random() for _ in range(size)]
+    if sum(weights) == 0:
+        weights[0] = 1.0
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def random_float_scenario(rng: random.Random, max_size: int = 8) -> Scenario:
+    """Random float scenario of 2 to ``max_size`` models and observations."""
+    n_models, n_obs = rng.randint(2, max_size), rng.randint(2, max_size)
+    columns = [random_float_distribution(rng, n_obs) for _ in range(n_models)]
+    model_labels = [f"M{i}" for i in range(n_models)]
+    return Scenario(
+        name=f"float-{n_models}x{n_obs}",
+        model_space=ModelSpace(
+            prior=Distribution(model_labels, random_float_distribution(rng, n_models))
+        ),
         observation_model=ObservationModel(
             observation_labels=[f"x{i}" for i in range(n_obs)],
             model_labels=model_labels,

@@ -2,12 +2,17 @@
 
 import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bayesbits import cli, load_scenario, verify
+from bayesbits import Distribution, cli, core, engine, load_scenario, save_scenario, verify
+from bayesbits.errors import InvariantViolation
 from bayesbits.scenario import MAX_DOORS
+
+from helpers import random_float_scenario
 
 
 @pytest.fixture(scope="module")
@@ -537,3 +542,58 @@ class TestCellFormatters:
         assert cli._csv(value) == csv_cell
         if value == 0.0:
             assert math.copysign(1.0, cli._json(value)) == 1.0
+
+
+def compensated_sum(values, start=0):
+    """``sum`` as CPython 3.12 adds floats, with Neumaier's compensation; other values as before."""
+    values = list(values)
+    if not values or not all(type(v) is float for v in values):
+        return sum(values, start)
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+class TestFloatSumsInOrder:
+    """Float output does not depend on how the interpreter's ``sum`` adds floats.
+
+    CPython 3.12 made ``sum`` of floats compensated. The engine and core
+    add floats left to right, the 3.10 and 3.11 result, so putting the
+    compensated sum in place of the builtin changes no output.
+    """
+
+    def outputs(self, paths, capsys):
+        runs = []
+        for path in paths:
+            x = load_scenario(path).observation_model.observation_labels[0]
+            for argv in (
+                ["mi", path],
+                ["solve", path, "--observe", x, "--format", "json"],
+                ["kl", path, "--observe", x],
+            ):
+                code = cli.main(argv)
+                runs.append((argv[0], path, code, *capsys.readouterr()))
+        return runs
+
+    def compensate(self, monkeypatch):
+        for module in (core, engine):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+
+    def test_scenarios_give_the_same_output(self, monkeypatch, tmp_path, capsys):
+        rng = random.Random(136)
+        paths = [str(Path(__file__).resolve().parent / "golden" / "floatsum.json")]
+        for i in range(40):
+            paths.append(str(tmp_path / f"float{i}.json"))
+            save_scenario(random_float_scenario(rng), paths[-1])
+        before = self.outputs(paths, capsys)
+        self.compensate(monkeypatch)
+        assert self.outputs(paths, capsys) == before
+
+    def test_refused_prior_names_the_same_sum(self, monkeypatch):
+        self.compensate(monkeypatch)
+        with pytest.raises(InvariantViolation) as exc:
+            Distribution("abcde", [0.14816, 0.0924887916370198, 0.156, 0.1513998825348317, 0.0648385])
+        assert str(exc.value) == "probabilities sum to 0.6128871741718516, expected 1"

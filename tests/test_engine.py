@@ -25,6 +25,7 @@ from bayesbits.engine import (
     posterior_prob_oracle,
 )
 from bayesbits.errors import (
+    DomainError,
     ImpossibleObservationError,
     InvariantViolation,
     UndefinedLogError,
@@ -89,6 +90,31 @@ class TestObservationModel:
                 model_labels=("A",),
                 likelihood=[[Fraction(1, 2)], [Fraction(1, 2)]],
             )
+
+    def test_ints_and_strings_become_fractions(self):
+        om = ObservationModel(("x", "y"), ("A", "B"), [["1/2", 1], ["1/2", 0]])
+        assert om.likelihood == ((Fraction(1, 2), Fraction(1)), (Fraction(1, 2), Fraction(0)))
+        assert all(type(p) is Fraction for row in om.likelihood for p in row)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Fraction(3, 2), "probability 3/2 outside [0, 1]"),
+            (-0.5, "probability -0.5 outside [0, 1]"),
+            (True, "probability must be numeric, got True"),
+        ],
+    )
+    def test_repeated_bad_value_raises_at_its_first_cell(self, bad, message):
+        # One bad object in three cells, after a good cell; a later bad value
+        # and a short row come after it in row-major order, so they do not raise.
+        with pytest.raises(DomainError) as exc:
+            ObservationModel(
+                observation_labels=("x", "y"),
+                model_labels=("A", "B", "C"),
+                likelihood=[[Fraction(1, 2), bad, bad], [Fraction(5, 4), bad]],
+            )
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == message
 
     def test_likelihood_of_unknown_labels(self):
         om = ObservationModel(("x",), ("A",), [[Fraction(1)]])

@@ -8,12 +8,18 @@ impossible observation), a forgetful 12-door game with a 36-bit prior,
 an exact scenario whose values leave the float range or round to 1
 (a ``1/3**700`` prior; posteriors and log-odds ratios within 2**-53 of
 1), an exact scenario that repeats unreduced and decimal strings for one
-value (``"2/8"``, ``"0.25"``, ``"1/4"``; ``"0/1"`` and ``"0"``), and a
-small float scenario.
+value (``"2/8"``, ``"0.25"``, ``"1/4"``; ``"0/1"`` and ``"0"``), a small
+float scenario, and a random float scenario whose sums come out a bit
+different when floats are added with compensation, as ``sum`` does from
+CPython 3.12 on.
+
+The cases need no pytest to run. To compare them on any interpreter:
+
+    python3 tests/test_golden.py --check
 
 After a deliberate output change, regenerate the files with
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    python3 tests/test_golden.py
 
 and review the diff before committing it.
 """
@@ -25,13 +31,11 @@ import io
 import sys
 from pathlib import Path
 
-import pytest
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # scenario name -> argv of the `mhp` command that writes it; "floaty",
-# "edge" and "repeats" are committed input files, because no generator
-# makes float scenarios, values this far out or unreduced strings
+# "floatsum", "edge" and "repeats" are committed input files, because no
+# generator makes float scenarios, values this far out or unreduced strings
 SCENARIOS = {
     "traditional": ["mhp", "traditional"],
     "biased": ["mhp", "biased"],
@@ -49,7 +53,8 @@ SCENARIOS = {
         "4015507085/34626525389,3952302726/34626525389,3325084971/34626525389",
     ],
 }
-COMMITTED = ("floaty", "edge", "repeats")
+COMMITTED = ("floaty", "floatsum", "edge", "repeats")
+FLOAT = ("floaty", "floatsum")
 
 # case name -> (scenario, argv after the scenario path is put in place of
 # "{path}", expected exit code)
@@ -61,6 +66,7 @@ for _name, _obs in (
     ("custom8", ["Monty_C", "Monty_D4_car"]),
     ("custom12w", ["Monty_C", "Monty_D12_car"]),
     ("floaty", ["y", "z"]),
+    ("floatsum", ["x0", "x1"]),
     ("edge", ["x", "y"]),
     ("repeats", ["x", "z"]),
 ):
@@ -71,7 +77,7 @@ for _name, _obs in (
             )
         CASES[f"{_name}-kl-{_x}"] = (_name, ["kl", "{path}", "--observe", _x], 0)
     CASES[f"{_name}-mi"] = (_name, ["mi", "{path}"], 0)
-    if _name != "floaty":
+    if _name not in FLOAT:
         CASES[f"{_name}-verify"] = (_name, ["verify", "{path}"], 0)
 CASES["custom8-solve-Monty_D8_car-table"] = (
     "custom8", ["solve", "{path}", "--observe", "Monty_D8_car"], 3
@@ -105,29 +111,53 @@ def run_case(case: str, paths: dict[str, str]) -> tuple[int, str]:
     return run_cli([paths[scenario] if arg == "{path}" else arg for arg in argv])
 
 
-@pytest.fixture(scope="module")
-def paths(tmp_path_factory):
-    return scenario_paths(tmp_path_factory.mktemp("golden"))
+if __name__ != "__main__":  # collected by pytest; the script below runs without it
+    import pytest
+
+    @pytest.fixture(scope="module")
+    def paths(tmp_path_factory):
+        return scenario_paths(tmp_path_factory.mktemp("golden"))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_golden_output(case, paths):
+        expected = (GOLDEN / f"{case}.out").read_bytes().decode("utf-8")
+        code, out = run_case(case, paths)
+        # the scenario path appears in no output, so the files do not depend on it
+        assert code == CASES[case][2]
+        assert out == expected
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_output(case, paths):
-    expected = (GOLDEN / f"{case}.out").read_bytes().decode("utf-8")
-    code, out = run_case(case, paths)
-    # the scenario path appears in no output, so the files do not depend on it
-    assert code == CASES[case][2]
-    assert out == expected
-
-
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
+    """Compare every case with its file (``--check``), or rewrite the files."""
     import tempfile
 
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: python3 tests/test_golden.py [--check]", file=sys.stderr)
+        return 2
     sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
+    failed = []
     with tempfile.TemporaryDirectory() as tmp:
         scenario_files = scenario_paths(Path(tmp))
         for name in sorted(CASES):
             code, out = run_case(name, scenario_files)
-            if code != CASES[name][2]:
+            if check:
+                expected = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+                if code != CASES[name][2] or out != expected:
+                    failed.append(name)
+            elif code != CASES[name][2]:
                 sys.exit(f"{name}: exit code {code}, expected {CASES[name][2]}")
-            (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
-    print(f"wrote {len(CASES)} golden files to {GOLDEN}")
+            else:
+                (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
+    if not check:
+        print(f"wrote {len(CASES)} golden files to {GOLDEN}")
+        return 0
+    python = ".".join(map(str, sys.version_info[:3]))
+    for name in failed:
+        print(f"differs: {name}")
+    print(f"{len(CASES) - len(failed)} of {len(CASES)} golden cases match on Python {python}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -487,6 +488,32 @@ class TestCanonicalText:
             "metadata": scenario.metadata,
         }
         assert scenario_to_json_text(scenario) == json.dumps(doc, indent=2) + "\n"
+
+    def test_all_distinct_values_round_trip(self, tmp_path):
+        # every cell its own Fraction object, as random scenarios build them
+        rng = random.Random(88)
+
+        def column(size):
+            weights = [rng.randint(0, 12) for _ in range(size - 1)] + [1]
+            return [Fraction(w, sum(weights)) for w in weights]
+
+        columns = [column(8) for _ in range(8)]
+        labels = [f"M{j}" for j in range(8)]
+        scenario = Scenario(
+            name="distinct 8x8",
+            model_space=ModelSpace(Distribution(labels, column(8))),
+            observation_model=ObservationModel(
+                [f"x{i}" for i in range(8)], labels, [[c[i] for c in columns] for i in range(8)]
+            ),
+        )
+        cells = [p for row in scenario.observation_model.likelihood for p in row]
+        assert len({id(p) for p in cells}) == 64
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_scenario(scenario, first)
+        loaded = load_scenario(first)
+        save_scenario(loaded, second)
+        assert loaded == scenario
+        assert second.read_bytes() == first.read_bytes()
 
     def test_save_over_a_longer_file(self, tmp_path):
         path = tmp_path / "s.json"

@@ -29,7 +29,8 @@ from bayesbits import (
     tic,
     transfer_report,
 )
-from bayesbits import aggregates, core, engine, oracle, verify
+from bayesbits import aggregates, cli, core, engine, oracle, verify
+from bayesbits import scenario as scenario_io
 from bayesbits.cli import build_report
 from bayesbits.core import _log2_positive, info_content
 from bayesbits.engine import (
@@ -296,6 +297,28 @@ def test_loading_parses_each_distinct_string_once(monkeypatch, tmp_path):
     parsed = call_counter(monkeypatch, core, "parse_probability")
     assert load_scenario(path) == game
     assert parsed == [3]
+
+
+def test_saving_formats_each_distinct_value_once(monkeypatch, tmp_path, capsys):
+    # 480 likelihood cells and 16 priors hold three value objects: 1/16, 1/15 and 0.
+    # The saver calls probability_repr by the name it imported from core.
+    formatted = call_counter(monkeypatch, scenario_io, "probability_repr")
+    path = tmp_path / "custom-16.json"
+    assert cli.main(["mhp", "custom-16", "--policy", "forgetful", "--out", str(path)]) == 0
+    assert 0 < formatted[0] <= 3
+    game = mhp_scenario(MhpConfig(door_count=16, host_policy=HostPolicy.FORGETFUL))
+    loaded = load_scenario(path)
+    assert (loaded.model_space, loaded.observation_model) == (
+        game.model_space, game.observation_model
+    )
+
+
+def test_model_validates_each_distinct_value_once(monkeypatch):
+    # the game's 480 likelihood cells hold two value objects, 0 and 1/15
+    om = mhp_scenario(MhpConfig(door_count=16, host_policy=HostPolicy.FORGETFUL)).observation_model
+    checked = call_counter(monkeypatch, engine, "as_probability")
+    assert ObservationModel(om.observation_labels, om.model_labels, om.likelihood) == om
+    assert 0 < checked[0] <= 2
 
 
 @pytest.mark.parametrize("policy", list(HostPolicy))
