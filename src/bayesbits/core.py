@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DomainError, InvariantViolation, UnknownLabelError
+from .errors import DomainError, InvariantViolation
 from .record import Record
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "as_probability",
     "entropy",
     "info_content",
-    "is_exact",
     "parse_probability",
     "prob_from_info",
     "probability_repr",
@@ -163,11 +162,6 @@ def _sum_unless_one(ps: Sequence[Probability]) -> str | None:
         return _exact_sum_unless_one(ps)
     total = float(_sum_in_order(ps))
     return None if abs(total - 1.0) <= FLOAT_SUM_TOL else repr(total)
-
-
-def is_exact(p: Probability) -> bool:
-    """True when ``p`` is held as an exact rational."""
-    return isinstance(p, Fraction)
 
 
 def probability_repr(p: Probability) -> str:
@@ -310,15 +304,6 @@ class Distribution(Record):
     def is_exact(self) -> bool:
         """True when every probability is an exact rational."""
         return all(isinstance(p, Fraction) for p in self.probs)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def prob_of(self, label: str) -> Probability:
-        try:
-            return self.probs[self.labels.index(label)]
-        except ValueError:
-            raise UnknownLabelError(f"unknown event {label!r}; have {list(self.labels)}") from None
 
     @classmethod
     def uniform(cls, labels: Sequence[str]) -> "Distribution":

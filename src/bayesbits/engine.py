@@ -15,9 +15,9 @@ Their difference is the transfer information content,
 
 the net signed bits the observation delivers to that one hypothesis.
 Positive TIC informs, negative TIC misleads, and the posterior falls out
-as ``posterior_info = prior_info - tic``. The probability-space Bayes
-rule is kept alongside as :func:`posterior_prob_oracle` so the two
-routes can always be checked against each other.
+as ``posterior_info = prior_info - tic``. Each update also carries the
+probability-space Bayes rule's posteriors; the independent check of both
+routes is the exact-rational oracle in :mod:`bayesbits.oracle`.
 """
 
 from __future__ import annotations
@@ -48,24 +48,19 @@ from .errors import (
     InvariantViolation,
     UndefinedLogError,
     UnknownLabelError,
-    ZeroLikelihoodRatioError,
 )
 from .record import Record
 
 __all__ = [
-    "BayesFactor",
     "ModelSpace",
     "ModelTransfer",
     "ObservationModel",
     "SignClass",
-    "bayes_factor",
     "classify_tic",
     "evidence",
     "local_transfer_entropy",
-    "log2_bayes_factor",
     "posterior_info",
     "posterior_prob_info_form",
-    "posterior_prob_oracle",
     "tic",
     "transfer_report",
 ]
@@ -82,9 +77,6 @@ class ModelSpace(Record):
     @property
     def labels(self) -> tuple[str, ...]:
         return self.prior.labels
-
-    def prior_of(self, theta: str) -> Probability:
-        return self.prior.prob_of(theta)
 
 
 class ObservationModel(Record):
@@ -169,9 +161,6 @@ class ObservationModel(Record):
             raise UnknownLabelError(
                 f"unknown model {theta!r}; have {list(self.model_labels)}"
             ) from None
-
-    def likelihood_of(self, x: str, theta: str) -> Probability:
-        return self.likelihood[self._x_index(x)][self._theta_index(theta)]
 
 
 class SignClass(enum.Enum):
@@ -277,15 +266,6 @@ def posterior_info(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> 
 def posterior_prob_info_form(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> float:
     """Posterior probability recovered from the information-space route."""
     return prob_from_info(posterior_info(ms, om, x, theta))
-
-
-def posterior_prob_oracle(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Probability:
-    """Posterior probability straight from Bayes' rule in probability space.
-
-    Exact when the inputs are rational. This is the in-engine check the
-    information-space route is validated against.
-    """
-    return update(ms, om, x).posteriors[om._theta_index(theta)]
 
 
 class ModelTransfer(NamedTuple):
@@ -480,9 +460,8 @@ def _require_possible(u: ObservationUpdate | None, x: str) -> ObservationUpdate:
 def update(ms: ModelSpace, om: ObservationModel, x: str) -> ObservationUpdate:
     """Apply observation ``x`` to every model at once.
 
-    The per-label functions (:func:`tic`, :func:`posterior_prob_oracle`,
-    ...) read their values from this update; :func:`transfer_report`
-    returns it.
+    The per-label functions (:func:`tic`, :func:`posterior_info`, ...)
+    read their values from this update; :func:`transfer_report` returns it.
     """
     _check_pairing(ms, om)
     row = om.likelihood[om._x_index(x)]
@@ -521,44 +500,6 @@ def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> Observation
     information-space route.
     """
     return update(ms, om, x)
-
-
-class BayesFactor(NamedTuple):
-    """Likelihood ratio of two models for one observation, plus its log."""
-
-    ratio: Probability
-    log2: Bits
-
-
-def log2_bayes_factor(om: ObservationModel, x: str, theta1: str, theta2: str) -> Bits:
-    """log2 of the Bayes factor K = P(x|theta1) / P(x|theta2).
-
-    Returns ``+inf`` when only the denominator likelihood is 0 and
-    ``-inf`` when only the numerator is; rejects 0/0. Equals the TIC
-    difference ``tic(x -> theta1) - tic(x -> theta2)``.
-    """
-    lik1 = om.likelihood_of(x, theta1)
-    lik2 = om.likelihood_of(x, theta2)
-    if lik1 == 0 and lik2 == 0:
-        raise ZeroLikelihoodRatioError(
-            f"Bayes factor for {x!r} is 0/0: both {theta1!r} and {theta2!r} are refuted"
-        )
-    return info_content(lik2) - info_content(lik1)
-
-
-def bayes_factor(om: ObservationModel, x: str, theta1: str, theta2: str) -> BayesFactor:
-    """Bayes factor of ``theta1`` over ``theta2`` on observation ``x``.
-
-    The ratio form requires a nonzero denominator likelihood; use
-    :func:`log2_bayes_factor` when an infinite log form is acceptable.
-    """
-    lik1 = om.likelihood_of(x, theta1)
-    lik2 = om.likelihood_of(x, theta2)
-    if lik2 == 0:
-        raise ZeroLikelihoodRatioError(
-            f"Bayes factor ratio for {x!r} undefined: P(x|{theta2!r}) = 0"
-        )
-    return BayesFactor(ratio=lik1 / lik2, log2=log2_bayes_factor(om, x, theta1, theta2))
 
 
 def local_transfer_entropy(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Bits:

@@ -3,8 +3,7 @@
 Every error raised by bayesbits derives from :class:`BayesBitsError`, so
 callers can catch the whole family with one clause. Where a stdlib
 exception type is the conventional signal (ValueError for bad domains,
-KeyError for bad labels, ZeroDivisionError for an undefined ratio) the
-subclass inherits from it as well.
+KeyError for bad labels) the subclass inherits from it as well.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ class ImpossibleObservationError(BayesBitsError):
 
 class UndefinedLogError(BayesBitsError):
     """A log-odds quantity is undefined because the prior is zero."""
-
-
-class ZeroLikelihoodRatioError(BayesBitsError, ZeroDivisionError):
-    """The denominator likelihood of a Bayes factor ratio is zero."""
 
 
 class ScenarioFormatError(BayesBitsError, ValueError):

@@ -79,9 +79,6 @@ class JointOutcomeTable(Record):
         nums, den = _over_lcm(self._cells[observation])
         return Fraction(sum(nums), den)
 
-    def prior_of(self, model: str) -> Fraction:
-        return self.prior[self.model_labels.index(model)]
-
 
 def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
     """Multiply out P(model) * P(observation | model) for every cell.

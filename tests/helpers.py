@@ -13,6 +13,11 @@ def same_bits(a: float, b: float) -> bool:
     return a.hex() == b.hex()
 
 
+def likelihood(om: ObservationModel, x: str, theta: str):
+    """``P(x | theta)``: the cell of observation ``x`` and model ``theta``."""
+    return om.likelihood[om.observation_labels.index(x)][om.model_labels.index(theta)]
+
+
 # Primes up to 3000 (trial division up to sqrt(3000) < 55), pairwise coprime.
 PRIMES = [p for p in range(1009, 3000) if all(p % q for q in range(2, 55))]
 

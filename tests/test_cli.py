@@ -299,6 +299,11 @@ class TestVerify:
         assert cli.main(["verify", scenario_files["floaty"]]) == 2
         assert "oracle requires exact rationals" in capsys.readouterr().err
 
+    def test_no_observations_exit_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "empty", ["1"], [], [])
+        assert cli.main(["verify", path]) == 2
+        assert "observation model needs >= 1 observation and >= 1 model" in capsys.readouterr().err
+
     def test_failure_exits_4(self, scenario_files, capsys, monkeypatch):
         # the verify subcommand reads the tolerance where it is defined
         monkeypatch.setattr(verify, "VERIFY_TOL", -1.0)

@@ -1,4 +1,4 @@
-"""Information-space Bayes updates: TIC, posteriors, Bayes factors."""
+"""Information-space Bayes updates: TIC, posteriors, Bayes factors as TIC differences."""
 
 import math
 from fractions import Fraction
@@ -18,11 +18,9 @@ from bayesbits import (
 from bayesbits.core import info_content
 from bayesbits.engine import (
     SignClass,
-    bayes_factor,
     classify_tic,
-    log2_bayes_factor,
     posterior_info,
-    posterior_prob_oracle,
+    update,
 )
 from bayesbits.errors import (
     DomainError,
@@ -30,7 +28,6 @@ from bayesbits.errors import (
     InvariantViolation,
     UndefinedLogError,
     UnknownLabelError,
-    ZeroLikelihoodRatioError,
 )
 
 LOG2_3 = 1.584962500721156
@@ -117,11 +114,24 @@ class TestObservationModel:
         assert str(exc.value) == message
 
     def test_likelihood_of_unknown_labels(self):
+        ms = ModelSpace(prior=Distribution(("A",), (Fraction(1),)))
         om = ObservationModel(("x",), ("A",), [[Fraction(1)]])
         with pytest.raises(UnknownLabelError):
-            om.likelihood_of("zzz", "A")
+            tic(ms, om, "zzz", "A")
         with pytest.raises(UnknownLabelError):
-            om.likelihood_of("x", "zzz")
+            tic(ms, om, "x", "zzz")
+
+    @pytest.mark.parametrize(
+        "observations, models, likelihood",
+        [
+            pytest.param((), ("A",), [], id="no-observations"),
+            pytest.param(("x",), (), [[]], id="no-models"),
+        ],
+    )
+    def test_empty_rejected(self, observations, models, likelihood):
+        with pytest.raises(InvariantViolation) as exc:
+            ObservationModel(observations, models, likelihood)
+        assert str(exc.value) == "observation model needs >= 1 observation and >= 1 model"
 
 
 class TestEvidence:
@@ -244,9 +254,9 @@ class TestPosterior:
         # posterior_info must equal prior_info - tic bit for bit
         ms, om = parts(biased)
         for x in om.observation_labels:
-            for theta in om.model_labels:
+            for theta, prior_p in zip(om.model_labels, ms.prior.probs):
                 lhs = posterior_info(ms, om, x, theta)
-                rhs = info_content(ms.prior_of(theta)) - tic(ms, om, x, theta)
+                rhs = info_content(prior_p) - tic(ms, om, x, theta)
                 assert lhs == rhs
 
     def test_biased_posterior_info_value(self, biased):
@@ -259,15 +269,14 @@ class TestPosterior:
         for scenario in (traditional, biased, forgetful):
             ms, om = parts(scenario)
             for x in om.observation_labels:
-                for theta in om.model_labels:
+                u = update(ms, om, x)
+                for theta, via_bayes in zip(om.model_labels, u.posteriors):
                     via_info = posterior_prob_info_form(ms, om, x, theta)
-                    via_bayes = float(posterior_prob_oracle(ms, om, x, theta))
-                    assert via_info == pytest.approx(via_bayes, abs=1e-9)
+                    assert via_info == pytest.approx(float(via_bayes), abs=1e-9)
 
     def test_traditional_switch_doubles(self, traditional):
         ms, om = parts(traditional)
-        assert posterior_prob_oracle(ms, om, "Monty_B", "A") == Fraction(1, 3)
-        assert posterior_prob_oracle(ms, om, "Monty_B", "C") == Fraction(2, 3)
+        assert update(ms, om, "Monty_B").posteriors == (Fraction(1, 3), Fraction(0), Fraction(2, 3))
 
     def test_refuted_model_lands_at_zero(self, traditional):
         ms, om = parts(traditional)
@@ -319,36 +328,23 @@ class TestTransferReport:
 
 
 class TestBayesFactor:
-    def test_ratio_and_log(self, biased):
-        ms, om = parts(biased)
-        bf = bayes_factor(om, "Monty_C", "B", "A")
-        assert bf.ratio == Fraction(2)
-        assert bf.log2 == 1.0
+    """log2 of the Bayes factor P(x|theta1) / P(x|theta2) is the TIC difference."""
 
     def test_log_equals_tic_difference(self, biased):
         ms, om = parts(biased)
-        lhs = log2_bayes_factor(om, "Monty_C", "B", "A")
-        rhs = tic(ms, om, "Monty_C", "B") - tic(ms, om, "Monty_C", "A")
-        assert abs(lhs - rhs) <= 1e-12
+        u = update(ms, om, "Monty_C")
+        a, b = u.models.index("A"), u.models.index("B")
+        assert u.likelihood_infos[a] - u.likelihood_infos[b] == 1.0  # P(x|B) / P(x|A) = 2
+        assert abs(1.0 - (u.tics[b] - u.tics[a])) <= 1e-12
 
     def test_refuted_denominator_is_infinite_log(self, traditional):
         ms, om = parts(traditional)
-        assert log2_bayes_factor(om, "Monty_B", "C", "B") == math.inf
-        assert log2_bayes_factor(om, "Monty_B", "B", "C") == -math.inf
-
-    def test_refuted_denominator_ratio_raises(self, traditional):
-        ms, om = parts(traditional)
-        with pytest.raises(ZeroLikelihoodRatioError):
-            bayes_factor(om, "Monty_B", "C", "B")
-
-    def test_zero_over_zero_raises(self):
-        om = ObservationModel(
-            ("x", "y"),
-            ("A", "B"),
-            [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(1)]],
-        )
-        with pytest.raises(ZeroLikelihoodRatioError):
-            log2_bayes_factor(om, "x", "A", "B")
+        u = update(ms, om, "Monty_B")
+        b, c = u.models.index("B"), u.models.index("C")
+        assert u.likelihood_infos[b] - u.likelihood_infos[c] == math.inf
+        assert u.tics[c] - u.tics[b] == math.inf
+        assert u.likelihood_infos[c] - u.likelihood_infos[b] == -math.inf
+        assert u.tics[b] - u.tics[c] == -math.inf
 
 
 class TestLocalTransferEntropy:

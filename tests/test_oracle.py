@@ -76,6 +76,8 @@ class TestEnumerateJoint:
         with pytest.raises(KeyError):
             table.joint("A", "zzz")
         with pytest.raises(KeyError):
+            table.joint("zzz", "Monty_B")
+        with pytest.raises(KeyError):
             table.evidence("zzz")
 
 
@@ -230,8 +232,8 @@ class TestKernels:
                 m = oracle_metrics(table, x)
                 assert m.evidence == ev
                 kl = 0.0
-                for theta in table.model_labels:
-                    joint, prior = table.joint(theta, x), table.prior_of(theta)
+                for theta, prior in zip(table.model_labels, table.prior):
+                    joint = table.joint(theta, x)
                     post = m.posterior[theta]
                     assert isinstance(post, Fraction) and post == joint / ev
                     if prior == 0:

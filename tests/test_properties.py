@@ -30,12 +30,12 @@ from bayesbits.aggregates import (
 )
 from bayesbits.cli import build_report
 from bayesbits.core import entropy, info_content, prob_from_info
-from bayesbits.engine import log2_bayes_factor, posterior_info, updates
+from bayesbits.engine import posterior_info, update, updates
 from bayesbits.errors import InvariantViolation
 from bayesbits.oracle import observation_metrics
 from bayesbits.scenario import load_scenario, scenario_from_json_text, scenario_to_json_text
 from bayesbits.verify import bits_deviation
-from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
+from helpers import likelihood, same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
 
 weight_lists = st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(
     lambda w: sum(w) > 0
@@ -154,9 +154,9 @@ class TestUpdateProperties:
         ms, om = scenario.model_space, scenario.observation_model
         _, xs = possible_observations(scenario)
         for x in xs:
-            for theta in om.model_labels:
+            for theta, prior_p in zip(om.model_labels, ms.prior.probs):
                 lhs = posterior_info(ms, om, x, theta)
-                rhs = info_content(ms.prior_of(theta)) - tic(ms, om, x, theta)
+                rhs = info_content(prior_p) - tic(ms, om, x, theta)
                 assert lhs == rhs or (math.isnan(lhs) and math.isnan(rhs))
 
     @given(rational_scenarios())
@@ -165,8 +165,8 @@ class TestUpdateProperties:
         ms, om = scenario.model_space, scenario.observation_model
         _, xs = possible_observations(scenario)
         for x in xs:
-            for theta in om.model_labels:
-                if ms.prior_of(theta) == 0:
+            for theta, prior_p in zip(om.model_labels, ms.prior.probs):
+                if prior_p == 0:
                     continue
                 assert bits_deviation(
                     local_transfer_entropy(ms, om, x, theta), tic(ms, om, x, theta)
@@ -175,18 +175,19 @@ class TestUpdateProperties:
     @given(rational_scenarios())
     @settings(max_examples=80, deadline=None)
     def test_bayes_factor_bridge(self, scenario):
+        # log2 of the Bayes factor P(x|t1) / P(x|t2) is the TIC difference
         ms, om = scenario.model_space, scenario.observation_model
         _, xs = possible_observations(scenario)
         for x in xs:
-            for t1 in om.model_labels:
-                for t2 in om.model_labels:
-                    lik1 = om.likelihood_of(x, t1)
-                    lik2 = om.likelihood_of(x, t2)
-                    if lik1 == 0 and lik2 == 0:
+            u = update(ms, om, x)
+            lik_infos = u.likelihood_infos
+            for j, theta in enumerate(om.model_labels):
+                assert same_bits(lik_infos[j], info_content(likelihood(om, x, theta)))
+            for t1, tic1 in enumerate(u.tics):
+                for t2, tic2 in enumerate(u.tics):
+                    if lik_infos[t1] == lik_infos[t2] == math.inf:  # both likelihoods 0
                         continue
-                    log_k = log2_bayes_factor(om, x, t1, t2)
-                    tic1 = tic(ms, om, x, t1)
-                    tic2 = tic(ms, om, x, t2)
+                    log_k = lik_infos[t2] - lik_infos[t1]
                     if math.isinf(log_k):
                         assert tic1 - tic2 == log_k
                     else:

@@ -20,7 +20,7 @@ from bayesbits import (
     mhp_scenario,
     save_scenario,
 )
-from bayesbits.engine import ModelSpace, ObservationModel, posterior_prob_oracle
+from bayesbits.engine import ModelSpace, ObservationModel, update
 from bayesbits.errors import (
     BayesBitsError,
     DomainError,
@@ -31,6 +31,7 @@ from bayesbits.errors import (
 from bayesbits.scenario import scenario_from_json_text, scenario_to_json_text
 from bayesbits.cli import build_report, render_csv, render_json, render_table
 from bayesbits.scenario import MAX_DOORS
+from helpers import likelihood
 
 
 class TestDoorLabels:
@@ -80,10 +81,10 @@ class TestStandardGenerator:
     def test_traditional_matrix(self, traditional):
         om = traditional.observation_model
         assert om.observation_labels == ("Monty_B", "Monty_C")
-        assert om.likelihood_of("Monty_B", "A") == Fraction(1, 2)
-        assert om.likelihood_of("Monty_B", "B") == Fraction(0)
-        assert om.likelihood_of("Monty_B", "C") == Fraction(1)
-        assert om.likelihood_of("Monty_C", "B") == Fraction(1)
+        assert likelihood(om, "Monty_B", "A") == Fraction(1, 2)
+        assert likelihood(om, "Monty_B", "B") == Fraction(0)
+        assert likelihood(om, "Monty_B", "C") == Fraction(1)
+        assert likelihood(om, "Monty_C", "B") == Fraction(1)
 
     def test_all_exact(self, traditional, biased):
         assert traditional.is_exact
@@ -93,10 +94,9 @@ class TestStandardGenerator:
         scenario = mhp_scenario(MhpConfig(door_count=4))
         ms, om = scenario.model_space, scenario.observation_model
         assert evidence(ms, om, "Monty_B") == Fraction(1, 3)
-        assert posterior_prob_oracle(ms, om, "Monty_B", "A") == Fraction(1, 4)
-        assert posterior_prob_oracle(ms, om, "Monty_B", "B") == Fraction(0)
-        assert posterior_prob_oracle(ms, om, "Monty_B", "C") == Fraction(3, 8)
-        assert posterior_prob_oracle(ms, om, "Monty_B", "D4") == Fraction(3, 8)
+        assert update(ms, om, "Monty_B").posteriors == (
+            Fraction(1, 4), Fraction(0), Fraction(3, 8), Fraction(3, 8)
+        )
 
     @pytest.mark.parametrize("doors", [3, 4, 6, 9])
     def test_pick_keeps_prior_probability(self, doors):
@@ -104,14 +104,14 @@ class TestStandardGenerator:
         scenario = mhp_scenario(MhpConfig(door_count=doors))
         ms, om = scenario.model_space, scenario.observation_model
         opened = om.observation_labels[0]
-        assert posterior_prob_oracle(ms, om, opened, "A") == Fraction(1, doors)
+        assert update(ms, om, opened).posteriors[ms.labels.index("A")] == Fraction(1, doors)
 
     def test_non_default_pick(self):
         scenario = mhp_scenario(MhpConfig(contestant_pick="B"))
         om = scenario.observation_model
         assert om.observation_labels == ("Monty_A", "Monty_C")
-        assert om.likelihood_of("Monty_A", "B") == Fraction(1, 2)
-        assert om.likelihood_of("Monty_A", "C") == Fraction(1)
+        assert likelihood(om, "Monty_A", "B") == Fraction(1, 2)
+        assert likelihood(om, "Monty_A", "C") == Fraction(1)
 
     def test_metadata(self):
         scenario = mhp_scenario(MhpConfig(door_count=4, contestant_pick="C"))
@@ -132,14 +132,14 @@ class TestForgetfulGenerator:
 
     def test_goat_reveal_likelihoods(self, forgetful):
         om = forgetful.observation_model
-        assert om.likelihood_of("Monty_B", "A") == Fraction(1, 2)
-        assert om.likelihood_of("Monty_B", "B") == Fraction(0)
-        assert om.likelihood_of("Monty_B", "C") == Fraction(1, 2)
+        assert likelihood(om, "Monty_B", "A") == Fraction(1, 2)
+        assert likelihood(om, "Monty_B", "B") == Fraction(0)
+        assert likelihood(om, "Monty_B", "C") == Fraction(1, 2)
 
     def test_car_reveal_likelihoods(self, forgetful):
         om = forgetful.observation_model
-        assert om.likelihood_of("Monty_B_car", "B") == Fraction(1, 2)
-        assert om.likelihood_of("Monty_B_car", "A") == Fraction(0)
+        assert likelihood(om, "Monty_B_car", "B") == Fraction(1, 2)
+        assert likelihood(om, "Monty_B_car", "A") == Fraction(0)
 
     def test_goat_reveal_evidence(self, forgetful):
         ms, om = forgetful.model_space, forgetful.observation_model
@@ -147,9 +147,7 @@ class TestForgetfulGenerator:
 
     def test_posteriors_after_goat_reveal(self, forgetful):
         ms, om = forgetful.model_space, forgetful.observation_model
-        assert posterior_prob_oracle(ms, om, "Monty_B", "A") == Fraction(1, 2)
-        assert posterior_prob_oracle(ms, om, "Monty_B", "B") == Fraction(0)
-        assert posterior_prob_oracle(ms, om, "Monty_B", "C") == Fraction(1, 2)
+        assert update(ms, om, "Monty_B").posteriors == (Fraction(1, 2), Fraction(0), Fraction(1, 2))
 
 
 class TestScenarioType:
@@ -206,7 +204,7 @@ class TestFileFormat:
         """
         s = scenario_from_json_text(text)
         assert not s.model_space.prior.is_exact
-        assert s.observation_model.likelihood_of("x", "A") == Fraction(1)
+        assert likelihood(s.observation_model, "x", "A") == Fraction(1)
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ScenarioFormatError) as exc:

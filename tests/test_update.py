@@ -1,7 +1,7 @@
 """The per-observation update: agreement with the per-label functions, and cost.
 
 ``update`` applies one observation to every model at once. The per-label
-functions (``evidence``, ``tic``, ``posterior_prob_oracle``, ...) must
+functions (``evidence``, ``tic``, ``posterior_info``, ...) must
 return exactly what it holds, and both must match the textbook formulas
 bit for bit, so CLI output does not depend on which route computed a
 number.
@@ -37,7 +37,6 @@ from bayesbits.engine import (
     SignClass,
     classify_tic,
     posterior_info,
-    posterior_prob_oracle,
     update,
     updates,
 )
@@ -93,9 +92,9 @@ def check_against_formulas(scenario) -> int:
         assert all(same_bits(e.evidence_info, report.evidence_info) for e in report.entries)
         for j, theta in enumerate(ms.labels):
             lik, prior_p = row[j], ms.prior.probs[j]
-            post = posterior_prob_oracle(ms, om, x, theta)
+            post = u.posteriors[j]
             assert isinstance(post, Fraction) == exact
-            assert post == u.posteriors[j] == lik * prior_p / ev
+            assert post == lik * prior_p / ev
             assert same_bits(float(post), float(lik * prior_p / ev))
             t = tic(ms, om, x, theta)
             assert same_bits(t, u.tics[j])
