@@ -19,8 +19,6 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "Distribution": "core",
-    "ModelSpace": "engine",
-    "ObservationModel": "engine",
     "evidence": "engine",
     "local_transfer_entropy": "engine",
     "posterior_prob_info_form": "engine",
@@ -32,6 +30,8 @@ _EXPORTS = {
     "mutual_information_classical": "aggregates",
     "HostPolicy": "scenario",
     "MhpConfig": "scenario",
+    "ModelSpace": "scenario",
+    "ObservationModel": "scenario",
     "Scenario": "scenario",
     "door_labels": "scenario",
     "load_scenario": "scenario",

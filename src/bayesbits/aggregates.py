@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import Bits, Distribution, Probability, _float, _log2_quotient, entropy
-from .engine import ModelSpace, ObservationModel, ObservationUpdate, update, updates
+from .engine import ObservationUpdate, update, updates
+from .scenario import ModelSpace, ObservationModel
 
 __all__ = [
     "kl_classical",

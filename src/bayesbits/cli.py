@@ -16,9 +16,9 @@ All output is deterministic: stable ordering, fixed formatting, no
 timestamps. Exit codes: 0 success, 2 usage or parse error, 3 impossible
 observation, 4 verification failure.
 
-A process loads only what its subcommand runs: ``aggregates`` is
-imported by ``solve``, ``kl``, ``mi`` and ``verify``, ``verify`` (with
-the oracle) by the ``verify`` subcommand alone, and ``csv`` by CSV
+A process loads only what its subcommand runs: ``engine`` and
+``aggregates`` are imported by ``solve``, ``kl``, ``mi`` and ``verify``,
+``verify`` (with the oracle) by ``verify`` alone, and ``csv`` by CSV
 output. Keep new work out of module level.
 """
 
@@ -28,10 +28,9 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .core import Distribution, probability_repr
-from .engine import ModelTransfer, ObservationUpdate, select_update, update, updates
 from .errors import BayesBitsError, DomainError, ImpossibleObservationError
 from .scenario import (
     MAX_DOORS,
@@ -44,6 +43,9 @@ from .scenario import (
     save_scenario,
     scenario_to_json_text,
 )
+
+if TYPE_CHECKING:
+    from .engine import ModelTransfer, ObservationUpdate
 
 __all__ = ["ReportDocument", "build_report", "entry_point", "main"]
 
@@ -74,6 +76,7 @@ class ReportDocument(NamedTuple):
 
 def build_report(scenario: Scenario, observation: str) -> ReportDocument:
     from .aggregates import kl_from_update, mi_from_updates
+    from .engine import select_update, updates
 
     om = scenario.observation_model
     all_updates = updates(scenario.model_space, om)
@@ -287,6 +290,7 @@ def _both_paths(quantity: str, via_tic: float, classical: float, precision: int)
 
 def cmd_kl(args: argparse.Namespace) -> int:
     from .aggregates import kl_classical_from_update, kl_from_update
+    from .engine import update
 
     scenario = load_scenario(args.scenario)
     u = update(scenario.model_space, scenario.observation_model, args.observe)
@@ -297,6 +301,7 @@ def cmd_kl(args: argparse.Namespace) -> int:
 
 def cmd_mi(args: argparse.Namespace) -> int:
     from .aggregates import mi_classical_from_updates, mi_from_updates
+    from .engine import updates
 
     scenario = load_scenario(args.scenario)
     all_updates = updates(scenario.model_space, scenario.observation_model)

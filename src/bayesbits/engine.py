@@ -17,7 +17,8 @@ the net signed bits the observation delivers to that one hypothesis.
 Positive TIC informs, negative TIC misleads, and the posterior falls out
 as ``posterior_info = prior_info - tic``. Each update also carries the
 probability-space Bayes rule's posteriors; the independent check of both
-routes is the exact-rational oracle in :mod:`bayesbits.oracle`.
+routes is the exact-rational oracle in :mod:`bayesbits.oracle`. The input
+types, ``ModelSpace`` and ``ObservationModel``, live in :mod:`bayesbits.scenario`.
 """
 
 from __future__ import annotations
@@ -26,20 +27,16 @@ import enum
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import (
     Bits,
-    Distribution,
     Probability,
     _common_denominator,
-    _exact_sum_unless_one,
     _info,
     _log2_positive,
     _log2_quotient,
     _sum_in_order,
-    _sum_unless_one,
-    as_probability,
     info_content,
     prob_from_info,
 )
@@ -49,12 +46,10 @@ from .errors import (
     UndefinedLogError,
     UnknownLabelError,
 )
-from .record import Record
+from .scenario import ModelSpace, ObservationModel
 
 __all__ = [
-    "ModelSpace",
     "ModelTransfer",
-    "ObservationModel",
     "SignClass",
     "classify_tic",
     "evidence",
@@ -64,103 +59,6 @@ __all__ = [
     "tic",
     "transfer_report",
 ]
-
-class ModelSpace(Record):
-    """The hypothesis space: a prior distribution over model labels."""
-
-    __slots__ = _fields = ("prior",)
-    prior: Distribution
-
-    def __init__(self, prior: Distribution) -> None:
-        self._set(prior=prior)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.prior.labels
-
-
-class ObservationModel(Record):
-    """Likelihood matrix P(x | theta), rows = observations, columns = models.
-
-    Every column is itself a distribution over the observation space: for
-    each model the likelihoods must sum to 1 (exactly when the column is
-    all rationals, within the float tolerance otherwise).
-    """
-
-    __slots__ = _fields = ("observation_labels", "model_labels", "likelihood")
-    observation_labels: tuple[str, ...]
-    model_labels: tuple[str, ...]
-    likelihood: tuple[tuple[Probability, ...], ...]
-
-    def __init__(
-        self,
-        observation_labels: Sequence[str],
-        model_labels: Sequence[str],
-        likelihood: Iterable[Iterable[Probability | int | str]],
-    ) -> None:
-        # Each distinct cell object is validated once, in row-major order of
-        # first appearance, so the first bad cell raises: generated games
-        # and parsed files repeat a few value objects over many cells.
-        rows = [tuple(row) for row in likelihood]
-        distinct = {id(p): p for row in rows for p in row}
-        values = [as_probability(p) for p in distinct.values()]
-        if not all(map(operator.is_, values, distinct.values())):
-            # ints and strings became Fractions
-            checked = dict(zip(distinct, values))
-            rows = [tuple(map(checked.__getitem__, map(id, row))) for row in rows]
-        self._set(
-            observation_labels=tuple(observation_labels),
-            model_labels=tuple(model_labels),
-            likelihood=tuple(rows),
-        )
-        # one type test per distinct value, not per cell
-        self._check(exact=all(isinstance(p, Fraction) for p in values))
-
-    def _check(self, exact: bool) -> None:
-        """Shape and column sums; ``exact`` when every cell is a Fraction."""
-        if not self.observation_labels or not self.model_labels:
-            raise InvariantViolation("observation model needs >= 1 observation and >= 1 model")
-        if len(set(self.observation_labels)) != len(self.observation_labels):
-            raise InvariantViolation(f"duplicate observation labels in {self.observation_labels}")
-        if len(set(self.model_labels)) != len(self.model_labels):
-            raise InvariantViolation(f"duplicate model labels in {self.model_labels}")
-        if len(self.likelihood) != len(self.observation_labels):
-            raise InvariantViolation(
-                f"{len(self.likelihood)} likelihood rows for "
-                f"{len(self.observation_labels)} observations"
-            )
-        for x, row in zip(self.observation_labels, self.likelihood):
-            if len(row) != len(self.model_labels):
-                raise InvariantViolation(
-                    f"likelihood row {x!r} has {len(row)} entries for "
-                    f"{len(self.model_labels)} models"
-                )
-        for theta, column in zip(self.model_labels, zip(*self.likelihood)):
-            total = _exact_sum_unless_one(column) if exact else _sum_unless_one(column)
-            if total is not None:
-                raise InvariantViolation(
-                    f"likelihood column for model {theta!r} sums to {total}, expected 1"
-                )
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for row in self.likelihood for p in row)
-
-    def _x_index(self, x: str) -> int:
-        try:
-            return self.observation_labels.index(x)
-        except ValueError:
-            raise UnknownLabelError(
-                f"unknown observation {x!r}; have {list(self.observation_labels)}"
-            ) from None
-
-    def _theta_index(self, theta: str) -> int:
-        try:
-            return self.model_labels.index(theta)
-        except ValueError:
-            raise UnknownLabelError(
-                f"unknown model {theta!r}; have {list(self.model_labels)}"
-            ) from None
 
 
 class SignClass(enum.Enum):

@@ -1,9 +1,11 @@
 """Declarative inference scenarios, Monty Hall generators, and file I/O.
 
-A scenario bundles a prior over models with a likelihood matrix over
-observations. The Monty Hall family is generated rather than hand-typed: doors are
-models (car locations), host actions are observations, and the host
-policy fixes the likelihoods.
+A scenario bundles a prior over models (:class:`ModelSpace`) with a
+likelihood matrix over observations (:class:`ObservationModel`). Both
+types live here, so generating, loading or saving a scenario loads no
+update engine. The Monty Hall family is generated rather than hand-typed:
+doors are models (car locations), host actions are observations, and the
+host policy fixes the likelihoods.
 
 Scenario files are JSON. Probabilities may be written as JSON numbers
 (decimals parse as floats) or as strings in the grammar of
@@ -16,15 +18,16 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 import os
 import stat
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from .core import Distribution, Probability, as_probability, probability_repr
-from .engine import ModelSpace, ObservationModel
+from .core import _exact_sum_unless_one, _sum_unless_one
 from .errors import DomainError, InvariantViolation, ScenarioFormatError, UnknownLabelError
 from .record import Record
 
@@ -32,6 +35,8 @@ __all__ = [
     "HostPolicy",
     "MAX_DOORS",
     "MhpConfig",
+    "ModelSpace",
+    "ObservationModel",
     "Scenario",
     "door_labels",
     "load_scenario",
@@ -40,6 +45,105 @@ __all__ = [
     "scenario_from_json_text",
     "scenario_to_json_text",
 ]
+
+
+class ModelSpace(Record):
+    """The hypothesis space: a prior distribution over model labels."""
+
+    __slots__ = _fields = ("prior",)
+    prior: Distribution
+
+    def __init__(self, prior: Distribution) -> None:
+        self._set(prior=prior)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.prior.labels
+
+
+class ObservationModel(Record):
+    """Likelihood matrix P(x | theta), rows = observations, columns = models.
+
+    Every column is itself a distribution over the observation space: for
+    each model the likelihoods must sum to 1 (exactly when the column is
+    all rationals, within the float tolerance otherwise).
+    """
+
+    __slots__ = _fields = ("observation_labels", "model_labels", "likelihood")
+    observation_labels: tuple[str, ...]
+    model_labels: tuple[str, ...]
+    likelihood: tuple[tuple[Probability, ...], ...]
+
+    def __init__(
+        self,
+        observation_labels: Sequence[str],
+        model_labels: Sequence[str],
+        likelihood: Iterable[Iterable[Probability | int | str]],
+    ) -> None:
+        # Each distinct cell object is validated once, in row-major order of
+        # first appearance, so the first bad cell raises: generated games
+        # and parsed files repeat a few value objects over many cells.
+        rows = [tuple(row) for row in likelihood]
+        distinct = {id(p): p for row in rows for p in row}
+        values = [as_probability(p) for p in distinct.values()]
+        if not all(map(operator.is_, values, distinct.values())):
+            # ints and strings became Fractions
+            checked = dict(zip(distinct, values))
+            rows = [tuple(map(checked.__getitem__, map(id, row))) for row in rows]
+        self._set(
+            observation_labels=tuple(observation_labels),
+            model_labels=tuple(model_labels),
+            likelihood=tuple(rows),
+        )
+        # one type test per distinct value, not per cell
+        self._check(exact=all(isinstance(p, Fraction) for p in values))
+
+    def _check(self, exact: bool) -> None:
+        """Shape and column sums; ``exact`` when every cell is a Fraction."""
+        if not self.observation_labels or not self.model_labels:
+            raise InvariantViolation("observation model needs >= 1 observation and >= 1 model")
+        if len(set(self.observation_labels)) != len(self.observation_labels):
+            raise InvariantViolation(f"duplicate observation labels in {self.observation_labels}")
+        if len(set(self.model_labels)) != len(self.model_labels):
+            raise InvariantViolation(f"duplicate model labels in {self.model_labels}")
+        if len(self.likelihood) != len(self.observation_labels):
+            raise InvariantViolation(
+                f"{len(self.likelihood)} likelihood rows for "
+                f"{len(self.observation_labels)} observations"
+            )
+        for x, row in zip(self.observation_labels, self.likelihood):
+            if len(row) != len(self.model_labels):
+                raise InvariantViolation(
+                    f"likelihood row {x!r} has {len(row)} entries for "
+                    f"{len(self.model_labels)} models"
+                )
+        for theta, column in zip(self.model_labels, zip(*self.likelihood)):
+            total = _exact_sum_unless_one(column) if exact else _sum_unless_one(column)
+            if total is not None:
+                raise InvariantViolation(
+                    f"likelihood column for model {theta!r} sums to {total}, expected 1"
+                )
+
+    @property
+    def is_exact(self) -> bool:
+        return all(isinstance(p, Fraction) for row in self.likelihood for p in row)
+
+    def _x_index(self, x: str) -> int:
+        try:
+            return self.observation_labels.index(x)
+        except ValueError:
+            raise UnknownLabelError(
+                f"unknown observation {x!r}; have {list(self.observation_labels)}"
+            ) from None
+
+    def _theta_index(self, theta: str) -> int:
+        try:
+            return self.model_labels.index(theta)
+        except ValueError:
+            raise UnknownLabelError(
+                f"unknown model {theta!r}; have {list(self.model_labels)}"
+            ) from None
+
 
 
 class Scenario(Record):

@@ -7,8 +7,6 @@ import pytest
 
 from bayesbits import (
     Distribution,
-    ModelSpace,
-    ObservationModel,
     evidence,
     local_transfer_entropy,
     posterior_prob_info_form,
@@ -29,6 +27,7 @@ from bayesbits.errors import (
     UndefinedLogError,
     UnknownLabelError,
 )
+from bayesbits.scenario import ModelSpace, ObservationModel
 
 LOG2_3 = 1.584962500721156
 

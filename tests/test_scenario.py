@@ -20,7 +20,7 @@ from bayesbits import (
     mhp_scenario,
     save_scenario,
 )
-from bayesbits.engine import ModelSpace, ObservationModel, update
+from bayesbits.engine import update
 from bayesbits.errors import (
     BayesBitsError,
     DomainError,
@@ -28,7 +28,12 @@ from bayesbits.errors import (
     ScenarioFormatError,
     UnknownLabelError,
 )
-from bayesbits.scenario import scenario_from_json_text, scenario_to_json_text
+from bayesbits.scenario import (
+    ModelSpace,
+    ObservationModel,
+    scenario_from_json_text,
+    scenario_to_json_text,
+)
 from bayesbits.cli import build_report, render_csv, render_json, render_table
 from bayesbits.scenario import MAX_DOORS
 from helpers import likelihood

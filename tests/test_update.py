@@ -315,7 +315,7 @@ def test_saving_formats_each_distinct_value_once(monkeypatch, tmp_path, capsys):
 def test_model_validates_each_distinct_value_once(monkeypatch):
     # the game's 480 likelihood cells hold two value objects, 0 and 1/15
     om = mhp_scenario(MhpConfig(door_count=16, host_policy=HostPolicy.FORGETFUL)).observation_model
-    checked = call_counter(monkeypatch, engine, "as_probability")
+    checked = call_counter(monkeypatch, scenario_io, "as_probability")
     assert ObservationModel(om.observation_labels, om.model_labels, om.likelihood) == om
     assert 0 < checked[0] <= 2
 
