@@ -19,7 +19,8 @@ observation, 4 verification failure.
 A process loads only what its subcommand runs: ``engine`` and
 ``aggregates`` are imported by ``solve``, ``kl``, ``mi`` and ``verify``,
 ``verify`` (with the oracle) by ``verify`` alone, and ``csv`` by CSV
-output. Keep new work out of module level.
+output. Its parser adds arguments to that subcommand alone. Keep new
+work out of module level.
 """
 
 from __future__ import annotations
@@ -328,64 +329,57 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # --- argument parsing --------------------------------------------------------
 
 _PRECISION: dict[str, Any] = dict(type=int, choices=range(18), default=6, metavar="PRECISION")
+_SCENARIO = ("scenario", dict(help="path to a scenario JSON file"))
+_OBSERVE = ("--observe", dict(required=True, help="observation label to condition on"))
+_DECIMALS = ("--precision", dict(_PRECISION, help="decimal places"))
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> (help, handler, (name or flag, add_argument options) of each argument)
+_COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[str, dict[str, Any]]]]] = {
+    "mhp": ("generate a Monty Hall scenario", cmd_mhp, [
+        ("variant", dict(help="traditional, biased, forgetful, or custom-N (see --doors)")),
+        ("--doors", dict(type=int, help="door count for custom games")),
+        ("--pick", dict(help="contestant's door (default A)")),
+        ("--prior", dict(help="comma-separated door priors, e.g. 1/2,1/3,1/6")),
+        ("--policy", dict(choices=[policy.value for policy in HostPolicy],
+                          help="host behavior for custom games (default standard)")),
+        ("--out", dict(help="write the scenario file here instead of stdout")),
+    ]),
+    "solve": ("information-transfer report for one observation", cmd_solve, [
+        _SCENARIO,
+        _OBSERVE,
+        ("--format", dict(choices=["table", "json", "csv"], default="table", help="output format")),
+        ("--precision", dict(_PRECISION, help="table decimal places")),
+    ]),
+    "kl": ("KL(posterior || prior) via both paths", cmd_kl, [_SCENARIO, _OBSERVE, _DECIMALS]),
+    "mi": ("mutual information via both paths", cmd_mi, [_SCENARIO, _DECIMALS]),
+    "verify": ("compare the engine against the exact oracle", cmd_verify, [_SCENARIO]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. Every subcommand is listed, but only ``command`` gets
+    its arguments; with no ``command``, every subcommand does."""
     parser = argparse.ArgumentParser(
         prog="bayesbits",
         description="Discrete Bayesian inference in information space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mhp = sub.add_parser("mhp", help="generate a Monty Hall scenario")
-    p_mhp.add_argument(
-        "variant",
-        help="traditional, biased, forgetful, or custom-N (see --doors)",
-    )
-    p_mhp.add_argument("--doors", type=int, default=None, help="door count for custom games")
-    p_mhp.add_argument("--pick", default=None, help="contestant's door (default A)")
-    p_mhp.add_argument(
-        "--prior",
-        default=None,
-        help="comma-separated door priors, e.g. 1/2,1/3,1/6",
-    )
-    p_mhp.add_argument(
-        "--policy",
-        choices=[policy.value for policy in HostPolicy],
-        default=None,
-        help="host behavior for custom games (default standard)",
-    )
-    p_mhp.add_argument("--out", default=None, help="write the scenario file here instead of stdout")
-    p_mhp.set_defaults(func=cmd_mhp)
-
-    p_solve = sub.add_parser("solve", help="information-transfer report for one observation")
-    p_solve.add_argument("scenario", help="path to a scenario JSON file")
-    p_solve.add_argument("--observe", required=True, help="observation label to condition on")
-    p_solve.add_argument(
-        "--format", choices=["table", "json", "csv"], default="table", help="output format"
-    )
-    p_solve.add_argument("--precision", **_PRECISION, help="table decimal places")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_kl = sub.add_parser("kl", help="KL(posterior || prior) via both paths")
-    p_kl.add_argument("scenario", help="path to a scenario JSON file")
-    p_kl.add_argument("--observe", required=True, help="observation label to condition on")
-    p_kl.add_argument("--precision", **_PRECISION, help="decimal places")
-    p_kl.set_defaults(func=cmd_kl)
-
-    p_mi = sub.add_parser("mi", help="mutual information via both paths")
-    p_mi.add_argument("scenario", help="path to a scenario JSON file")
-    p_mi.add_argument("--precision", **_PRECISION, help="decimal places")
-    p_mi.set_defaults(func=cmd_mi)
-
-    p_verify = sub.add_parser("verify", help="compare the engine against the exact oracle")
-    p_verify.add_argument("scenario", help="path to a scenario JSON file")
-    p_verify.set_defaults(func=cmd_verify)
-
+    for name, (summary, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            for arg, options in arguments:
+                p.add_argument(arg, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # -h, the only top-level option, takes no value, so argparse hands the
+    # rest to the subcommand named by the first word that is not an option
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
