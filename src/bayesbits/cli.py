@@ -358,14 +358,14 @@ _COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[str, dict[str, An
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser. Every subcommand is listed, but only ``command`` gets
-    its arguments; with no ``command``, every subcommand does."""
+    its arguments and ``-h``; with no ``command``, every subcommand does."""
     parser = argparse.ArgumentParser(
         prog="bayesbits",
         description="Discrete Bayesian inference in information space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, func, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, add_help=command in (None, name))
         if command in (None, name):
             for arg, options in arguments:
                 p.add_argument(arg, **options)
@@ -376,6 +376,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+        # so "bayesbits -- verify f" runs verify on every Python: argparse
+        # of 3.13.0 and earlier takes the "--" itself for the command
+        argv = argv[1:]
     # -h, the only top-level option, takes no value, so argparse hands the
     # rest to the subcommand named by the first word that is not an option
     command = next((arg for arg in argv if not arg.startswith("-")), None)

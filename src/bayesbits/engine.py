@@ -27,7 +27,7 @@ import enum
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import (
     Bits,
@@ -36,6 +36,7 @@ from .core import (
     _info,
     _log2_positive,
     _log2_quotient,
+    _over_lcm,
     _sum_in_order,
     info_content,
     prob_from_info,
@@ -81,13 +82,16 @@ def _joint_row(
     prior: tuple[Probability, ...],
     scaled_prior: tuple[list[int], int] | None,
     row: tuple[Probability, ...],
+    exact_row: bool = False,
 ) -> tuple[Probability, list, int, list[float], list[int] | None]:
     """Marginalise one likelihood row: ``P(x)``, each ``P(theta | x)``, exact signs.
 
     The one place a likelihood row is marginalised against the prior.
     ``scaled_prior`` is ``_common_denominator(prior)``, worked out once
-    per command. The posteriors, as numerators over one denominator and as
-    floats, are empty when ``P(x)`` is 0.
+    per command, and ``exact_row`` says that the row is known to hold
+    only Fractions, so its values need no type test. The posteriors, as
+    numerators over one denominator and as floats, are empty when
+    ``P(x)`` is 0.
 
     When the prior and the row are all Fractions, the joints are integer
     numerators over one common denominator: ``P(x)`` is their sum as one
@@ -96,7 +100,8 @@ def _joint_row(
     ``P(x | theta) - P(x)``. Otherwise the row is worked in the values'
     own arithmetic, the posteriors are over 1 and the last value is None.
     """
-    scaled_row = None if scaled_prior is None else _common_denominator(row)
+    scaled = _over_lcm if exact_row else _common_denominator
+    scaled_row = None if scaled_prior is None else scaled(row)
     if scaled_prior is None or scaled_row is None:
         joints = [lik * p for lik, p in zip(row, prior)]
         ev = _sum_in_order(joints)
@@ -251,18 +256,49 @@ class ObservationUpdate(NamedTuple):
 
         Computed from the probability-space posterior, so it is an
         independent route to the same number as the TIC. Undefined for a
-        model with zero prior.
+        model with zero prior. :meth:`log_odds_updates` for one model.
         """
-        if self.signs[j] is None:
+        [bits] = _log_odds(
+            (self.posterior_nums[j],), self.posterior_den, (self.priors[j],), (self.signs[j],),
+            isinstance(self.evidence, Fraction),
+        )
+        if bits is None:
             raise UndefinedLogError(
                 f"log-odds update of {self.models[j]!r} undefined: prior probability is 0"
             )
-        num, prior_p = self.posterior_nums[j], self.priors[j]
-        if num == 0:
-            return -math.inf
-        if not isinstance(self.evidence, Fraction):
-            return _log2_positive(num / prior_p)
-        return _log2_quotient(num * prior_p.denominator, self.posterior_den * prior_p.numerator)
+        return bits
+
+    def log_odds_updates(self) -> list[Bits | None]:
+        """:meth:`local_transfer_entropy` of every model, None where the prior is 0."""
+        return _log_odds(
+            self.posterior_nums, self.posterior_den, self.priors, self.signs,
+            isinstance(self.evidence, Fraction),
+        )
+
+
+def _log_odds(
+    nums: Iterable[int] | Iterable[float],
+    den: int,
+    priors: Iterable[Probability],
+    signs: Iterable[SignClass | None],
+    exact: bool,
+) -> list[Bits | None]:
+    """``log2`` of each posterior ``nums[j] / den`` over its prior ``priors[j]``.
+
+    None where ``signs[j]`` is None (prior 0) and -inf where the posterior
+    is 0. On exact rows the ratio is taken from integer parts, with no
+    Fraction division: each prior's integer pair is read once.
+    """
+    if not exact:
+        return [None if sign is None else -math.inf if num == 0 else _log2_positive(num / p)
+                for num, p, sign in zip(nums, priors, signs)]
+    return [
+        None if sign is None
+        else -math.inf if num == 0
+        else _log2_quotient(num * prior_den, den * prior_num)
+        for num, (prior_num, prior_den), sign
+        in zip(nums, map(Fraction.as_integer_ratio, priors), signs)
+    ]
 
 
 # What every observation's update reuses of the prior: its values over a
@@ -275,51 +311,38 @@ def _prior_terms(ms: ModelSpace) -> _PriorTerms:
     return _common_denominator(probs), tuple([_info(p) for p in probs])
 
 
-def _exact_infos(row: tuple[Fraction, ...]) -> list[Bits]:
-    """``_info`` of each value of an all-Fraction ``row``, one log per distinct value.
-
-    Values are told apart by their reduced integer pairs, whose size is the
-    value's own. The row's numerators over its common denominator would do
-    too, but on a row of wide, near-coprime denominators each is many times
-    that size, and hashing and dividing them cost more than the logs saved.
-    """
-    infos: dict[tuple[int, int], Bits] = {}
-    out = []
-    for lik in row:
-        pair = lik.as_integer_ratio()
-        info = infos.get(pair)
-        if info is None:
-            infos[pair] = info = _info(lik)
-        out.append(info)
-    return out
-
-
-def _exact_sign(excess: int) -> SignClass:
-    """Sign class from the sign of ``P(x | theta) - P(x)``, decided without rounding."""
-    if excess > 0:
-        return SignClass.INFORMS
-    if excess < 0:
-        return SignClass.MISLEADS
-    return SignClass.NEUTRAL
-
-
 def _apply(
-    ms: ModelSpace, x: str, row: tuple[Probability, ...], prior_terms: _PriorTerms
+    ms: ModelSpace,
+    x: str,
+    row: tuple[Probability, ...],
+    prior_terms: _PriorTerms,
+    infos: dict[int, Bits],
+    exact_row: bool = False,
 ) -> ObservationUpdate | None:
     """Update every model on observation ``x``; None when its evidence is 0.
 
-    Exact rows take their sign classes from the exact comparison of each
-    likelihood with the evidence; float rows classify the TIC with
-    :func:`classify_tic`.
+    ``infos`` maps the ``id`` of each likelihood value object seen so far
+    to its ``_info``, so a value object shared by many cells and rows
+    takes one log per call; the caller keeps the objects alive while it
+    is in use. ``exact_row`` is as in :func:`_joint_row`. Exact rows take
+    their sign classes from the exact comparison of each likelihood with
+    the evidence; float rows classify the TIC with :func:`classify_tic`.
     """
     scaled_prior, prior_infos = prior_terms
-    ev, post_nums, post_den, post_floats, excess = _joint_row(ms.prior.probs, scaled_prior, row)
+    ev, post_nums, post_den, post_floats, excess = _joint_row(
+        ms.prior.probs, scaled_prior, row, exact_row
+    )
     if not post_nums:
         return None
     # A float evidence can round a step above 1 (a prior summing to
     # 1 + 2**-52, within FLOAT_SUM_TOL); it is certain, so 0 bits.
     ev_info = 0.0 if ev > 1 else info_content(ev)
-    lik_infos = [_info(lik) for lik in row] if excess is None else _exact_infos(row)
+    lik_infos = []
+    for lik in row:
+        lik_i = infos.get(id(lik))
+        if lik_i is None:
+            infos[id(lik)] = lik_i = _info(lik)
+        lik_infos.append(lik_i)
     # Whole columns as plain lists: building these tuples from generators
     # left about 0.6 MiB more resident over a few hundred calls (CPython 3.11).
     tics = [ev_info - lik_i for lik_i in lik_infos]
@@ -327,7 +350,10 @@ def _apply(
         signs = [None if prior_i == math.inf else classify_tic(t)  # inf: prior 0
                  for prior_i, t in zip(prior_infos, tics)]
     else:
-        signs = [None if prior_i == math.inf else _exact_sign(e)
+        # the sign of P(x | theta) - P(x), decided without rounding
+        informs, neutral, misleads = SignClass.INFORMS, SignClass.NEUTRAL, SignClass.MISLEADS
+        signs = [None if prior_i == math.inf
+                 else informs if e > 0 else misleads if e < 0 else neutral
                  for prior_i, e in zip(prior_infos, excess)]
     posterior_infos = list(map(operator.sub, prior_infos, tics))
     return ObservationUpdate(
@@ -363,7 +389,7 @@ def update(ms: ModelSpace, om: ObservationModel, x: str) -> ObservationUpdate:
     """
     _check_pairing(ms, om)
     row = om.likelihood[om._x_index(x)]
-    return _require_possible(_apply(ms, x, row, _prior_terms(ms)), x)
+    return _require_possible(_apply(ms, x, row, _prior_terms(ms), {}), x)
 
 
 def updates(ms: ModelSpace, om: ObservationModel) -> tuple[ObservationUpdate | None, ...]:
@@ -371,13 +397,16 @@ def updates(ms: ModelSpace, om: ObservationModel) -> tuple[ObservationUpdate | N
 
     An observation with zero evidence cannot be conditioned on; its
     entry is None. A command that needs several quantities of the same
-    scenario computes these once and shares them.
+    scenario computes these once and shares them. Whether the whole
+    matrix is exact is decided once, not per row, and each likelihood
+    value object takes one log.
     """
     _check_pairing(ms, om)
-    prior_terms = _prior_terms(ms)
-    return tuple(
-        [_apply(ms, x, row, prior_terms) for x, row in zip(om.observation_labels, om.likelihood)]
-    )
+    prior_terms, infos, exact = _prior_terms(ms), {}, om.is_exact
+    return tuple([
+        _apply(ms, x, row, prior_terms, infos, exact)
+        for x, row in zip(om.observation_labels, om.likelihood)
+    ])
 
 
 def select_update(

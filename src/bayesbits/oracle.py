@@ -96,16 +96,23 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
     om = scenario.observation_model
     prior = ms.prior.probs  # Fractions: the scenario is exact
     parts = [p.as_integer_ratio() for p in prior]
-    cells = {
-        x: [(num * lik.numerator, den * lik.denominator) for (num, den), lik in zip(parts, row)]
-        for x, row in zip(om.observation_labels, om.likelihood)
-    }
+    # one integer pair per distinct likelihood value object, found by its
+    # id; the scenario keeps every object alive
+    pairs: dict[int, tuple[int, int]] = {}
+    cells: dict[str, list[tuple[int, int]]] = {}
+    for x, row in zip(om.observation_labels, om.likelihood):
+        cells[x] = row_cells = []
+        for (num, den), lik in zip(parts, row):
+            pair = pairs.get(id(lik))
+            if pair is None:
+                pairs[id(lik)] = pair = lik.as_integer_ratio()
+            row_cells.append((num * pair[0], den * pair[1]))
     marginals = [(sum(nums), den) for nums, den in map(_over_lcm, zip(*cells.values()))]
     nums, den = _over_lcm(marginals)
     if (total := sum(nums)) != den:
         raise InvariantViolation(f"joint table sums to {Fraction(total, den)}, expected exactly 1")
-    for theta, (num, den), p in zip(om.model_labels, marginals, prior):
-        if num * p.denominator != den * p.numerator:
+    for theta, (num, den), (p_num, p_den), p in zip(om.model_labels, marginals, parts, prior):
+        if num * p_den != den * p_num:
             marginal = Fraction(num, den)
             raise InvariantViolation(
                 f"joint marginal for model {theta!r} is {marginal}, expected the prior {p}"
@@ -150,7 +157,7 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
     """
     if observation not in table.observation_labels:
         raise KeyError(f"unknown observation {observation!r}")
-    metrics = _metrics(table, observation)
+    metrics = _metrics(table, observation, [p.as_integer_ratio() for p in table.prior])
     if metrics is None:
         raise ImpossibleObservationError(
             f"observation {observation!r} has zero probability under the prior"
@@ -158,11 +165,14 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
     return metrics
 
 
-def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None:
+def _metrics(
+    table: JointOutcomeTable, observation: str, prior_pairs: list[tuple[int, int]]
+) -> OracleMetrics | None:
     """:func:`oracle_metrics` of a known observation; None when it has zero evidence.
 
-    Over the least common denominator of the observation's cells, each
-    model's posterior ``joint / evidence`` is one integer over their sum.
+    ``prior_pairs`` holds the integer pair of each prior. Over the least
+    common denominator of the observation's cells, each model's posterior
+    ``joint / evidence`` is one integer over their sum.
     Its ratio to the prior ``P(theta | x) / P(theta)``, which equals
     ``P(x | theta) / P(x)``, is reduced before its logs, because the logs
     of an unreduced pair can differ in the last bits; that one ratio gives
@@ -183,11 +193,10 @@ def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None
     floats: list[float] = []
     tic_bits: dict[str, float | None] = {}
     kl = 0.0
-    for theta, joint, (cell_num, cell_den), prior in zip(
-        table.model_labels, joints, cells, table.prior
+    for theta, joint, (cell_num, cell_den), (prior_num, prior_den) in zip(
+        table.model_labels, joints, cells, prior_pairs
     ):
         floats.append(post := joint / total)  # int true division: float(posterior)
-        prior_num, prior_den = prior.as_integer_ratio()
         if prior_num == 0:
             tic_bits[theta] = None
         elif joint == 0:
@@ -218,7 +227,8 @@ def _metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics | None
 
 def observation_metrics(table: JointOutcomeTable) -> tuple[OracleMetrics | None, ...]:
     """The metrics of every observation, in order; None where its evidence is 0."""
-    return tuple([_metrics(table, x) for x in table.observation_labels])
+    prior_pairs = [p.as_integer_ratio() for p in table.prior]  # once per table, not per cell
+    return tuple([_metrics(table, x, prior_pairs) for x in table.observation_labels])
 
 
 def oracle_mi(table: JointOutcomeTable) -> float:

@@ -22,7 +22,7 @@ import operator
 import os
 import stat
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -126,7 +126,8 @@ class ObservationModel(Record):
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for row in self.likelihood for p in row)
+        # map, not a generator expression: no Python frame resumed per cell
+        return all(map(isinstance, chain.from_iterable(self.likelihood), repeat(Fraction)))
 
     def _x_index(self, x: str) -> int:
         try:

@@ -8,6 +8,8 @@ largest gap in bits, with the number of comparisons made.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator
 
 from .aggregates import (
@@ -28,14 +30,28 @@ VERIFY_TOL = 1e-9
 
 
 def bits_deviation(a: float | None, b: float | None) -> float:
-    """Absolute gap between two bit values; equal infinities count as 0."""
-    if a is None or b is None:
-        return 0.0 if a is b else math.inf
-    if a == b:
-        return 0.0
-    if math.isnan(a) or math.isnan(b):
-        return math.inf
-    return abs(a - b)
+    """Absolute gap between two bit values; equal infinities count as 0.
+
+    None against None is 0 and None against a value is ``inf``, as is a
+    NaN on either side. :func:`max_deviation` of one pair.
+    """
+    return max_deviation((a,), (b,))
+
+
+def max_deviation(a: Iterable[float | None], b: Iterable[float | None]) -> float:
+    """Largest :func:`bits_deviation` between paired values of two columns; 0 when empty.
+
+    The test is written out once, here, and run without a call per pair.
+    """
+    return max(
+        (
+            0.0 if x == y  # None against None, or equal values and infinities
+            else math.inf if x is None or y is None or x != x or y != y  # x != x: NaN
+            else abs(x - y)
+            for x, y in zip(a, b)
+        ),
+        default=0.0,
+    )
 
 
 def verify_scenario(scenario: Scenario) -> tuple[float, int]:
@@ -48,13 +64,13 @@ def verify_scenario(scenario: Scenario) -> tuple[float, int]:
     ms, om = scenario.model_space, scenario.observation_model
     pairs = list(zip(updates(ms, om), observation_metrics(enumerate_joint(scenario))))
     one_sided = sum([(u is None) != (m is None) for u, m in pairs])
-    reduced = [(max(map(bits_deviation, a, b), default=0.0), len(b)) for a, b in _columns(ms.prior, pairs)]
+    reduced = [(max_deviation(a, b), n) for a, b, n in _columns(ms.prior, pairs)]
     max_dev = max([dev for dev, _ in reduced])
     return (math.inf if one_sided else max_dev), sum([n for _, n in reduced]) + one_sided
 
 
-def _columns(prior: Distribution, pairs: list) -> Iterator[tuple[Iterable, list]]:
-    """The engine's and the oracle's column of each quantity, from (update, metrics) pairs.
+def _columns(prior: Distribution, pairs: list) -> Iterator[tuple[Iterable, list, int]]:
+    """Each quantity's engine and oracle columns, from (update, metrics) pairs, and its count.
 
     Engine columns are lazy, so a per-cell column is never held in full.
     """
@@ -62,18 +78,22 @@ def _columns(prior: Distribution, pairs: list) -> Iterator[tuple[Iterable, list]
     us, oracle = [u for u, _ in both], [m for _, m in both]
     kls, oracle_kls = [kl_from_update(u) for u in us], [m.kl_bits for m in oracle]
     mi_oracle = oracle_mi_from_metrics([m for _, m in pairs])
-    yield [mi_from_kls(zip([u.evidence for u in us], kls))], [mi_oracle]
-    yield [mi_classical_from_updates(prior, [u for u, _ in pairs])], [mi_oracle]
-    yield kls, oracle_kls
-    yield map(kl_classical_from_update, us), oracle_kls
-    yield (u.evidence_info for u in us), [info_content(m.evidence) for m in oracle]
-    yield (
-        (prob_from_info(i) for u in us for i in u.posterior_infos),
-        [p for m in oracle for p in m.posterior_floats],
-    )
-    # per cell, the oracle's TIC: None where the prior is 0
-    oracle_tics = [o for m in oracle for o in m.tic_bits.values()]
-    tics = (t for u in us for t in u.tics)
-    yield (None if o is None else t for t, o in zip(tics, oracle_tics)), oracle_tics
-    defined = ((u, j) for u, m in both for j, o in enumerate(m.tic_bits.values()) if o is not None)
-    yield (u.local_transfer_entropy(j) for u, j in defined), [o for o in oracle_tics if o is not None]
+    yield [mi_from_kls(zip([u.evidence for u in us], kls))], [mi_oracle], 1
+    yield [mi_classical_from_updates(prior, [u for u, _ in pairs])], [mi_oracle], 1
+    yield kls, oracle_kls, len(oracle_kls)
+    yield map(kl_classical_from_update, us), oracle_kls, len(oracle_kls)
+    yield (u.evidence_info for u in us), [info_content(m.evidence) for m in oracle], len(oracle)
+    posteriors = [p for m in oracle for p in m.posterior_floats]
+    infos = chain.from_iterable([u.posterior_infos for u in us])
+    yield map(prob_from_info, infos), posteriors, len(posteriors)
+    # The oracle gives no TIC (None) where the prior is 0. There the
+    # engine's TIC and log-odds update are not compared, but each such
+    # cell still counts as one TIC comparison, of None with None.
+    defined = [o for m in oracle for o in m.tic_bits.values() if o is not None]
+
+    def where_defined(rows: Iterable[Iterable]) -> Iterable:
+        masks = (map(operator.is_not, m.tic_bits.values(), repeat(None)) for m in oracle)
+        return chain.from_iterable(map(compress, rows, masks))
+
+    yield where_defined(u.tics for u in us), defined, len(posteriors)
+    yield where_defined(u.log_odds_updates() for u in us), defined, len(defined)

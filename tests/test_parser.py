@@ -2,10 +2,10 @@
 
 ``cli.main`` takes the first word of its argv that is not an option as
 the subcommand and calls ``cli.build_parser(command)``, which lists all
-five subcommands but gives only that one its arguments. Each case in
-CORPUS must give the same exit code, stdout and stderr as a run whose
-parser holds every subcommand's arguments, and the exit code the case
-names. Help and usage text wrap to the terminal width, so every run sets
+five subcommands but gives only that one its arguments and its ``-h``.
+Each case in CORPUS must give the same exit code, stdout and stderr as a
+run whose parser holds every subcommand's arguments, and the exit code
+the case names; a case in SAME_AS must also give what its twin gives. Help and usage text wrap to the terminal width, so every run sets
 ``COLUMNS=80``. argparse words its messages a little differently on each
 Python, which is why the corpus compares two runs rather than committed
 text.
@@ -39,8 +39,8 @@ CORPUS: dict[str, tuple[list[str], int]] = {
     "verify-help": (["verify", "-h"], 0),
     "no-arguments": ([], 2),
     "bogus-command": (["bogus"], 2),
-    # argparse hands "--" itself to the subparsers action as the command
-    "double-dash": (["--", "verify", "{path}"], 2),
+    # main drops a leading "--" before a command (see SAME_AS)
+    "double-dash": (["--", "verify", "{path}"], 0),
     "missing-observe": (["solve", "{path}"], 2),
     "missing-variant": (["mhp"], 2),
     "bad-choice": (["solve", "{path}", "--observe", "x", "--format", "xml"], 2),
@@ -60,6 +60,9 @@ CORPUS: dict[str, tuple[list[str], int]] = {
     "mi": (["mi", "{path}"], 0),
     "verify": (["verify", "{path}"], 0),
 }
+
+# case -> the case whose exit code, stdout and stderr it must repeat
+SAME_AS = {"double-dash": "verify"}
 
 
 def run_cli(argv: list[str] | None, full: bool = False) -> tuple[int, str, str]:
@@ -86,6 +89,8 @@ def case_argv(case: str) -> list[str]:
 def case_differs(case: str) -> bool:
     argv = case_argv(case)
     ran = run_cli(argv)
+    if case in SAME_AS and ran != run_cli(case_argv(SAME_AS[case])):
+        return True
     return ran[0] != CORPUS[case][1] or ran != run_cli(argv, full=True)
 
 
@@ -105,6 +110,10 @@ if __name__ != "__main__":  # collected by pytest; the script below runs without
         assert ran[0] == CORPUS[case][1]
         assert ran == run_cli(argv, full=True)
 
+    @pytest.mark.parametrize("case", sorted(SAME_AS))
+    def test_same_output_as_its_twin(case):
+        assert run_cli(case_argv(case)) == run_cli(case_argv(SAME_AS[case]))
+
     def count_add_argument(monkeypatch) -> list[int]:
         calls = [0]
         original = argparse._ActionsContainer.add_argument
@@ -116,9 +125,9 @@ if __name__ != "__main__":  # collected by pytest; the script below runs without
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
         return calls
 
-    # one -h for the top-level parser and one per subparser, then the
-    # command's own arguments; the full parser makes 22 calls
-    @pytest.mark.parametrize("case, most", [("verify", 7), ("solve", 10), ("mhp", 12)])
+    # one -h for the top-level parser and one for the command's subparser,
+    # then the command's own arguments; the full parser makes 22 calls
+    @pytest.mark.parametrize("case, most", [("verify", 3), ("solve", 6), ("mhp", 8)])
     def test_main_adds_only_its_arguments(monkeypatch, case, most):
         calls = count_add_argument(monkeypatch)
         assert run_cli(case_argv(case))[0] == 0

@@ -10,6 +10,7 @@ number.
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,11 +41,19 @@ from bayesbits.engine import (
     update,
     updates,
 )
-from bayesbits.errors import ImpossibleObservationError
+from bayesbits.errors import ImpossibleObservationError, UndefinedLogError
 from bayesbits.verify import verify_scenario
 
-from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
+from helpers import (
+    random_float_scenario,
+    same_bits,
+    wide_36_bit,
+    wide_coprime,
+    wide_rational_scenario,
+)
 from random_agreement_sweep import random_scenario
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def log_odds_reference(u, j: int) -> float:
@@ -256,22 +265,22 @@ def test_classical_mi_builds_no_distribution(monkeypatch):
 
 
 def test_log_odds_updates_divide_no_fractions(monkeypatch):
-    # each log-odds update takes its ratio from integer parts
+    # each row of log-odds updates takes its ratios from integer parts
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
     divisions = call_counter(monkeypatch, Fraction, "__truediv__")
     reflected = call_counter(monkeypatch, Fraction, "__rtruediv__")
-    per_call = []
-    log_odds = engine.ObservationUpdate.local_transfer_entropy
+    per_row = []
+    log_odds = engine.ObservationUpdate.log_odds_updates
 
-    def watched(self, j):
+    def watched(self):
         before = divisions[0] + reflected[0]
-        result = log_odds(self, j)
-        per_call.append(divisions[0] + reflected[0] - before)
+        result = log_odds(self)
+        per_row.append(divisions[0] + reflected[0] - before)
         return result
 
-    monkeypatch.setattr(engine.ObservationUpdate, "local_transfer_entropy", watched)
+    monkeypatch.setattr(engine.ObservationUpdate, "log_odds_updates", watched)
     assert verify_scenario(scenario)[0] <= 1e-9
-    assert per_call and not any(per_call)
+    assert len(per_row) == 22 and not any(per_row)
 
 
 def test_exact_values_build_no_fraction_per_cell(monkeypatch):
@@ -330,15 +339,101 @@ def test_generated_game_builds_one_fraction_per_distinct_value(monkeypatch, poli
 
 
 def test_one_log_per_distinct_likelihood_per_row(monkeypatch):
-    # Besides one log per prior and one per evidence, each row takes one
-    # log per distinct nonzero likelihood: 30 here, for 480 cells.
+    # Besides one log per prior and one per evidence, updates take one log
+    # per distinct nonzero likelihood value object in the whole matrix: 480
+    # cells hold two objects here, 0 and 1/15. Each object's info, that of
+    # 0 included, is worked out once.
     scenario = mhp_scenario(MhpConfig(door_count=16, host_policy=HostPolicy.FORGETFUL))
     ms, om = scenario.model_space, scenario.observation_model
-    distinct = sum(len(set(row) - {0}) for row in om.likelihood)
+    objects = {id(p): p for row in om.likelihood for p in row}
+    nonzero = sum(p != 0 for p in objects.values())
     logs = [call_counter(monkeypatch, module, "_log2_quotient") for module in (core, engine)]
+    infos = [call_counter(monkeypatch, module, "_info") for module in (core, engine)]
     us = updates(ms, om)
-    assert all(us) and distinct == 30
-    assert sum(calls[0] for calls in logs) <= len(ms.labels) + len(om.likelihood) + distinct
+    assert all(us) and (len(objects), nonzero) == (2, 1)
+    n_priors, n_rows = len(ms.labels), len(om.likelihood)
+    assert (n_priors, n_rows) == (16, 30)
+    assert sum(calls[0] for calls in logs) <= n_priors + n_rows + nonzero
+    assert sum(calls[0] for calls in infos) <= n_priors + n_rows + len(objects)
+
+
+def test_equal_value_objects_get_equal_infos():
+    # distinct but equal likelihood objects each take their own, identical log
+    prior = Distribution(["M0", "M1", "M2"], [Fraction(1, 3)] * 3)
+    row = [Fraction(1, 3), Fraction(2, 6), Fraction(1, 3)]
+    om = ObservationModel(["x", "y"], prior.labels, [row, [1 - p for p in row]])
+    assert len({id(p) for p in om.likelihood[0]}) == 3
+    u = update(ModelSpace(prior), om, "x")
+    assert updates(ModelSpace(prior), om)[0] == u
+    assert u.likelihood_infos == (info_content(Fraction(1, 3)),) * 3
+
+
+def test_oracle_reads_each_prior_pair_once_per_table(monkeypatch):
+    # 12 priors and 22 observations: one pair per prior and one per
+    # evidence, not one per cell (264)
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    table = oracle.enumerate_joint(scenario)
+    pairs = call_counter(monkeypatch, Fraction, "as_integer_ratio")
+    metrics = oracle.observation_metrics(table)
+    n_models, n_obs = len(table.model_labels), len(metrics)
+    assert (n_models, n_obs) == (12, 22)
+    assert 0 < pairs[0] <= n_models + n_obs
+
+
+def test_oracle_reads_each_likelihood_pair_once(monkeypatch):
+    # 480 likelihood cells hold two value objects, 0 and 1/15
+    scenario = mhp_scenario(MhpConfig(door_count=16, host_policy=HostPolicy.FORGETFUL))
+    pairs = call_counter(monkeypatch, Fraction, "as_integer_ratio")
+    reads = [0]
+    numerator = Fraction.numerator.fget
+
+    def counting(self):
+        reads[0] += 1
+        return numerator(self)
+
+    monkeypatch.setattr(Fraction, "numerator", property(counting))
+    oracle.enumerate_joint(scenario)
+    assert reads[0] == 0
+    assert 0 < pairs[0] <= 16 + 2
+
+
+def check_log_odds_rows(scenario) -> int:
+    """Assert each update's log-odds row is its per-model log-odds, bit for bit.
+
+    Returns the number of models with prior 0 seen.
+    """
+    ms, om = scenario.model_space, scenario.observation_model
+    zero_priors = 0
+    for x, u in zip(om.observation_labels, updates(ms, om)):
+        if u is None:
+            continue
+        row = u.log_odds_updates()
+        assert len(row) == len(ms.labels)
+        for j, (theta, bits) in enumerate(zip(ms.labels, row)):
+            if ms.prior.probs[j] == 0:
+                zero_priors += 1
+                assert bits is None
+                with pytest.raises(UndefinedLogError):
+                    u.local_transfer_entropy(j)
+                continue
+            assert same_bits(bits, u.local_transfer_entropy(j))
+            assert same_bits(bits, local_transfer_entropy(ms, om, x, theta))
+    return zero_priors
+
+
+def test_log_odds_row_matches_each_model():
+    rng = random.Random(20261019)
+    zero_priors = 0
+    for _ in range(100):
+        zero_priors += check_log_odds_rows(random_scenario(rng, max_models=6, max_observations=6))
+    for denominators in (wide_coprime, wide_36_bit):
+        for _ in range(40):
+            zero_priors += check_log_odds_rows(wide_rational_scenario(rng, denominators))
+    for _ in range(40):
+        zero_priors += check_log_odds_rows(random_float_scenario(rng))
+    zero_priors += check_log_odds_rows(load_scenario(GOLDEN / "edge.json"))
+    # the draws must reach a zero prior, or the None half is untested
+    assert zero_priors > 0
 
 
 def test_float_evidence_above_one_carries_zero_bits():

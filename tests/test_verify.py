@@ -1,0 +1,182 @@
+"""The engine-versus-oracle check: its column reduction, its cost and the faults it reports.
+
+``verify_scenario`` reduces each quantity's engine column against the
+oracle's with ``max_deviation``, whose one-pair case is
+``bits_deviation``. The reduction must keep the pairwise test's meaning
+(None, infinities, NaN), make no Python call per cell, and still report
+``inf`` when an engine cell is NaN, finite where the oracle has -inf, or
+None where the oracle has a value.
+"""
+
+import cProfile
+import math
+import pstats
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bayesbits import Distribution, HostPolicy, MhpConfig, mhp_scenario
+from bayesbits import engine, verify
+from bayesbits.scenario import door_labels
+from bayesbits.verify import VERIFY_TOL, bits_deviation, max_deviation, verify_scenario
+
+
+def reference_deviation(a, b) -> float:
+    """The pairwise test spelled out: None, equal infinities, NaN, then the gap."""
+    if a is None or b is None:
+        return 0.0 if a is b else math.inf
+    if a == b:
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b)
+
+
+cells = st.one_of(
+    st.none(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(st.lists(st.tuples(cells, cells), max_size=12))
+def test_column_reduction_matches_the_pairwise_test(pairs):
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    expected = max(map(reference_deviation, a, b), default=0.0)
+    assert max(map(bits_deviation, a, b), default=0.0) == expected
+    # a lazy engine column against a listed oracle column, as verify pairs them
+    assert max_deviation(iter(a), b) == expected
+
+
+@pytest.mark.parametrize(
+    "a, b, gap",
+    [
+        (None, None, 0.0),
+        (None, 0.0, math.inf),
+        (-math.inf, None, math.inf),
+        (math.inf, math.inf, 0.0),
+        (-math.inf, -math.inf, 0.0),
+        (math.inf, -math.inf, math.inf),
+        (-math.inf, 1.5, math.inf),
+        (math.nan, math.nan, math.inf),
+        (math.nan, 1.0, math.inf),
+        (-0.0, 0.0, 0.0),
+        (1.0, 1.25, 0.25),
+    ],
+)
+def test_bits_deviation_cases(a, b, gap):
+    assert bits_deviation(a, b) == gap == reference_deviation(a, b)
+    assert bits_deviation(b, a) == gap
+
+
+def test_empty_columns_deviate_by_zero():
+    assert max_deviation([], []) == 0.0
+
+
+def calls_by_name(func, *args) -> Counter:
+    """How many times ``func(*args)`` calls each Python function, by its name."""
+    profile = cProfile.Profile()
+    profile.runcall(func, *args)
+    counts: Counter = Counter()
+    for (_, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items():
+        counts[name] += calls
+    return counts
+
+
+def test_verify_makes_no_call_per_cell():
+    # 22 observations of 12 models: 264 cells, 860 compared values
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    calls = calls_by_name(verify_scenario, scenario)
+    assert calls["verify_scenario"] == 1
+    assert calls["bits_deviation"] == 0
+    assert calls["local_transfer_entropy"] == 0
+    assert calls["_exact_sign"] == 0
+    assert calls["log_odds_updates"] == 22
+    assert verify_scenario(scenario) == (pytest.approx(0.0, abs=VERIFY_TOL), 860)
+
+
+# an 8-door forgetful game in which door D8 has prior 0 (the golden custom8 game)
+PRIOR_8 = ["1/4", "1/8", "1/8", "1/16", "3/16", "1/8", "1/8", "0"]
+
+
+@pytest.fixture(scope="module")
+def game():
+    prior = Distribution(door_labels(8), [Fraction(p) for p in PRIOR_8])
+    return mhp_scenario(MhpConfig(door_count=8, prior=prior, host_policy=HostPolicy.FORGETFUL))
+
+
+def refuted_cell(scenario) -> tuple[int, int]:
+    """(observation, model) of a model with prior > 0 that the observation refutes."""
+    ms, om = scenario.model_space, scenario.observation_model
+    for i, u in enumerate(engine.updates(ms, om)):
+        if u is None:
+            continue
+        for j, (num, sign) in enumerate(zip(u.posterior_nums, u.signs)):
+            if num == 0 and sign is not None:
+                return i, j
+    raise AssertionError("the game refutes no model")
+
+
+def patch_updates(monkeypatch, field: str, i: int, j: int, value) -> None:
+    """Make ``verify``'s updates carry ``value`` in cell ``j`` of ``field`` of update ``i``."""
+    real = verify.updates
+
+    def faulty(ms, om):
+        us = list(real(ms, om))
+        column = list(getattr(us[i], field))
+        column[j] = value
+        us[i] = us[i]._replace(**{field: tuple(column)})
+        return tuple(us)
+
+    monkeypatch.setattr(verify, "updates", faulty)
+
+
+def test_the_game_passes_unpatched(game):
+    i, j = refuted_cell(game)
+    u = engine.updates(game.model_space, game.observation_model)[i]
+    assert u.tics[j] == -math.inf and u.log_odds_updates()[j] == -math.inf
+    assert u.log_odds_updates()[-1] is None  # door D8: prior 0
+    assert verify_scenario(game)[0] <= VERIFY_TOL
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.5, None], ids=["nan", "finite", "none"])
+def test_a_faulty_tic_cell_deviates_by_inf(monkeypatch, game, value):
+    # the refuted cell's TIC is -inf on both paths; its posterior weight
+    # of 0 keeps the fault out of every KL and MI
+    checks = verify_scenario(game)[1]
+    i, j = refuted_cell(game)
+    patch_updates(monkeypatch, "tics", i, j, value)
+    assert verify_scenario(game) == (math.inf, checks)
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.5, None], ids=["nan", "finite", "none"])
+def test_a_faulty_log_odds_cell_deviates_by_inf(monkeypatch, game, value):
+    checks = verify_scenario(game)[1]
+    i, j = refuted_cell(game)
+    x = game.observation_model.observation_labels[i]
+    row = engine.ObservationUpdate.log_odds_updates
+
+    def faulty(self):
+        cells = row(self)
+        if self.observation == x:
+            cells[j] = value
+        return cells
+
+    monkeypatch.setattr(engine.ObservationUpdate, "log_odds_updates", faulty)
+    assert verify_scenario(game) == (math.inf, checks)
+
+
+def test_a_faulty_posterior_cell_is_reported(monkeypatch, game):
+    # Posteriors are compared as probabilities, which are never None, NaN
+    # or infinite: a posterior information content one bit too high shows
+    # as a deviation of half the posterior.
+    checks = verify_scenario(game)[1]
+    u = engine.updates(game.model_space, game.observation_model)[0]
+    j = next(j for j, num in enumerate(u.posterior_nums) if num != 0)
+    patch_updates(monkeypatch, "posterior_infos", 0, j, u.posterior_infos[j] + 1)
+    dev, faulty_checks = verify_scenario(game)
+    assert faulty_checks == checks
+    assert dev == pytest.approx(u.posterior_floats[j] / 2, rel=1e-9)
