@@ -19,8 +19,8 @@ observation, 4 verification failure.
 A process loads only what its subcommand runs: ``engine`` and
 ``aggregates`` are imported by ``solve``, ``kl``, ``mi`` and ``verify``,
 ``verify`` (with the oracle) by ``verify`` alone, and ``csv`` by CSV
-output. Its parser adds arguments to that subcommand alone. Keep new
-work out of module level.
+output. When argv's first word names a subcommand, its parser holds that
+subparser alone. Keep new work out of module level.
 """
 
 from __future__ import annotations
@@ -357,18 +357,19 @@ _COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[str, dict[str, An
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser. Every subcommand is listed, but only ``command`` gets
-    its arguments and ``-h``; with no ``command``, every subcommand does."""
+    """The CLI parser: the subparser of ``command`` alone if it names one,
+    under the full parser's usage line; else all five subparsers."""
     parser = argparse.ArgumentParser(
         prog="bayesbits",
         description="Discrete Bayesian inference in information space.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary, add_help=command in (None, name))
-        if command in (None, name):
-            for arg, options in arguments:
-                p.add_argument(arg, **options)
+    commands = {command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(commands) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (summary, func, arguments) in commands.items():
+        p = sub.add_parser(name, help=summary)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
         p.set_defaults(func=func)
     return parser
 
@@ -380,10 +381,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # so "bayesbits -- verify f" runs verify on every Python: argparse
         # of 3.13.0 and earlier takes the "--" itself for the command
         argv = argv[1:]
-    # -h, the only top-level option, takes no value, so argparse hands the
-    # rest to the subcommand named by the first word that is not an option
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = build_parser(command)
+    # argparse always runs a first word that names a subcommand; any other
+    # argv gets the full parser, which prints top-level help and errors
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

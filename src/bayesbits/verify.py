@@ -12,14 +12,11 @@ import operator
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator
 
-from .aggregates import (
-    kl_classical_from_update,
-    kl_from_update,
-    mi_classical_from_updates,
-    mi_from_kls,
-)
+from .aggregates import kl_classical_from_update, kl_from_update
+from .aggregates import mi_classical_from_updates, mi_from_kls
 from .core import Distribution, info_content, prob_from_info
 from .engine import updates
+from .errors import DomainError
 from .oracle import enumerate_joint, observation_metrics, oracle_mi_from_metrics
 from .scenario import Scenario
 
@@ -64,13 +61,12 @@ def verify_scenario(scenario: Scenario) -> tuple[float, int]:
     ms, om = scenario.model_space, scenario.observation_model
     pairs = list(zip(updates(ms, om), observation_metrics(enumerate_joint(scenario))))
     one_sided = sum([(u is None) != (m is None) for u, m in pairs])
-    reduced = [(max_deviation(a, b), n) for a, b, n in _columns(ms.prior, pairs)]
-    max_dev = max([dev for dev, _ in reduced])
-    return (math.inf if one_sided else max_dev), sum([n for _, n in reduced]) + one_sided
+    devs, counts = zip(*_deviations(ms.prior, pairs))
+    return (math.inf if one_sided else max(devs)), sum(counts) + one_sided
 
 
-def _columns(prior: Distribution, pairs: list) -> Iterator[tuple[Iterable, list, int]]:
-    """Each quantity's engine and oracle columns, from (update, metrics) pairs, and its count.
+def _deviations(prior: Distribution, pairs: list) -> Iterator[tuple[float, int]]:
+    """Each quantity's engine-vs-oracle deviation, from (update, metrics) pairs, and its count.
 
     Engine columns are lazy, so a per-cell column is never held in full.
     """
@@ -78,14 +74,18 @@ def _columns(prior: Distribution, pairs: list) -> Iterator[tuple[Iterable, list,
     us, oracle = [u for u, _ in both], [m for _, m in both]
     kls, oracle_kls = [kl_from_update(u) for u in us], [m.kl_bits for m in oracle]
     mi_oracle = oracle_mi_from_metrics([m for _, m in pairs])
-    yield [mi_from_kls(zip([u.evidence for u in us], kls))], [mi_oracle], 1
-    yield [mi_classical_from_updates(prior, [u for u, _ in pairs])], [mi_oracle], 1
-    yield kls, oracle_kls, len(oracle_kls)
-    yield map(kl_classical_from_update, us), oracle_kls, len(oracle_kls)
-    yield (u.evidence_info for u in us), [info_content(m.evidence) for m in oracle], len(oracle)
+    yield max_deviation([mi_from_kls(zip([u.evidence for u in us], kls))], [mi_oracle]), 1
+    yield max_deviation([mi_classical_from_updates(prior, [u for u, _ in pairs])], [mi_oracle]), 1
+    yield max_deviation(kls, oracle_kls), len(oracle_kls)
+    yield max_deviation(map(kl_classical_from_update, us), oracle_kls), len(oracle_kls)
+    evidence = [info_content(m.evidence) for m in oracle]
+    yield max_deviation((u.evidence_info for u in us), evidence), len(oracle)
     posteriors = [p for m in oracle for p in m.posterior_floats]
     infos = chain.from_iterable([u.posterior_infos for u in us])
-    yield map(prob_from_info, infos), posteriors, len(posteriors)
+    try:  # a NaN, or an information content below -noise, has no probability
+        yield max_deviation(map(prob_from_info, infos), posteriors), len(posteriors)
+    except DomainError:
+        yield math.inf, len(posteriors)
     # The oracle gives no TIC (None) where the prior is 0. There the
     # engine's TIC and log-odds update are not compared, but each such
     # cell still counts as one TIC comparison, of None with None.
@@ -95,5 +95,5 @@ def _columns(prior: Distribution, pairs: list) -> Iterator[tuple[Iterable, list,
         masks = (map(operator.is_not, m.tic_bits.values(), repeat(None)) for m in oracle)
         return chain.from_iterable(map(compress, rows, masks))
 
-    yield where_defined(u.tics for u in us), defined, len(posteriors)
-    yield where_defined(u.log_odds_updates() for u in us), defined, len(defined)
+    yield max_deviation(where_defined(u.tics for u in us), defined), len(posteriors)
+    yield max_deviation(where_defined(u.log_odds_updates() for u in us), defined), len(defined)

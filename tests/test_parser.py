@@ -1,27 +1,40 @@
-"""The CLI builds only the arguments of the subcommand it runs.
+"""The CLI builds only the subparser of the subcommand it runs.
 
-``cli.main`` takes the first word of its argv that is not an option as
-the subcommand and calls ``cli.build_parser(command)``, which lists all
-five subcommands but gives only that one its arguments and its ``-h``.
+``cli.main`` passes the first word of its argv to
+``cli.build_parser(command)``. When that word names a subcommand, the
+parser holds that one subparser, with its arguments and its ``-h``, and
+its subcommand metavar spells out all five names, so the usage line of
+an error argparse prints after dispatch keeps its bytes. argparse always
+dispatches a first word that names a subcommand; every other argv gets
+the full parser, which prints top-level help and the "invalid choice",
+"required" and "unrecognized arguments" errors.
+
 Each case in CORPUS must give the same exit code, stdout and stderr as a
-run whose parser holds every subcommand's arguments, and the exit code
-the case names; a case in SAME_AS must also give what its twin gives. Help and usage text wrap to the terminal width, so every run sets
-``COLUMNS=80``. argparse words its messages a little differently on each
-Python, which is why the corpus compares two runs rather than committed
-text.
+run with the full parser, and the exit code the case names; a case in
+SAME_AS must also give what its twin gives. Help and usage text wrap to
+the terminal width, so every run sets ``COLUMNS=80``. argparse words its
+messages a little differently on each Python, which is why the corpus
+compares two runs rather than committed text. The parser work of a call
+is pinned too: ``main`` on a subcommand builds 2 parsers with at most 6
+argparse ``gettext`` calls, and ``build_parser()`` builds 6 parsers with
+22 ``add_argument`` calls.
 
-The corpus needs no pytest to run. To compare it on any interpreter:
+The corpus and the work counts need no pytest to run. To check them on
+any interpreter:
 
     python3 tests/test_parser.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 TESTS = Path(__file__).resolve().parent
 SCENARIO = str(TESTS / "golden" / "repeats.json")
@@ -32,6 +45,8 @@ CORPUS: dict[str, tuple[list[str], int]] = {
     "help-long": (["--help"], 0),
     "help-abbreviated": (["--he"], 0),
     "help-before-command": (["-h", "verify", "{path}"], 0),
+    "help-after-path": (["solve", "{path}", "-h"], 0),
+    "help-before-path": (["mi", "-h", "{path}"], 0),
     "mhp-help": (["mhp", "-h"], 0),
     "solve-help": (["solve", "-h"], 0),
     "kl-help": (["kl", "-h"], 0),
@@ -39,19 +54,34 @@ CORPUS: dict[str, tuple[list[str], int]] = {
     "verify-help": (["verify", "-h"], 0),
     "no-arguments": ([], 2),
     "bogus-command": (["bogus"], 2),
+    # a subcommand is never abbreviated, so "ver" gets the full parser
+    "abbreviated-command": (["ver", "{path}"], 2),
+    "dash": (["-"], 2),
+    "dash-before-command": (["-", "verify"], 2),
+    "double-dash-alone": (["--"], 2),
+    "double-dash-before-bogus": (["--", "bogus"], 2),
     # main drops a leading "--" before a command (see SAME_AS)
     "double-dash": (["--", "verify", "{path}"], 0),
     "missing-observe": (["solve", "{path}"], 2),
     "missing-variant": (["mhp"], 2),
+    "missing-scenario": (["verify"], 2),
+    "missing-out-value": (["mhp", "traditional", "--out"], 2),
+    "empty-prior": (["mhp", "custom-3", "--prior", ""], 2),
+    "unknown-option-with-value": (["mhp", "traditional", "--zzz", "1"], 2),
     "bad-choice": (["solve", "{path}", "--observe", "x", "--format", "xml"], 2),
     "bad-int": (["mhp", "custom", "--doors", "three"], 2),
     "precision-out-of-range": (["kl", "{path}", "--observe", "x", "--precision", "18"], 2),
+    "negative-precision": (["kl", "{path}", "--observe", "x", "--precision", "-1"], 2),
     "abbreviated-option": (["solve", "{path}", "--obs", "z", "--form", "csv"], 0),
+    "option-with-equals": (["solve", "{path}", "--observe=z"], 0),
+    "double-dash-before-option": (["solve", "{path}", "--", "--observe", "z"], 2),
     "unknown-option": (["mi", "{path}", "--bogus"], 2),
     "extra-positional": (["verify", "{path}", "extra"], 2),
     "option-after-command": (["verify", "--", "{path}"], 0),
     # argparse takes "-1" for a positional, so it is the (invalid) command
     "number-before-command": (["-1", "verify", "{path}"], 2),
+    "negative-before-command": (["-5", "mi", "{path}"], 2),
+    "decimal-before-command": (["-.5", "mi", "{path}"], 2),
     "unknown-option-before-command": (["-x", "solve", "{path}", "--observe", "x"], 2),
     "mhp": (["mhp", "custom-4", "--policy", "forgetful", "--pick", "B",
              "--prior", "1/2,1/4,1/8,1/8"], 0),
@@ -67,7 +97,7 @@ SAME_AS = {"double-dash": "verify"}
 
 def run_cli(argv: list[str] | None, full: bool = False) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``cli.main(argv)``; with ``full``,
-    its parser holds every subcommand's arguments."""
+    its parser is the full one of ``build_parser()``."""
     from bayesbits import cli
 
     build = cli.build_parser
@@ -80,6 +110,70 @@ def run_cli(argv: list[str] | None, full: bool = False) -> tuple[int, str, str]:
     finally:
         cli.build_parser = build
     return code, out.getvalue(), err.getvalue()
+
+
+# case -> most add_argument calls main makes on it: one -h for the
+# top-level parser and one for the command's subparser, then the
+# command's own arguments
+MOST_ARGUMENTS = {"verify": 3, "solve": 6, "mhp": 8}
+
+# what count_parser_work counts -> (owner, attribute) it wraps
+COUNTED = {
+    "parsers": (argparse.ArgumentParser, "__init__"),
+    "add_argument": (argparse._ActionsContainer, "add_argument"),
+    "gettext": (argparse, "_"),
+}
+
+
+def count_parser_work(call: Callable[[], object]) -> Counter:
+    """The argparse parsers constructed, and the ``add_argument`` and
+    ``gettext`` calls made, while ``call()`` runs."""
+    counts: Counter = Counter()
+    originals = {key: getattr(owner, name) for key, (owner, name) in COUNTED.items()}
+
+    def counting(key: str) -> Callable:
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return originals[key](*args, **kwargs)
+
+        return wrapper
+
+    try:
+        for key, (owner, name) in COUNTED.items():
+            setattr(owner, name, counting(key))
+        call()
+    finally:
+        for key, (owner, name) in COUNTED.items():
+            setattr(owner, name, originals[key])
+    return counts
+
+
+def main_work_problem(case: str, most: int) -> str | None:
+    """None if ``main`` on ``case`` succeeds with 2 parsers, at most 6
+    ``gettext`` and at most ``most`` ``add_argument`` calls; else what it did."""
+    codes = []
+    work = count_parser_work(lambda: codes.append(run_cli(case_argv(case))[0]))
+    if codes == [0] and work["parsers"] == 2:
+        if work["gettext"] <= 6 and work["add_argument"] <= most:
+            return None
+    return f"{case}: exit {codes}, {dict(work)}"
+
+
+def full_work_problem() -> str | None:
+    """None if ``build_parser()`` builds 6 parsers with 22 ``add_argument``
+    calls, the full parser; else what it did."""
+    from bayesbits.cli import build_parser
+
+    work = count_parser_work(build_parser)
+    if work["parsers"] == 6 and work["add_argument"] == 22:
+        return None
+    return f"build_parser(): {dict(work)}"
+
+
+def work_problems() -> list[str]:
+    """Every broken parser work bound, in the order the checks run."""
+    found = [main_work_problem(case, most) for case, most in MOST_ARGUMENTS.items()]
+    return [problem for problem in [*found, full_work_problem()] if problem is not None]
 
 
 def case_argv(case: str) -> list[str]:
@@ -95,8 +189,6 @@ def case_differs(case: str) -> bool:
 
 
 if __name__ != "__main__":  # collected by pytest; the script below runs without it
-    import argparse
-
     import pytest
 
     @pytest.fixture(autouse=True)
@@ -114,31 +206,13 @@ if __name__ != "__main__":  # collected by pytest; the script below runs without
     def test_same_output_as_its_twin(case):
         assert run_cli(case_argv(case)) == run_cli(case_argv(SAME_AS[case]))
 
-    def count_add_argument(monkeypatch) -> list[int]:
-        calls = [0]
-        original = argparse._ActionsContainer.add_argument
+    # 2 parsers and at most 6 gettext calls as well
+    @pytest.mark.parametrize("case, most", MOST_ARGUMENTS.items())
+    def test_main_adds_only_its_arguments(case, most):
+        assert main_work_problem(case, most) is None
 
-        def counting(self, *args, **kwargs):
-            calls[0] += 1
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
-        return calls
-
-    # one -h for the top-level parser and one for the command's subparser,
-    # then the command's own arguments; the full parser makes 22 calls
-    @pytest.mark.parametrize("case, most", [("verify", 3), ("solve", 6), ("mhp", 8)])
-    def test_main_adds_only_its_arguments(monkeypatch, case, most):
-        calls = count_add_argument(monkeypatch)
-        assert run_cli(case_argv(case))[0] == 0
-        assert calls[0] <= most
-
-    def test_build_parser_without_command_is_full(monkeypatch):
-        calls = count_add_argument(monkeypatch)
-        from bayesbits.cli import build_parser
-
-        build_parser()
-        assert calls[0] == 22
+    def test_build_parser_without_command_is_full():
+        assert full_work_problem() is None
 
     def test_main_reads_sys_argv(monkeypatch):
         monkeypatch.setattr(sys, "argv", ["bayesbits", "verify", SCENARIO])
@@ -154,18 +228,25 @@ if __name__ != "__main__":  # collected by pytest; the script below runs without
 
 
 def main(argv: list[str]) -> int:
-    """Run every case of the corpus against the full parser."""
+    """Run every case of the corpus against the full parser, then the work counts."""
     if argv != ["--check"]:
         print("usage: python3 tests/test_parser.py --check", file=sys.stderr)
         return 2
     os.environ["COLUMNS"] = "80"
     sys.path.insert(0, str(TESTS.parent / "src"))
     failed = [case for case in sorted(CORPUS) if case_differs(case)]
+    problems = work_problems()
     python = ".".join(map(str, sys.version_info[:3]))
     for case in failed:
         print(f"differs: {case}")
-    print(f"{len(CORPUS) - len(failed)} of {len(CORPUS)} parser cases match on Python {python}")
-    return 1 if failed else 0
+    for problem in problems:
+        print(f"work: {problem}")
+    counts = len(MOST_ARGUMENTS) + 1
+    print(
+        f"{len(CORPUS) - len(failed)} of {len(CORPUS)} parser cases match and "
+        f"{counts - len(problems)} of {counts} work counts hold on Python {python}"
+    )
+    return 1 if failed or problems else 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ oracle's with ``max_deviation``, whose one-pair case is
 ``bits_deviation``. The reduction must keep the pairwise test's meaning
 (None, infinities, NaN), make no Python call per cell, and still report
 ``inf`` when an engine cell is NaN, finite where the oracle has -inf, or
-None where the oracle has a value.
+None where the oracle has a value, or when a posterior information
+content has no probability.
 """
 
 import cProfile
@@ -19,8 +20,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bayesbits import Distribution, HostPolicy, MhpConfig, mhp_scenario
-from bayesbits import engine, verify
-from bayesbits.scenario import door_labels
+from bayesbits import cli, engine, verify
+from bayesbits.scenario import door_labels, save_scenario
 from bayesbits.verify import VERIFY_TOL, bits_deviation, max_deviation, verify_scenario
 
 
@@ -180,3 +181,18 @@ def test_a_faulty_posterior_cell_is_reported(monkeypatch, game):
     dev, faulty_checks = verify_scenario(game)
     assert faulty_checks == checks
     assert dev == pytest.approx(u.posterior_floats[j] / 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("value", [math.nan, -5.0], ids=["nan", "negative"])
+def test_a_broken_posterior_cell_deviates_by_inf(monkeypatch, tmp_path, capsys, game, value):
+    # prob_from_info refuses such an information content; verify counts
+    # the refusal as deviation inf and fails, rather than exiting 2
+    checks = verify_scenario(game)[1]
+    patch_updates(monkeypatch, "posterior_infos", 0, 0, value)
+    assert verify_scenario(game) == (math.inf, checks)
+    path = tmp_path / "game.json"
+    save_scenario(game, path)
+    assert cli.main(["verify", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert f"comparisons: {checks}\nmax_deviation_bits: inf\n" in out
+    assert out.endswith("status: FAIL\n")
