@@ -11,7 +11,8 @@ nonnegative because a refuted model carries posterior weight 0 and
 ``0 * (+/-inf)`` counts as 0 inside these sums.
 
 Each function returns bits as a plain float. The terms it sums are
-columns of the engine's :class:`~bayesbits.engine.ObservationUpdate`.
+columns of one observation's engine ``Marginal`` or ``ObservationUpdate``;
+MI folds the observations' marginals into its sum one at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import Bits, Distribution, Probability, _float, _log2_quotient, entropy
-from .engine import ObservationUpdate, update, updates
+from .engine import Marginal, ObservationUpdate, marginals, update
 from .scenario import ModelSpace, ObservationModel
 
 __all__ = [
@@ -41,7 +42,7 @@ def kl_expected_tic(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
 
 
 def kl_from_update(u: ObservationUpdate) -> Bits:
-    """:func:`kl_expected_tic` of an observation already applied."""
+    """:func:`kl_expected_tic` of an observation's update or marginal."""
     value = 0.0
     for num, weight, t in zip(u.posterior_nums, u.posterior_floats, u.tics):
         if num != 0:
@@ -70,16 +71,11 @@ def mutual_information(ms: ModelSpace, om: ObservationModel) -> Bits:
     Observations with zero evidence cannot occur and are skipped; they
     would contribute weight 0 anyway.
     """
-    return mi_from_updates(updates(ms, om))
-
-
-def mi_from_updates(us: tuple[ObservationUpdate | None, ...]) -> Bits:
-    """:func:`mutual_information` from the updates of every observation."""
-    return mi_from_kls([(u.evidence, kl_from_update(u)) for u in us if u is not None])
+    return mi_from_kls((m.evidence, kl_from_update(m)) for m in marginals(ms, om) if m is not None)
 
 
 def mi_from_kls(kls: Iterable[tuple[Probability, Bits]]) -> Bits:
-    """:func:`mutual_information` from the (evidence, KL) pair of every possible observation."""
+    """:func:`mutual_information` from (evidence, KL) pairs: their evidence-weighted sum, in order."""
     value = 0.0
     for ev, kl in kls:
         value += _float(ev) * kl
@@ -88,22 +84,33 @@ def mi_from_kls(kls: Iterable[tuple[Probability, Bits]]) -> Bits:
 
 def mutual_information_classical(ms: ModelSpace, om: ObservationModel) -> Bits:
     """Mutual information as prior entropy minus expected posterior entropy."""
-    return mi_classical_from_updates(ms.prior, updates(ms, om))
+    return mi_classical_from_updates(ms.prior, marginals(ms, om))
 
 
-def mi_classical_from_updates(prior: Distribution, us: tuple[ObservationUpdate | None, ...]) -> Bits:
-    """:func:`mutual_information_classical` from the updates of every observation.
+def _posterior_entropy(u: Marginal | ObservationUpdate) -> Bits:
+    """Entropy of the posteriors, taken as they are: the engine's already form a distribution."""
+    h, den = 0.0, u.posterior_den
+    for num, post in zip(u.posterior_nums, u.posterior_floats):
+        if num != 0:
+            h -= post * _log2_quotient(num, den)
+    return h
 
-    The engine's posteriors already form a distribution, so their entropy
-    is taken as they are, without building and checking a new one.
+
+def mi_classical_from_updates(
+    prior: Distribution, us: Iterable[Marginal | ObservationUpdate | None]
+) -> Bits:
+    """:func:`mutual_information_classical` from the marginal or update of every observation."""
+    terms = ((u.evidence, _posterior_entropy(u)) for u in us if u is not None)
+    return entropy(prior) - mi_from_kls(terms)
+
+
+def mi_both_paths(ms: ModelSpace, om: ObservationModel) -> tuple[Bits, Bits]:
+    """:func:`mutual_information` and :func:`mutual_information_classical` from one pass.
+
+    Each observation's marginal is reduced to its evidence, KL and
+    posterior entropy, and dropped.
     """
-    conditional = 0.0
-    for u in us:
-        if u is None:
-            continue
-        h, den = 0.0, u.posterior_den
-        for num, post in zip(u.posterior_nums, u.posterior_floats):
-            if num != 0:
-                h -= post * _log2_quotient(num, den)
-        conditional += _float(u.evidence) * h
-    return entropy(prior) - conditional
+    terms = [(m.evidence, kl_from_update(m), _posterior_entropy(m))
+             for m in marginals(ms, om) if m is not None]
+    return (mi_from_kls([(ev, kl) for ev, kl, _ in terms]),
+            entropy(ms.prior) - mi_from_kls([(ev, h) for ev, _, h in terms]))

@@ -20,15 +20,18 @@ A process loads only what its subcommand runs: ``engine`` and
 ``aggregates`` are imported by ``solve``, ``kl``, ``mi`` and ``verify``,
 ``verify`` (with the oracle) by ``verify`` alone, and ``csv`` by CSV
 output. When argv's first word names a subcommand, its parser holds that
-subparser alone. Keep new work out of module level.
+subparser alone. Keep new work out of module level. ``solve`` folds each
+observation into the MI and drops it, and builds report columns for the
+printed one alone; with ``--format csv`` it computes no KL or MI. ``mi``
+builds no update.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .core import Distribution, probability_repr
@@ -38,6 +41,7 @@ from .scenario import (
     HostPolicy,
     MhpConfig,
     Scenario,
+    _json_list,
     door_labels,
     load_scenario,
     mhp_scenario,
@@ -71,23 +75,31 @@ class ReportDocument(NamedTuple):
 
     scenario: str
     transfer: ObservationUpdate
-    kl_bits: float
-    mi_bits: float
+    kl_bits: float | None
+    mi_bits: float | None
 
 
-def build_report(scenario: Scenario, observation: str) -> ReportDocument:
-    from .aggregates import kl_from_update, mi_from_updates
-    from .engine import select_update, updates
+def build_report(scenario: Scenario, observation: str, totals: bool = True) -> ReportDocument:
+    """The report of ``observation``: its update and, with ``totals``, its KL and the MI.
 
-    om = scenario.observation_model
-    all_updates = updates(scenario.model_space, om)
-    u = select_update(all_updates, om, observation)
-    return ReportDocument(
-        scenario=scenario.name,
-        transfer=u,
-        kl_bits=max(0.0, kl_from_update(u)),
-        mi_bits=max(0.0, mi_from_updates(all_updates)),
-    )
+    One pass over the observations folds each one's marginal into the MI
+    and drops it; the printed observation alone gets report columns.
+    """
+    from .aggregates import kl_from_update, mi_from_kls
+    from .engine import marginals, update, update_from
+
+    ms, om = scenario.model_space, scenario.observation_model
+    if not totals:
+        return ReportDocument(scenario.name, update(ms, om, observation), None, None)
+    index, printed, kls = om._x_index(observation), None, []
+    for i, m in enumerate(marginals(ms, om)):
+        if m is not None:
+            kls.append((m.evidence, kl_from_update(m)))
+        if i == index:
+            printed = m
+    u = update_from(printed, observation)
+    kl, mi = kl_from_update(u), mi_from_kls(kls)
+    return ReportDocument(scenario.name, u, max(0.0, kl), max(0.0, mi))
 
 
 def _cells(entry: ModelTransfer) -> tuple[Any, ...]:
@@ -127,6 +139,12 @@ def _json(v: Any) -> Any:
     return _cell(v, None, lambda x: x if math.isfinite(x) else "Infinity" if x > 0 else "-Infinity")
 
 
+def _json_text(v: Any) -> str:
+    """:func:`_json` of ``v`` as ``json.dumps`` writes it: C string escaper, float ``repr``."""
+    v = _json(v)
+    return "null" if v is None else encode_basestring_ascii(v) if isinstance(v, str) else repr(v)
+
+
 def _csv(v: Any) -> str:
     return _cell(v, "", repr)
 
@@ -164,19 +182,22 @@ def render_table(doc: ReportDocument, precision: int) -> str:
 
 
 def render_json(doc: ReportDocument) -> str:
+    """``json.dumps`` of the report with ``indent=2``, laid out here as the scenario file is."""
     report = doc.transfer
-    payload = {
-        "scenario": doc.scenario,
-        "observation": report.observation,
-        "evidence": _json(report.evidence),
-        "evidence_bits": _json(report.evidence_info),
-        "models": [
-            dict(zip(CSV_HEADER, map(_json, _cells(entry)))) for entry in report.entries
-        ],
-        "kl_bits": _json(doc.kl_bits),
-        "mi_bits": _json(doc.mi_bits),
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    models = [
+        _json_list([f'"{k}": {_json_text(v)}' for k, v in zip(CSV_HEADER, _cells(entry))], 2, "{}")
+        for entry in report.entries
+    ]
+    fields = [
+        ("scenario", _json_text(doc.scenario)),
+        ("observation", _json_text(report.observation)),
+        ("evidence", _json_text(report.evidence)),
+        ("evidence_bits", _json_text(report.evidence_info)),
+        ("models", _json_list(models, 1)),
+        ("kl_bits", _json_text(doc.kl_bits)),
+        ("mi_bits", _json_text(doc.mi_bits)),
+    ]
+    return _json_list([f'"{key}": {text}' for key, text in fields], 0, "{}") + "\n"
 
 
 def render_csv(doc: ReportDocument) -> str:
@@ -272,7 +293,7 @@ def cmd_mhp(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    doc = build_report(scenario, args.observe)
+    doc = build_report(scenario, args.observe, totals=args.format != "csv")
     if args.format == "json":
         sys.stdout.write(render_json(doc))
     elif args.format == "csv":
@@ -301,14 +322,11 @@ def cmd_kl(args: argparse.Namespace) -> int:
 
 
 def cmd_mi(args: argparse.Namespace) -> int:
-    from .aggregates import mi_classical_from_updates, mi_from_updates
-    from .engine import updates
+    from .aggregates import mi_both_paths
 
     scenario = load_scenario(args.scenario)
-    all_updates = updates(scenario.model_space, scenario.observation_model)
+    via_tic, classical = mi_both_paths(scenario.model_space, scenario.observation_model)
     print(f"scenario: {scenario.name}")
-    via_tic = mi_from_updates(all_updates)
-    classical = mi_classical_from_updates(scenario.model_space.prior, all_updates)
     return _both_paths("mi", via_tic, classical, args.precision)
 
 

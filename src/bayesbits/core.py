@@ -121,13 +121,12 @@ def _sum_in_order(values: Iterable[Probability]) -> Probability:
     return functools.reduce(operator.add, values, 0)
 
 
-def _over_lcm(ps: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Numerators of the Fractions ``ps`` over their least common denominator.
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators of the ``(numerator, denominator)`` pairs over their least common denominator.
 
-    Reads one integer pair per value (``as_integer_ratio()``, not two
-    property reads) and takes the lcm of the distinct denominators.
+    Callers read a Fraction's pair with ``as_integer_ratio()``, not two
+    property reads. The lcm is taken of the distinct denominators.
     """
-    pairs = [p.as_integer_ratio() for p in ps]
     den = math.lcm(*{d for _, d in pairs})
     return [n * (den // d) for n, d in pairs], den
 
@@ -141,12 +140,12 @@ def _common_denominator(ps: Sequence[Probability]) -> tuple[list[int], int] | No
     """
     if not all(isinstance(p, Fraction) for p in ps):
         return None
-    return _over_lcm(ps)
+    return _over_lcm([p.as_integer_ratio() for p in ps])
 
 
 def _exact_sum_unless_one(ps: Iterable[Fraction]) -> str | None:
     """:func:`_sum_unless_one` of values that are all Fractions."""
-    nums, den = _over_lcm(ps)
+    nums, den = _over_lcm([p.as_integer_ratio() for p in ps])
     total = sum(nums)
     return None if total == den else probability_repr(Fraction(total, den))
 

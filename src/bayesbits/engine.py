@@ -15,10 +15,13 @@ Their difference is the transfer information content,
 
 the net signed bits the observation delivers to that one hypothesis.
 Positive TIC informs, negative TIC misleads, and the posterior falls out
-as ``posterior_info = prior_info - tic``. Each update also carries the
-probability-space Bayes rule's posteriors; the independent check of both
-routes is the exact-rational oracle in :mod:`bayesbits.oracle`. The input
-types, ``ModelSpace`` and ``ObservationModel``, live in :mod:`bayesbits.scenario`.
+as ``posterior_info = prior_info - tic``. One observation's work comes in
+two parts: its :class:`Marginal` (the evidence, the TICs and the posteriors
+of Bayes' rule in probability space), all that KL and MI read, and the
+report columns that :meth:`Marginal.report` adds to make its
+:class:`ObservationUpdate`. The exact-rational oracle in
+:mod:`bayesbits.oracle` checks both routes. The input types,
+``ModelSpace`` and ``ObservationModel``, live in :mod:`bayesbits.scenario`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import enum
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     Bits,
@@ -38,7 +41,6 @@ from .core import (
     _log2_quotient,
     _over_lcm,
     _sum_in_order,
-    info_content,
     prob_from_info,
 )
 from .errors import (
@@ -80,43 +82,32 @@ def _check_pairing(ms: ModelSpace, om: ObservationModel) -> None:
 
 def _joint_row(
     prior: tuple[Probability, ...],
-    scaled_prior: tuple[list[int], int] | None,
+    scaled_prior: tuple[Sequence[int], int] | None,
     row: tuple[Probability, ...],
-    exact_row: bool = False,
-) -> tuple[Probability, list, int, list[float], list[int] | None]:
-    """Marginalise one likelihood row: ``P(x)``, each ``P(theta | x)``, exact signs.
+    scaled_row: tuple[list[int], int] | None,
+) -> tuple[Probability, int, list, int, list[float]]:
+    """Marginalise one likelihood row: ``P(x)`` and each ``P(theta | x)``.
 
     The one place a likelihood row is marginalised against the prior.
-    ``scaled_prior`` is ``_common_denominator(prior)``, worked out once
-    per command, and ``exact_row`` says that the row is known to hold
-    only Fractions, so its values need no type test. The posteriors, as
-    numerators over one denominator and as floats, are empty when
-    ``P(x)`` is 0.
-
-    When the prior and the row are all Fractions, the joints are integer
-    numerators over one common denominator: ``P(x)`` is their sum as one
-    Fraction, the posteriors are the joints over that sum, and the last
-    value holds, per model, an integer with the sign of
-    ``P(x | theta) - P(x)``. Otherwise the row is worked in the values'
-    own arithmetic, the posteriors are over 1 and the last value is None.
+    ``scaled_prior`` and ``scaled_row`` are the values over one common
+    denominator, each None unless all are Fractions. With both, the joints
+    are integers; otherwise they are worked in the values' own arithmetic,
+    over 1. Returns ``P(x)`` as a numerator over a denominator, and the
+    posteriors, the joints over ``P(x)``'s numerator, as numerators over
+    one denominator and as floats; these are empty when ``P(x)`` is 0.
     """
-    scaled = _over_lcm if exact_row else _common_denominator
-    scaled_row = None if scaled_prior is None else scaled(row)
     if scaled_prior is None or scaled_row is None:
         joints = [lik * p for lik, p in zip(row, prior)]
         ev = _sum_in_order(joints)
         posteriors = [] if ev == 0 else [joint / ev for joint in joints]
-        return ev, posteriors, 1, posteriors, None
+        return ev, 1, posteriors, 1, posteriors
     prior_nums, prior_den = scaled_prior
     row_nums, row_den = scaled_row
-    joints = [lik * p for lik, p in zip(row_nums, prior_nums)]
+    joints = list(map(operator.mul, row_nums, prior_nums))
     total = sum(joints)
-    ev = Fraction(total, prior_den * row_den)
     if total == 0:
-        return ev, [], total, [], None
-    # (P(x | theta) - P(x)) * prior_den * row_den
-    excess = [lik * prior_den - total for lik in row_nums]
-    return ev, joints, total, [joint / total for joint in joints], excess
+        joints = []
+    return total, prior_den * row_den, joints, total, [joint / total for joint in joints]
 
 
 def evidence(ms: ModelSpace, om: ObservationModel, x: str) -> Probability:
@@ -127,8 +118,9 @@ def evidence(ms: ModelSpace, om: ObservationModel, x: str) -> Probability:
     evidence can never disagree with the prior and likelihood.
     """
     _check_pairing(ms, om)
-    probs = ms.prior.probs
-    return _joint_row(probs, _common_denominator(probs), om.likelihood[om._x_index(x)])[0]
+    probs, row = ms.prior.probs, om.likelihood[om._x_index(x)]
+    num, den, *_ = _joint_row(probs, _common_denominator(probs), row, _common_denominator(row))
+    return Fraction(num, den) if isinstance(num, int) else num
 
 
 def tic(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Bits:
@@ -201,8 +193,10 @@ class ObservationUpdate(NamedTuple):
     ``posterior_nums[j] / posterior_den``: unreduced integers on exact
     rows, the float over 1 on float rows. ``posterior_floats`` holds their
     correctly rounded floats; ``posteriors`` builds the values, exact on
-    exact rows, on each access. ``entries`` lays the same values out as a
-    transfer report, one :class:`ModelTransfer` row per model.
+    exact rows, on each access. ``scaled_prior`` is the prior's numerators
+    over one denominator, None unless all are Fractions. ``entries`` lays
+    the same values out as a transfer report, one :class:`ModelTransfer`
+    row per model.
     """
 
     observation: str
@@ -218,6 +212,7 @@ class ObservationUpdate(NamedTuple):
     posterior_den: int
     posterior_floats: tuple[float, ...]
     posterior_infos: tuple[Bits, ...]
+    scaled_prior: tuple[tuple[int, ...], int] | None
 
     @property
     def posteriors(self) -> tuple[Probability, ...]:
@@ -256,12 +251,9 @@ class ObservationUpdate(NamedTuple):
 
         Computed from the probability-space posterior, so it is an
         independent route to the same number as the TIC. Undefined for a
-        model with zero prior. :meth:`log_odds_updates` for one model.
+        model with zero prior. One entry of :meth:`log_odds_updates`.
         """
-        [bits] = _log_odds(
-            (self.posterior_nums[j],), self.posterior_den, (self.priors[j],), (self.signs[j],),
-            isinstance(self.evidence, Fraction),
-        )
+        bits = self.log_odds_updates()[j]
         if bits is None:
             raise UndefinedLogError(
                 f"log-odds update of {self.models[j]!r} undefined: prior probability is 0"
@@ -269,116 +261,139 @@ class ObservationUpdate(NamedTuple):
         return bits
 
     def log_odds_updates(self) -> list[Bits | None]:
-        """:meth:`local_transfer_entropy` of every model, None where the prior is 0."""
-        return _log_odds(
-            self.posterior_nums, self.posterior_den, self.priors, self.signs,
-            isinstance(self.evidence, Fraction),
-        )
+        """:meth:`local_transfer_entropy` of every model, None where the prior is 0.
+
+        On exact rows each ratio is taken from integer parts, with the
+        prior's over one denominator: no Fraction division, no pair read.
+        """
+        nums, den, signs = self.posterior_nums, self.posterior_den, self.signs
+        if not isinstance(self.evidence, Fraction):
+            return [None if sign is None else -math.inf if num == 0 else _log2_positive(num / p)
+                    for num, p, sign in zip(nums, self.priors, signs)]
+        prior_nums, prior_den = self.scaled_prior
+        return [
+            None if sign is None
+            else -math.inf if num == 0
+            else _log2_quotient(num * prior_den, den * prior_num)
+            for num, prior_num, sign in zip(nums, prior_nums, signs)
+        ]
 
 
-def _log_odds(
-    nums: Iterable[int] | Iterable[float],
-    den: int,
-    priors: Iterable[Probability],
-    signs: Iterable[SignClass | None],
-    exact: bool,
-) -> list[Bits | None]:
-    """``log2`` of each posterior ``nums[j] / den`` over its prior ``priors[j]``.
-
-    None where ``signs[j]`` is None (prior 0) and -inf where the posterior
-    is 0. On exact rows the ratio is taken from integer parts, with no
-    Fraction division: each prior's integer pair is read once.
-    """
-    if not exact:
-        return [None if sign is None else -math.inf if num == 0 else _log2_positive(num / p)
-                for num, p, sign in zip(nums, priors, signs)]
-    return [
-        None if sign is None
-        else -math.inf if num == 0
-        else _log2_quotient(num * prior_den, den * prior_num)
-        for num, (prior_num, prior_den), sign
-        in zip(nums, map(Fraction.as_integer_ratio, priors), signs)
-    ]
-
-
-# What every observation's update reuses of the prior: its values over a
-# common denominator (None unless all are Fractions), and their infos.
-_PriorTerms = tuple[tuple[list[int], int] | None, tuple[Bits, ...]]
+# What every observation reuses of the prior, worked out once per command:
+# the model space, the prior's values over one common denominator (None
+# unless all are Fractions), and their infos.
+_PriorTerms = tuple[ModelSpace, tuple[tuple[int, ...], int] | None, tuple[Bits, ...]]
 
 
 def _prior_terms(ms: ModelSpace) -> _PriorTerms:
     probs = ms.prior.probs
-    return _common_denominator(probs), tuple([_info(p) for p in probs])
+    scaled = _common_denominator(probs)
+    scaled = scaled and (tuple(scaled[0]), scaled[1])  # tuples keep an update hashable
+    return ms, scaled, tuple([_info(p) for p in probs])
 
 
-def _apply(
-    ms: ModelSpace,
-    x: str,
-    row: tuple[Probability, ...],
-    prior_terms: _PriorTerms,
-    infos: dict[int, Bits],
-    exact_row: bool = False,
-) -> ObservationUpdate | None:
-    """Update every model on observation ``x``; None when its evidence is 0.
+class Marginal(NamedTuple):
+    """One observation's likelihood row marginalised against the prior.
 
-    ``infos`` maps the ``id`` of each likelihood value object seen so far
-    to its ``_info``, so a value object shared by many cells and rows
-    takes one log per call; the caller keeps the objects alive while it
-    is in use. ``exact_row`` is as in :func:`_joint_row`. Exact rows take
-    their sign classes from the exact comparison of each likelihood with
-    the evidence; float rows classify the TIC with :func:`classify_tic`.
+    All that KL and both MI paths read: ``P(x)`` as a float
+    (``evidence``) and in bits, and each model's TIC and posterior as
+    :class:`ObservationUpdate` holds them. :meth:`report` adds the report
+    columns from ``likelihood_infos`` and, on exact rows, ``scaled_row``,
+    the row's numerators over one denominator.
     """
-    scaled_prior, prior_infos = prior_terms
-    ev, post_nums, post_den, post_floats, excess = _joint_row(
-        ms.prior.probs, scaled_prior, row, exact_row
+
+    observation: str
+    evidence: float
+    evidence_info: Bits
+    tics: list[Bits]
+    posterior_nums: list[int] | list[float]
+    posterior_den: int
+    posterior_floats: list[float]
+    likelihood_infos: list[Bits]
+    scaled_row: tuple[list[int], int] | None
+    prior: _PriorTerms
+
+    def report(self) -> ObservationUpdate:
+        """The observation's full update: sign classes, posterior bits and exact evidence added."""
+        ms, scaled_prior, prior_infos = self.prior
+        tics = self.tics
+        if self.scaled_row is None:
+            ev = self.evidence
+            signs = [None if prior_i == math.inf else classify_tic(t)  # inf: prior 0
+                     for prior_i, t in zip(prior_infos, tics)]
+        else:
+            (row_nums, row_den), prior_den = self.scaled_row, scaled_prior[1]
+            total = self.posterior_den
+            ev = Fraction(total, prior_den * row_den)
+            # (P(x | theta) - P(x)) * prior_den * row_den: its sign, without rounding
+            excess = [lik * prior_den - total for lik in row_nums]
+            informs, neutral, misleads = SignClass.INFORMS, SignClass.NEUTRAL, SignClass.MISLEADS
+            signs = [None if prior_i == math.inf
+                     else informs if e > 0 else misleads if e < 0 else neutral
+                     for prior_i, e in zip(prior_infos, excess)]
+        return ObservationUpdate(
+            observation=self.observation,
+            models=ms.labels,
+            priors=ms.prior.probs,
+            prior_infos=prior_infos,
+            evidence=ev,
+            evidence_info=self.evidence_info,
+            likelihood_infos=tuple(self.likelihood_infos),
+            tics=tuple(tics),
+            signs=tuple(signs),
+            posterior_nums=tuple(self.posterior_nums),
+            posterior_den=self.posterior_den,
+            posterior_floats=tuple(self.posterior_floats),
+            posterior_infos=tuple(map(operator.sub, prior_infos, tics)),
+            scaled_prior=scaled_prior,
+        )
+
+
+def _marginal(
+    pt: _PriorTerms, x: str, row: tuple[Probability, ...], cache: dict[int, tuple]
+) -> Marginal | None:
+    """Marginalise observation ``x``; None when its evidence is 0.
+
+    ``cache`` maps the ``id`` of each likelihood value object seen so far
+    to its ``_info`` and its integer pair (None for a float), so a value
+    object shared by many cells and rows takes one log and one pair read
+    per command; the caller keeps the objects alive while it is in use.
+    """
+    cells = list(map(cache.get, map(id, row)))
+    if None in cells:  # value objects this command has not seen yet
+        for j, lik in enumerate(row):
+            if cells[j] is None:
+                cell = cache.get(id(lik))
+                if cell is None:
+                    pair = lik.as_integer_ratio() if isinstance(lik, Fraction) else None
+                    cache[id(lik)] = cell = (_info(lik), pair)
+                cells[j] = cell
+    # two passes, not zip(*cells), which makes one iterator object per cell
+    lik_infos, pairs = [info for info, _ in cells], [pair for _, pair in cells]
+    ms, scaled_prior, _ = pt
+    scaled_row = None if scaled_prior is None or None in pairs else _over_lcm(pairs)
+    num, den, post_nums, post_den, post_floats = _joint_row(
+        ms.prior.probs, scaled_prior, row, scaled_row
     )
     if not post_nums:
         return None
+    # P(x) from its unreduced parts: int true division rounds correctly.
     # A float evidence can round a step above 1 (a prior summing to
     # 1 + 2**-52, within FLOAT_SUM_TOL); it is certain, so 0 bits.
-    ev_info = 0.0 if ev > 1 else info_content(ev)
-    lik_infos = []
-    for lik in row:
-        lik_i = infos.get(id(lik))
-        if lik_i is None:
-            infos[id(lik)] = lik_i = _info(lik)
-        lik_infos.append(lik_i)
-    # Whole columns as plain lists: building these tuples from generators
-    # left about 0.6 MiB more resident over a few hundred calls (CPython 3.11).
+    lg = 0.0 if num >= den else _log2_quotient(num, den)
+    ev_info = -lg if lg else 0.0
     tics = [ev_info - lik_i for lik_i in lik_infos]
-    if excess is None:
-        signs = [None if prior_i == math.inf else classify_tic(t)  # inf: prior 0
-                 for prior_i, t in zip(prior_infos, tics)]
-    else:
-        # the sign of P(x | theta) - P(x), decided without rounding
-        informs, neutral, misleads = SignClass.INFORMS, SignClass.NEUTRAL, SignClass.MISLEADS
-        signs = [None if prior_i == math.inf
-                 else informs if e > 0 else misleads if e < 0 else neutral
-                 for prior_i, e in zip(prior_infos, excess)]
-    posterior_infos = list(map(operator.sub, prior_infos, tics))
-    return ObservationUpdate(
-        observation=x,
-        models=ms.labels,
-        priors=ms.prior.probs,
-        prior_infos=prior_infos,
-        evidence=ev,
-        evidence_info=ev_info,
-        likelihood_infos=tuple(lik_infos),
-        tics=tuple(tics),
-        signs=tuple(signs),
-        posterior_nums=tuple(post_nums),
-        posterior_den=post_den,
-        posterior_floats=tuple(post_floats),
-        posterior_infos=tuple(posterior_infos),
-    )
+    return Marginal(x, num / den, ev_info, tics, post_nums, post_den, post_floats, lik_infos,
+                    scaled_row, pt)
 
 
-def _require_possible(u: ObservationUpdate | None, x: str) -> ObservationUpdate:
-    if u is None:
+def update_from(m: Marginal | None, x: str) -> ObservationUpdate:
+    """The update of ``x`` from its marginal ``m``, which is None when ``P(x)`` is 0."""
+    if m is None:
         raise ImpossibleObservationError(
             f"observation {x!r} has zero evidence; cannot condition on it"
         )
-    return u
+    return m.report()
 
 
 def update(ms: ModelSpace, om: ObservationModel, x: str) -> ObservationUpdate:
@@ -388,35 +403,27 @@ def update(ms: ModelSpace, om: ObservationModel, x: str) -> ObservationUpdate:
     read their values from this update; :func:`transfer_report` returns it.
     """
     _check_pairing(ms, om)
-    row = om.likelihood[om._x_index(x)]
-    return _require_possible(_apply(ms, x, row, _prior_terms(ms), {}), x)
+    return update_from(_marginal(_prior_terms(ms), x, om.likelihood[om._x_index(x)], {}), x)
+
+
+def marginals(ms: ModelSpace, om: ObservationModel) -> Iterator[Marginal | None]:
+    """Each observation's :class:`Marginal`, in observation order, one at a time.
+
+    An observation with zero evidence cannot be conditioned on; its entry
+    is None. The prior's terms are worked out once, and each likelihood
+    value object takes one log and one integer pair read.
+    """
+    _check_pairing(ms, om)
+    pt, cache = _prior_terms(ms), {}
+    return (_marginal(pt, x, row, cache) for x, row in zip(om.observation_labels, om.likelihood))
 
 
 def updates(ms: ModelSpace, om: ObservationModel) -> tuple[ObservationUpdate | None, ...]:
-    """The update of every observation, in observation order.
+    """The update of every observation, in observation order; None where the evidence is 0.
 
-    An observation with zero evidence cannot be conditioned on; its
-    entry is None. A command that needs several quantities of the same
-    scenario computes these once and shares them. Whether the whole
-    matrix is exact is decided once, not per row, and each likelihood
-    value object takes one log.
+    :func:`marginals` with the report columns of each.
     """
-    _check_pairing(ms, om)
-    prior_terms, infos, exact = _prior_terms(ms), {}, om.is_exact
-    return tuple([
-        _apply(ms, x, row, prior_terms, infos, exact)
-        for x, row in zip(om.observation_labels, om.likelihood)
-    ])
-
-
-def select_update(
-    us: tuple[ObservationUpdate | None, ...], om: ObservationModel, x: str
-) -> ObservationUpdate:
-    """The update of ``x`` among ``updates(ms, om)``.
-
-    Raises like :func:`update` when ``x`` is unknown or has zero evidence.
-    """
-    return _require_possible(us[om._x_index(x)], x)
+    return tuple([None if m is None else m.report() for m in marginals(ms, om)])
 
 
 def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> ObservationUpdate:

@@ -349,12 +349,15 @@ def _json_at(value: Any, level: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _json_list(items: list[str], level: int) -> str:
-    """The JSON array of the encoded ``items``, laid out as ``indent=2`` lays it ``level`` deep."""
+def _json_list(items: list[str], level: int, brackets: str = "[]") -> str:
+    """The JSON array of the encoded ``items``, laid out as ``indent=2`` lays it ``level`` deep.
+
+    With ``brackets="{}"`` and items ``"key": value``, the JSON object.
+    """
     if not items:
-        return "[]"
+        return brackets
     inner = "\n" + "  " * (level + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
 
 
 def _prob_json(p: Probability) -> str:

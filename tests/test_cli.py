@@ -7,12 +7,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bayesbits import Distribution, cli, core, engine, load_scenario, save_scenario, verify
-from bayesbits.errors import InvariantViolation
+from bayesbits import Distribution, ModelSpace, ObservationModel, Scenario
+from bayesbits import cli, core, engine, load_scenario, save_scenario, verify
+from bayesbits.errors import ImpossibleObservationError, InvariantViolation
 from bayesbits.scenario import MAX_DOORS
 
 from helpers import random_float_scenario
+from random_agreement_sweep import random_scenario
 
 
 @pytest.fixture(scope="module")
@@ -547,6 +551,53 @@ class TestCellFormatters:
         assert cli._csv(value) == csv_cell
         if value == 0.0:
             assert math.copysign(1.0, cli._json(value)) == 1.0
+
+
+# labels that need JSON escapes: a quote, a backslash, a tab, an astral character, a control
+AWKWARD = ['café "A"', "back\\slash", "tab\there", "\U0001F600", "\x01"]
+LABELS = st.lists(st.sampled_from(AWKWARD) | st.text(min_size=1, max_size=6), min_size=8,
+                  max_size=8, unique=True)
+
+
+def json_dumps_report(doc) -> str:
+    """The report as ``json.dumps`` lays it out: the text ``render_json`` must keep."""
+    report = doc.transfer
+    payload = {
+        "scenario": doc.scenario,
+        "observation": report.observation,
+        "evidence": cli._json(report.evidence),
+        "evidence_bits": cli._json(report.evidence_info),
+        "models": [
+            dict(zip(cli.CSV_HEADER, map(cli._json, cli._cells(entry)))) for entry in report.entries
+        ],
+        "kl_bits": cli._json(doc.kl_bits),
+        "mi_bits": cli._json(doc.mi_bits),
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(),
+       name=st.sampled_from(AWKWARD) | st.text(max_size=8), models=LABELS, observations=LABELS)
+def test_json_layout_matches_json_dumps(seed, exact, name, models, observations):
+    rng = random.Random(seed)
+    base = random_scenario(rng, 8, 8) if exact else random_float_scenario(rng)
+    ms, om = base.model_space, base.observation_model
+    n_models, n_obs = len(ms.labels), len(om.observation_labels)
+    scenario = Scenario(
+        name,
+        ModelSpace(Distribution(models[:n_models], ms.prior.probs)),
+        ObservationModel(observations[:n_obs], models[:n_models], om.likelihood),
+    )
+    solved = 0
+    for x in scenario.observation_model.observation_labels:
+        try:
+            doc = cli.build_report(scenario, x)
+        except ImpossibleObservationError:
+            continue
+        solved += 1
+        assert cli.render_json(doc) == json_dumps_report(doc)
+    assert solved > 0
 
 
 def compensated_sum(values, start=0):

@@ -9,9 +9,10 @@ an exact scenario whose values leave the float range or round to 1
 (a ``1/3**700`` prior; posteriors and log-odds ratios within 2**-53 of
 1), an exact scenario that repeats unreduced and decimal strings for one
 value (``"2/8"``, ``"0.25"``, ``"1/4"``; ``"0/1"`` and ``"0"``), a small
-float scenario, and a random float scenario whose sums come out a bit
+float scenario, a random float scenario whose sums come out a bit
 different when floats are added with compensation, as ``sum`` does from
-CPython 3.12 on.
+CPython 3.12 on, and an exact scenario whose name and labels need JSON
+escapes (a quote, a backslash, a tab, non-ASCII and an astral character).
 
 The cases need no pytest to run. To compare them on any interpreter:
 
@@ -34,8 +35,9 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # scenario name -> argv of the `mhp` command that writes it; "floaty",
-# "floatsum", "edge" and "repeats" are committed input files, because no
-# generator makes float scenarios, values this far out or unreduced strings
+# "floatsum", "edge", "repeats" and "labels" are committed input files,
+# because no generator makes float scenarios, values this far out,
+# unreduced strings or labels that need escapes
 SCENARIOS = {
     "traditional": ["mhp", "traditional"],
     "biased": ["mhp", "biased"],
@@ -53,7 +55,7 @@ SCENARIOS = {
         "4015507085/34626525389,3952302726/34626525389,3325084971/34626525389",
     ],
 }
-COMMITTED = ("floaty", "floatsum", "edge", "repeats")
+COMMITTED = ("floaty", "floatsum", "edge", "repeats", "labels")
 FLOAT = ("floaty", "floatsum")
 
 # case name -> (scenario, argv after the scenario path is put in place of
@@ -85,6 +87,13 @@ CASES["custom8-solve-Monty_D8_car-table"] = (
 CASES["biased-solve-Monty_C-table-precision3"] = (
     "biased", ["solve", "{path}", "--observe", "Monty_C", "--precision", "3"], 0
 )
+# the labels would make awkward file names, so these cases are named here
+for _fmt in ("table", "json", "csv"):
+    CASES[f"labels-solve-{_fmt}"] = (
+        "labels", ["solve", "{path}", "--observe", 'x "seen"', "--format", _fmt], 0
+    )
+CASES["labels-mi"] = ("labels", ["mi", "{path}"], 0)
+CASES["labels-verify"] = ("labels", ["verify", "{path}"], 0)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

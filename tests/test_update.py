@@ -9,6 +9,7 @@ number.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from bayesbits import (
     load_scenario,
     mhp_scenario,
     mutual_information,
+    mutual_information_classical,
     save_scenario,
     tic,
     transfer_report,
@@ -162,10 +164,12 @@ def test_mixed_exact_prior_float_likelihood_takes_float_path():
         check_against_formulas(scenario)
 
 
-def test_one_marginalisation_per_observation(monkeypatch):
+def test_one_marginalisation_per_observation(monkeypatch, tmp_path, capsys):
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
     ms, om = scenario.model_space, scenario.observation_model
     n_obs = len(om.observation_labels)
+    path = tmp_path / "custom-12.json"
+    save_scenario(scenario, path)
     calls = 0
     joint_row = engine._joint_row
 
@@ -182,6 +186,79 @@ def test_one_marginalisation_per_observation(monkeypatch):
     calls = 0
     mutual_information(ms, om)
     assert calls <= 2 * n_obs
+    calls = 0
+    build_report(scenario, "Monty_C")  # the printed row too
+    assert calls == n_obs
+    calls = 0
+    assert cli.main(["mi", str(path)]) == 0  # both MI paths
+    assert calls == n_obs
+    capsys.readouterr()
+
+
+def test_solve_builds_report_columns_for_the_printed_observation_only(monkeypatch):
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    built = call_counter(monkeypatch, engine, "ObservationUpdate")
+    report = build_report(scenario, "Monty_D12_car")
+    assert built == [1] and report.transfer.observation == "Monty_D12_car"
+    ms, om = scenario.model_space, scenario.observation_model
+    assert report.transfer == updates(ms, om)[om.observation_labels.index("Monty_D12_car")]
+
+
+def test_mi_builds_no_update(monkeypatch, tmp_path, capsys):
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    path = tmp_path / "custom-12.json"
+    save_scenario(scenario, path)
+    built = call_counter(monkeypatch, engine, "ObservationUpdate")
+    ms, om = scenario.model_space, scenario.observation_model
+    mutual_information(ms, om)
+    mutual_information_classical(ms, om)
+    assert cli.main(["mi", str(path)]) == 0
+    assert "mi_expected_tic_bits: " in capsys.readouterr().out
+    assert built == [0]
+
+
+def test_csv_solve_computes_no_kl_or_mi(monkeypatch, tmp_path, capsys):
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    path = tmp_path / "custom-12.json"
+    save_scenario(scenario, path)
+    argv = ["solve", str(path), "--observe", "Monty_C", "--format", "csv"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("solve --format csv computed a KL or an MI")
+
+    for name in ("kl_from_update", "kl_classical_from_update", "mi_from_kls",
+                 "mi_classical_from_updates", "mi_both_paths", "_posterior_entropy"):
+        monkeypatch.setattr(aggregates, name, refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.fixture(scope="module")
+def forgetful_320():
+    return mhp_scenario(MhpConfig(door_count=320, host_policy=HostPolicy.FORGETFUL))
+
+
+@pytest.mark.parametrize("run", ["table", "json", "csv", "mutual_information"])
+def test_solve_and_mi_hold_one_observation_at_a_time(forgetful_320, run):
+    # 638 observations of 320 models. Holding every observation's update,
+    # as a pass that keeps them all does, peaks at about 24 MiB here.
+    scenario = forgetful_320
+    ms, om = scenario.model_space, scenario.observation_model
+    assert len(om.observation_labels) * len(ms.labels) == 638 * 320
+    render = {"table": lambda doc: cli.render_table(doc, 6), "json": cli.render_json,
+              "csv": cli.render_csv}
+    tracemalloc.start()
+    try:
+        if run == "mutual_information":
+            mutual_information(ms, om)
+        else:
+            render[run](build_report(scenario, "Monty_C", totals=run != "csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_one_oracle_pass_per_observation(monkeypatch):
@@ -366,6 +443,22 @@ def test_equal_value_objects_get_equal_infos():
     u = update(ModelSpace(prior), om, "x")
     assert updates(ModelSpace(prior), om)[0] == u
     assert u.likelihood_infos == (info_content(Fraction(1, 3)),) * 3
+
+
+def test_engine_reads_each_pair_once_per_command(monkeypatch):
+    # One integer pair per prior and one per distinct likelihood value
+    # object, not one per cell (264) or per prior per log-odds row.
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    ms, om = scenario.model_space, scenario.observation_model
+    objects = {id(p) for row in om.likelihood for p in row}
+    bound = len(ms.labels) + len(objects)
+    assert bound == 12 + 2
+    pairs = call_counter(monkeypatch, Fraction, "as_integer_ratio")
+    rows = [u.log_odds_updates() for u in updates(ms, om) if u is not None]
+    assert len(rows) == 22 and 0 < pairs[0] <= bound
+    pairs[0] = 0
+    build_report(scenario, "Monty_C")
+    assert 0 < pairs[0] <= bound
 
 
 def test_oracle_reads_each_prior_pair_once_per_table(monkeypatch):
