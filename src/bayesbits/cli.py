@@ -19,11 +19,11 @@ observation, 4 verification failure.
 A process loads only what its subcommand runs: ``engine`` and
 ``aggregates`` are imported by ``solve``, ``kl``, ``mi`` and ``verify``,
 ``verify`` (with the oracle) by ``verify`` alone, and ``csv`` by CSV
-output. When argv's first word names a subcommand, its parser holds that
-subparser alone. Keep new work out of module level. ``solve`` folds each
-observation into the MI and drops it, and builds report columns for the
-printed one alone; with ``--format csv`` it computes no KL or MI. ``mi``
-builds no update.
+output. A first word that names a subcommand gets a parser of its own
+arguments; other argv, or a word it leaves, get the full parser. Keep new
+work out of module level. ``solve`` folds each observation into the MI
+and drops it, and builds report columns for the printed one alone; with
+``--format csv`` it computes no KL or MI. ``mi`` builds no update.
 """
 
 from __future__ import annotations
@@ -374,22 +374,35 @@ _COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[str, dict[str, An
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: the subparser of ``command`` alone if it names one,
-    under the full parser's usage line; else all five subparsers."""
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Give ``parser`` the arguments and the handler of ``command``."""
+    for arg, options in _COMMANDS[command][2]:
+        parser.add_argument(arg, **options)
+    parser.set_defaults(func=_COMMANDS[command][1])
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser, with all five subparsers: top-level help and errors."""
     parser = argparse.ArgumentParser(
         prog="bayesbits",
         description="Discrete Bayesian inference in information space.",
     )
-    commands = {command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(commands) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (summary, func, arguments) in commands.items():
-        p = sub.add_parser(name, help=summary)
-        for arg, options in arguments:
-            p.add_argument(arg, **options)
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` parsed as :func:`build_parser` parses it, by a parser of the
+    subcommand its first word names unless that parser leaves a word over."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"bayesbits {argv[0]}")
+        _add_arguments(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -399,11 +412,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # so "bayesbits -- verify f" runs verify on every Python: argparse
         # of 3.13.0 and earlier takes the "--" itself for the command
         argv = argv[1:]
-    # argparse always runs a first word that names a subcommand; any other
-    # argv gets the full parser, which prints top-level help and errors
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

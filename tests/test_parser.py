@@ -1,23 +1,25 @@
-"""The CLI builds only the subparser of the subcommand it runs.
+"""The CLI parses a subcommand's argv with a parser of that subcommand alone.
 
-``cli.main`` passes the first word of its argv to
-``cli.build_parser(command)``. When that word names a subcommand, the
-parser holds that one subparser, with its arguments and its ``-h``, and
-its subcommand metavar spells out all five names, so the usage line of
-an error argparse prints after dispatch keeps its bytes. argparse always
-dispatches a first word that names a subcommand; every other argv gets
-the full parser, which prints top-level help and the "invalid choice",
-"required" and "unrecognized arguments" errors.
+When the first word of its argv names a subcommand, ``cli.parse_args``
+builds one ``ArgumentParser(prog="bayesbits <command>")`` with that
+command's arguments and its ``-h``, and parses the rest of argv with
+``parse_known_args``. A word it leaves over sends argv to the full parser
+of ``cli.build_parser()``, which prints the "unrecognized arguments"
+error under the top-level usage line. Every other argv gets the full
+parser too: top-level help, no command, an unknown command, an option
+before the command.
 
 Each case in CORPUS must give the same exit code, stdout and stderr as a
-run with the full parser, and the exit code the case names; a case in
-SAME_AS must also give what its twin gives. Help and usage text wrap to
-the terminal width, so every run sets ``COLUMNS=80``. argparse words its
-messages a little differently on each Python, which is why the corpus
-compares two runs rather than committed text. The parser work of a call
-is pinned too: ``main`` on a subcommand builds 2 parsers with at most 6
-argparse ``gettext`` calls, and ``build_parser()`` builds 6 parsers with
-22 ``add_argument`` calls.
+reference run whose ``cli.parse_args`` is ``build_parser().parse_args``
+(a run that fails unless it built the full parser's 6 parsers), and the
+exit code the case names; a case in SAME_AS must also give what its twin
+gives. Help and usage text wrap to the terminal width, so every run sets
+``COLUMNS=80``. argparse words its messages a little differently on each
+Python, which is why the corpus compares two runs rather than committed
+text. The parser work of a call is pinned too: ``main`` on a subcommand
+builds 1 parser with at most 3 argparse ``gettext`` calls, an argv with
+a word left over builds 1 + 6, and ``build_parser()`` builds 6 parsers
+with 22 ``add_argument`` calls.
 
 The corpus and the work counts need no pytest to run. To check them on
 any interpreter:
@@ -89,6 +91,23 @@ CORPUS: dict[str, tuple[list[str], int]] = {
     "kl": (["kl", "{path}", "--observe", "x", "--precision", "3"], 0),
     "mi": (["mi", "{path}"], 0),
     "verify": (["verify", "{path}"], 0),
+    # what the subcommand's own parser leaves over goes to the full parser
+    "mhp-unknown-option": (["mhp", "traditional", "--zzz"], 2),
+    "mhp-extra-positional": (["mhp", "traditional", "extra"], 2),
+    "solve-unknown-option": (["solve", "{path}", "--observe", "z", "--zzz"], 2),
+    "solve-extra-positional": (["solve", "{path}", "--observe", "z", "extra"], 2),
+    "kl-unknown-option": (["kl", "{path}", "--observe", "x", "--zzz"], 2),
+    "kl-extra-positional": (["kl", "{path}", "extra", "--observe", "x"], 2),
+    "mi-extra-positional": (["mi", "{path}", "extra"], 2),
+    "verify-unknown-option": (["verify", "{path}", "--zzz"], 2),
+    "verify-with-observe": (["verify", "{path}", "--observe", "x"], 2),
+    "mi-with-format": (["mi", "{path}", "--format", "csv"], 2),
+    "unknown-option-then-help": (["solve", "{path}", "--zzz", "-h"], 0),
+    # "--o" abbreviates --observe alone; "--p" could be three mhp options
+    "abbreviated-observe": (["solve", "{path}", "--o", "z"], 0),
+    "ambiguous-option": (["mhp", "custom-3", "--p", "B"], 2),
+    "format-with-equals": (["solve", "{path}", "--format=csv"], 2),
+    "two-double-dashes": (["verify", "--", "--", "{path}"], 2),
 }
 
 # case -> the case whose exit code, stdout and stderr it must repeat
@@ -97,25 +116,34 @@ SAME_AS = {"double-dash": "verify"}
 
 def run_cli(argv: list[str] | None, full: bool = False) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``cli.main(argv)``; with ``full``,
-    its parser is the full one of ``build_parser()``."""
+    ``main`` takes its namespace from the full parser of ``build_parser()``."""
     from bayesbits import cli
 
-    build = cli.build_parser
+    parse = cli.parse_args
     out, err = io.StringIO(), io.StringIO()
     if full:
-        cli.build_parser = lambda command=None: build()
+        cli.parse_args = lambda argv: cli.build_parser().parse_args(argv)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:
-        cli.build_parser = build
+        cli.parse_args = parse
     return code, out.getvalue(), err.getvalue()
 
 
-# case -> most add_argument calls main makes on it: one -h for the
-# top-level parser and one for the command's subparser, then the
-# command's own arguments
-MOST_ARGUMENTS = {"verify": 3, "solve": 6, "mhp": 8}
+def full_parser_run(argv: list[str]) -> tuple[int, str, str]:
+    """``run_cli(argv, full=True)``; AssertionError unless that run built
+    the 6 parsers of the full parser."""
+    ran = []
+    work = count_parser_work(lambda: ran.append(run_cli(argv, full=True)))
+    if work["parsers"] != 6:
+        raise AssertionError(f"the reference run of {argv} built {dict(work)}")
+    return ran[0]
+
+
+# case -> most add_argument calls main makes on it: the command's own
+# arguments, then its -h
+MOST_ARGUMENTS = {"verify": 2, "solve": 5, "mhp": 7}
 
 # what count_parser_work counts -> (owner, attribute) it wraps
 COUNTED = {
@@ -149,14 +177,24 @@ def count_parser_work(call: Callable[[], object]) -> Counter:
 
 
 def main_work_problem(case: str, most: int) -> str | None:
-    """None if ``main`` on ``case`` succeeds with 2 parsers, at most 6
+    """None if ``main`` on ``case`` succeeds with 1 parser, at most 3
     ``gettext`` and at most ``most`` ``add_argument`` calls; else what it did."""
     codes = []
     work = count_parser_work(lambda: codes.append(run_cli(case_argv(case))[0]))
-    if codes == [0] and work["parsers"] == 2:
-        if work["gettext"] <= 6 and work["add_argument"] <= most:
+    if codes == [0] and work["parsers"] == 1:
+        if work["gettext"] <= 3 and work["add_argument"] <= most:
             return None
     return f"{case}: exit {codes}, {dict(work)}"
+
+
+def leftover_work_problem() -> str | None:
+    """None if ``main`` on an argv with a word left over builds the
+    subcommand's parser and then the full parser's 6; else what it did."""
+    codes = []
+    work = count_parser_work(lambda: codes.append(run_cli(case_argv("extra-positional"))[0]))
+    if codes == [2] and work["parsers"] == 1 + 6:
+        return None
+    return f"extra-positional: exit {codes}, {dict(work)}"
 
 
 def full_work_problem() -> str | None:
@@ -173,7 +211,8 @@ def full_work_problem() -> str | None:
 def work_problems() -> list[str]:
     """Every broken parser work bound, in the order the checks run."""
     found = [main_work_problem(case, most) for case, most in MOST_ARGUMENTS.items()]
-    return [problem for problem in [*found, full_work_problem()] if problem is not None]
+    found += [leftover_work_problem(), full_work_problem()]
+    return [problem for problem in found if problem is not None]
 
 
 def case_argv(case: str) -> list[str]:
@@ -185,7 +224,7 @@ def case_differs(case: str) -> bool:
     ran = run_cli(argv)
     if case in SAME_AS and ran != run_cli(case_argv(SAME_AS[case])):
         return True
-    return ran[0] != CORPUS[case][1] or ran != run_cli(argv, full=True)
+    return ran[0] != CORPUS[case][1] or ran != full_parser_run(argv)
 
 
 if __name__ != "__main__":  # collected by pytest; the script below runs without it
@@ -197,19 +236,19 @@ if __name__ != "__main__":  # collected by pytest; the script below runs without
 
     @pytest.mark.parametrize("case", sorted(CORPUS))
     def test_same_output_as_the_full_parser(case):
-        argv = case_argv(case)
-        ran = run_cli(argv)
-        assert ran[0] == CORPUS[case][1]
-        assert ran == run_cli(argv, full=True)
+        assert not case_differs(case)
 
     @pytest.mark.parametrize("case", sorted(SAME_AS))
     def test_same_output_as_its_twin(case):
         assert run_cli(case_argv(case)) == run_cli(case_argv(SAME_AS[case]))
 
-    # 2 parsers and at most 6 gettext calls as well
+    # 1 parser and at most 3 gettext calls as well
     @pytest.mark.parametrize("case, most", MOST_ARGUMENTS.items())
     def test_main_adds_only_its_arguments(case, most):
         assert main_work_problem(case, most) is None
+
+    def test_a_word_left_over_builds_the_full_parser():
+        assert leftover_work_problem() is None
 
     def test_build_parser_without_command_is_full():
         assert full_work_problem() is None
@@ -241,7 +280,7 @@ def main(argv: list[str]) -> int:
         print(f"differs: {case}")
     for problem in problems:
         print(f"work: {problem}")
-    counts = len(MOST_ARGUMENTS) + 1
+    counts = len(MOST_ARGUMENTS) + 2
     print(
         f"{len(CORPUS) - len(failed)} of {len(CORPUS)} parser cases match and "
         f"{counts - len(problems)} of {counts} work counts hold on Python {python}"
