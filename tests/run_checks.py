@@ -1,8 +1,8 @@
 """Run the ``--check`` entries of the test suites under several interpreters.
 
-The golden, parser and start-up suites each run without pytest as
-``<python> tests/<suite>.py --check``. This script runs all three under
-every interpreter it is given, prints one line per suite and
+The golden, parser, start-up and verify-table suites each run without
+pytest as ``<python> tests/<suite>.py --check``. This script runs all
+four under every interpreter it is given, prints one line per suite and
 interpreter, and exits 1 if any check fails:
 
     python3 tests/run_checks.py ~/.pyenv/versions/3.10.13/bin/python python3.13
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-SUITES = ("test_golden.py", "test_parser.py", "test_startup.py")
+SUITES = ("test_golden.py", "test_parser.py", "test_startup.py", "test_verify_table.py")
 
 
 def run_suite(python: str, suite: str) -> tuple[bool, str]:

@@ -1,0 +1,134 @@
+"""``verify``'s result, pinned bit for bit on a fixed corpus of exact scenarios.
+
+Each case's line in ``tests/golden/verify-table.txt`` holds its name, the
+comparison count and ``repr`` of the maximum deviation in bits that
+``verify_scenario`` returns. The corpus:
+
+* the first 64 scenarios of ``scripts/random_agreement_sweep.py`` at its
+  default seed (up to 8 models and 8 observations). They hold zero
+  priors, zero likelihoods and observations that every model with a
+  prior rules out, which :func:`corpus_gaps` checks;
+* the 14- and 16-door games with the standard and the forgetful host,
+  each with a prior of random weights over their 36-bit sum, the shape
+  of the benchmark's wide priors.
+
+A rewrite of the engine, the oracle or the check must reproduce every
+line. The cases need no pytest to run. To compare them on any
+interpreter:
+
+    python3 tests/test_verify_table.py --check
+
+After a deliberate change of ``verify``'s result, regenerate the table
+with
+
+    python3 tests/test_verify_table.py
+
+and review the diff before committing it.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+TABLE = TESTS / "golden" / "verify-table.txt"
+SWEEP_SEED = 20260819  # random_agreement_sweep.py's default
+SWEEP_CASES = 64
+PRIOR_SEED = 20261019
+GAMES = [(n, policy) for n in (14, 16) for policy in ("standard", "forgetful")]
+
+
+def scenarios() -> dict:
+    """Every case of the corpus, by name, in table order."""
+    from bayesbits import Distribution, HostPolicy, MhpConfig, mhp_scenario
+    from bayesbits.scenario import door_labels
+    from random_agreement_sweep import random_scenario
+
+    rng = random.Random(SWEEP_SEED)
+    cases = {f"random-{i:02d}": random_scenario(rng, 8, 8) for i in range(SWEEP_CASES)}
+    rng = random.Random(PRIOR_SEED)
+    for n, policy in GAMES:
+        weights = [rng.randint(1, 2**32) for _ in range(n)]
+        prior = Distribution(door_labels(n), [Fraction(w, sum(weights)) for w in weights])
+        cfg = MhpConfig(door_count=n, prior=prior, host_policy=HostPolicy(policy))
+        cases[f"custom{n}-{policy}"] = mhp_scenario(cfg)
+    return cases
+
+
+def verify_line(name: str, scenario) -> str:
+    """The table line of one case: its name, comparison count and ``repr`` of its deviation."""
+    from bayesbits.verify import verify_scenario
+
+    max_dev, checks = verify_scenario(scenario)
+    return f"{name} {checks} {max_dev!r}"
+
+
+def pinned() -> dict[str, str]:
+    """The committed line of each case, by name."""
+    lines = TABLE.read_text(encoding="utf-8").splitlines()
+    return {line.split(" ", 1)[0]: line for line in lines}
+
+
+def differing(cases: dict) -> list[str]:
+    """The cases whose line differs from the committed table, and cases missing from either."""
+    table = pinned()
+    found = [name for name, s in cases.items() if table.get(name) != verify_line(name, s)]
+    return found + sorted(set(table) - set(cases))
+
+
+def corpus_gaps(cases: dict) -> list[str]:
+    """Each edge case the random scenarios fail to reach."""
+    zero_prior = zero_likelihood = impossible = False
+    for name, s in cases.items():
+        if not name.startswith("random-"):
+            continue
+        prior, rows = s.model_space.prior.probs, s.observation_model.likelihood
+        zero_prior |= 0 in prior
+        zero_likelihood |= any(0 in row for row in rows)
+        impossible |= any(all(p * lik == 0 for p, lik in zip(prior, row)) for row in rows)
+    gaps = {"a zero prior": zero_prior, "a zero likelihood": zero_likelihood,
+            "an impossible observation": impossible}
+    return [gap for gap, reached in gaps.items() if not reached]
+
+
+if __name__ != "__main__":  # collected by pytest; the script below runs without it
+    import pytest
+
+    @pytest.fixture(scope="module")
+    def cases():
+        return scenarios()
+
+    def test_verify_matches_the_table(cases):
+        assert differing(cases) == []
+
+    def test_random_cases_reach_every_edge(cases):
+        assert corpus_gaps(cases) == []
+
+
+def main(argv: list[str]) -> int:
+    """Compare every case with the table (``--check``), or rewrite the table."""
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: python3 tests/test_verify_table.py [--check]", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS.parent / "scripts")]
+    cases = scenarios()
+    if not check:
+        TABLE.write_text("".join(f"{verify_line(n, s)}\n" for n, s in cases.items()), "utf-8")
+        print(f"wrote {len(cases)} verify lines to {TABLE}")
+        return 0
+    failed, gaps = differing(cases), corpus_gaps(cases)
+    python = ".".join(map(str, sys.version_info[:3]))
+    for name in failed:
+        print(f"differs: {name}")
+    for gap in gaps:
+        print(f"corpus: no random case has {gap}")
+    print(f"{len(cases) - len(failed)} of {len(cases)} verify lines match on Python {python}")
+    return 1 if failed or gaps else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
