@@ -55,14 +55,25 @@ def kl_classical(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
     return kl_classical_from_update(update(ms, om, x))
 
 
-def kl_classical_from_update(u: ObservationUpdate) -> Bits:
+def kl_classical_from_update(u: Marginal | ObservationUpdate) -> Bits:
     """:func:`kl_classical` of an observation already applied."""
-    value, den = 0.0, u.posterior_den
+    return kl_classical_and_entropy(u)[0]
+
+
+def kl_classical_and_entropy(u: Marginal | ObservationUpdate) -> tuple[Bits, Bits]:
+    """:func:`kl_classical_from_update` and the posterior entropy, from one log per cell.
+
+    The MI paths, which need no classical KL, take the entropy alone from
+    :func:`_posterior_entropy`.
+    """
+    kl = h = 0.0
+    den = u.posterior_den
     for num, post, prior_i in zip(u.posterior_nums, u.posterior_floats, u.prior_infos):
         if num != 0:
-            # prior_i - info(posterior), the posterior's log from its exact parts
-            value += post * (prior_i + _log2_quotient(num, den))
-    return value
+            lg = _log2_quotient(num, den)  # -info(posterior), from its exact parts
+            kl += post * (prior_i + lg)
+            h -= post * lg
+    return kl, h
 
 
 def mutual_information(ms: ModelSpace, om: ObservationModel) -> Bits:
@@ -100,7 +111,16 @@ def mi_classical_from_updates(
     prior: Distribution, us: Iterable[Marginal | ObservationUpdate | None]
 ) -> Bits:
     """:func:`mutual_information_classical` from the marginal or update of every observation."""
-    terms = ((u.evidence, _posterior_entropy(u)) for u in us if u is not None)
+    return mi_classical_from_entropies(
+        prior, ((u.evidence, _posterior_entropy(u)) for u in us if u is not None)
+    )
+
+
+def mi_classical_from_entropies(
+    prior: Distribution, terms: Iterable[tuple[Probability, Bits]]
+) -> Bits:
+    """:func:`mutual_information_classical` from each possible observation's
+    evidence and posterior entropy, in observation order."""
     return entropy(prior) - mi_from_kls(terms)
 
 
@@ -113,4 +133,4 @@ def mi_both_paths(ms: ModelSpace, om: ObservationModel) -> tuple[Bits, Bits]:
     terms = [(m.evidence, kl_from_update(m), _posterior_entropy(m))
              for m in marginals(ms, om) if m is not None]
     return (mi_from_kls([(ev, kl) for ev, kl, _ in terms]),
-            entropy(ms.prior) - mi_from_kls([(ev, h) for ev, _, h in terms]))
+            mi_classical_from_entropies(ms.prior, [(ev, h) for ev, _, h in terms]))

@@ -193,10 +193,11 @@ class ObservationUpdate(NamedTuple):
     ``posterior_nums[j] / posterior_den``: unreduced integers on exact
     rows, the float over 1 on float rows. ``posterior_floats`` holds their
     correctly rounded floats; ``posteriors`` builds the values, exact on
-    exact rows, on each access. ``scaled_prior`` is the prior's numerators
-    over one denominator, None unless all are Fractions. ``entries`` lays
-    the same values out as a transfer report, one :class:`ModelTransfer`
-    row per model.
+    exact rows, on each access. ``scaled_prior`` and ``scaled_row`` are the
+    prior's and the likelihood row's numerators, each over one
+    denominator, None unless the row is exact. ``entries`` lays the same
+    values out as a transfer report, one :class:`ModelTransfer` row per
+    model.
     """
 
     observation: str
@@ -213,6 +214,7 @@ class ObservationUpdate(NamedTuple):
     posterior_floats: tuple[float, ...]
     posterior_infos: tuple[Bits, ...]
     scaled_prior: tuple[tuple[int, ...], int] | None
+    scaled_row: tuple[tuple[int, ...], int] | None
 
     @property
     def posteriors(self) -> tuple[Probability, ...]:
@@ -261,22 +263,28 @@ class ObservationUpdate(NamedTuple):
         return bits
 
     def log_odds_updates(self) -> list[Bits | None]:
-        """:meth:`local_transfer_entropy` of every model, None where the prior is 0.
+        """:meth:`local_transfer_entropy` of every model, None where the prior is 0."""
+        return _log_odds_updates(self)
 
-        On exact rows each ratio is taken from integer parts, with the
-        prior's over one denominator: no Fraction division, no pair read.
-        """
-        nums, den, signs = self.posterior_nums, self.posterior_den, self.signs
-        if not isinstance(self.evidence, Fraction):
-            return [None if sign is None else -math.inf if num == 0 else _log2_positive(num / p)
-                    for num, p, sign in zip(nums, self.priors, signs)]
-        prior_nums, prior_den = self.scaled_prior
-        return [
-            None if sign is None
-            else -math.inf if num == 0
-            else _log2_quotient(num * prior_den, den * prior_num)
-            for num, prior_num, sign in zip(nums, prior_nums, signs)
-        ]
+
+def _log_odds_updates(u: ObservationUpdate | Marginal) -> list[Bits | None]:
+    """Each model's log-odds update ``log2(P(theta | x) / P(theta))``, None where the prior is 0.
+
+    On exact rows the ratio equals ``P(x | theta) / P(x)``: the model's
+    numerator in the scaled row times the prior's denominator, over the
+    joints' total, with no Fraction division and no pair read. Its float
+    depends on the rational alone, so each distinct numerator in the row
+    takes one log.
+    """
+    if u.scaled_row is None:
+        return [None if prior_i == math.inf else -math.inf if num == 0 else _log2_positive(num / p)
+                for num, p, prior_i in zip(u.posterior_nums, u.priors, u.prior_infos)]
+    scale, total, row_nums = u.scaled_prior[1], u.posterior_den, u.scaled_row[0]
+    logs = {lik: _log2_quotient(lik * scale, total) if lik else -math.inf for lik in set(row_nums)}
+    row: list[Bits | None] = list(map(logs.__getitem__, row_nums))
+    if math.inf in u.prior_infos:  # a prior of 0
+        return [None if prior_i == math.inf else bits for bits, prior_i in zip(row, u.prior_infos)]
+    return row
 
 
 # What every observation reuses of the prior, worked out once per command:
@@ -295,11 +303,12 @@ def _prior_terms(ms: ModelSpace) -> _PriorTerms:
 class Marginal(NamedTuple):
     """One observation's likelihood row marginalised against the prior.
 
-    All that KL and both MI paths read: ``P(x)`` as a float
+    All that KL, both MI paths and ``verify`` read: ``P(x)`` as a float
     (``evidence``) and in bits, and each model's TIC and posterior as
     :class:`ObservationUpdate` holds them. :meth:`report` adds the report
     columns from ``likelihood_infos`` and, on exact rows, ``scaled_row``,
-    the row's numerators over one denominator.
+    the row's numerators over one denominator. The prior's columns are
+    read from ``prior``, shared by every observation of a command.
     """
 
     observation: str
@@ -312,6 +321,27 @@ class Marginal(NamedTuple):
     likelihood_infos: list[Bits]
     scaled_row: tuple[list[int], int] | None
     prior: _PriorTerms
+
+    @property
+    def priors(self) -> tuple[Probability, ...]:
+        return self.prior[0].prior.probs
+
+    @property
+    def scaled_prior(self) -> tuple[tuple[int, ...], int] | None:
+        return self.prior[1]
+
+    @property
+    def prior_infos(self) -> tuple[Bits, ...]:
+        return self.prior[2]
+
+    @property
+    def posterior_infos(self) -> list[Bits]:
+        """Each model's posterior information content, ``prior_info - tic``."""
+        return list(map(operator.sub, self.prior[2], self.tics))
+
+    def log_odds_updates(self) -> list[Bits | None]:
+        """The update's :meth:`ObservationUpdate.log_odds_updates`, with no report built."""
+        return _log_odds_updates(self)
 
     def report(self) -> ObservationUpdate:
         """The observation's full update: sign classes, posterior bits and exact evidence added."""
@@ -344,8 +374,9 @@ class Marginal(NamedTuple):
             posterior_nums=tuple(self.posterior_nums),
             posterior_den=self.posterior_den,
             posterior_floats=tuple(self.posterior_floats),
-            posterior_infos=tuple(map(operator.sub, prior_infos, tics)),
+            posterior_infos=tuple(self.posterior_infos),
             scaled_prior=scaled_prior,
+            scaled_row=self.scaled_row and (tuple(self.scaled_row[0]), self.scaled_row[1]),
         )
 
 

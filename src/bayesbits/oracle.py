@@ -14,8 +14,9 @@ than silently rounded.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ExactnessError, ImpossibleObservationError, InvariantViolation
 from .record import Record
@@ -29,55 +30,139 @@ __all__ = [
     "oracle_metrics",
     "oracle_mi",
     "oracle_mi_from_metrics",
+    "oracle_mi_from_terms",
+    "scenario_metrics",
 ]
+
+# An exact prior as its numerators and its denominators, in model order
+_Prior = tuple[list[int], list[int]]
+
+
+def _prior_parts(probs: Iterable[Fraction]) -> _Prior:
+    pairs = [p.as_integer_ratio() for p in probs]
+    return [n for n, _ in pairs], [d for _, d in pairs]
 
 
 def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     # The fractions n/d as numerators over their least common denominator,
     # so that they sum as integers: no gcd per value.
-    den = math.lcm(*[d for _, d in pairs])
+    den = math.lcm(*{d for _, d in pairs})
     return [n * (den // d) for n, d in pairs], den
+
+
+def _joints(prior: _Prior, liks: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """One observation's joint cells ``P(theta) * P(x | theta)``, in model
+    order, as numerators over their least common denominator."""
+    prior_nums, prior_dens = prior
+    dens = list(map(operator.mul, prior_dens, [d for _, d in liks]))
+    den = math.lcm(*(distinct := set(dens)))
+    scale = {d: den // d for d in distinct}
+    nums = map(operator.mul, prior_nums, [n for n, _ in liks])
+    return list(map(operator.mul, nums, map(scale.__getitem__, dens))), den
 
 
 class JointOutcomeTable(Record):
     """Exhaustive P(model, observation) enumeration, exact throughout.
 
-    Cells are unreduced (numerator, denominator) pairs; :meth:`joint` and
-    :meth:`evidence` build Fractions on each call.
+    The table keeps each observation's likelihoods as reduced integer
+    pairs, one pair per distinct value object, shared by every cell that
+    holds it. :meth:`joint` and :meth:`evidence` multiply out the cells
+    and build Fractions on each call.
     """
 
-    __slots__ = _fields = ("model_labels", "observation_labels", "prior", "_cells")
-    _hidden = ("_cells",)
+    __slots__ = _fields = ("model_labels", "observation_labels", "prior", "_likelihoods")
+    _hidden = ("_likelihoods",)
     model_labels: tuple[str, ...]
     observation_labels: tuple[str, ...]
     prior: tuple[Fraction, ...]
-    # observation -> the joint cell of each model, in model order
-    _cells: dict[str, list[tuple[int, int]]]
+    # observation -> the likelihood pair of each model, in model order
+    _likelihoods: dict[str, list[tuple[int, int]]]
 
     def __init__(
         self,
         model_labels: tuple[str, ...],
         observation_labels: tuple[str, ...],
         prior: tuple[Fraction, ...],
-        _cells: dict[str, list[tuple[int, int]]],
+        _likelihoods: dict[str, list[tuple[int, int]]],
     ) -> None:
         self._set(
             model_labels=model_labels,
             observation_labels=observation_labels,
             prior=prior,
-            _cells=_cells,
+            _likelihoods=_likelihoods,
         )
 
     def joint(self, model: str, observation: str) -> Fraction:
-        if model not in self.model_labels or observation not in self._cells:
+        if model not in self.model_labels or observation not in self._likelihoods:
             raise KeyError(f"no joint cell for ({model!r}, {observation!r})")
-        return Fraction(*self._cells[observation][self.model_labels.index(model)])
+        j = self.model_labels.index(model)
+        p_num, p_den = self.prior[j].as_integer_ratio()
+        l_num, l_den = self._likelihoods[observation][j]
+        return Fraction(p_num * l_num, p_den * l_den)
 
     def evidence(self, observation: str) -> Fraction:
         if observation not in self.observation_labels:
             raise KeyError(f"unknown observation {observation!r}")
-        nums, den = _over_lcm(self._cells[observation])
-        return Fraction(sum(nums), den)
+        joints, den = _joints(_prior_parts(self.prior), self._likelihoods[observation])
+        return Fraction(sum(joints), den)
+
+
+def _exact_prior(scenario: Scenario) -> _Prior:
+    """The scenario's prior as integers; ``ExactnessError`` unless the scenario is exact."""
+    if not scenario.is_exact:
+        raise ExactnessError(
+            f"scenario {scenario.name!r} contains float probabilities; "
+            "the oracle requires exact rationals"
+        )
+    return _prior_parts(scenario.model_space.prior.probs)
+
+
+def _rows(scenario: Scenario, prior: _Prior) -> Iterator[tuple[str, list[tuple[int, int]]]]:
+    """Each observation with its likelihoods as reduced integer pairs, in order.
+
+    Each likelihood value object's pair is read once, found by its id (the
+    scenario keeps every object alive), and every cell holding the object
+    shares it. Meanwhile each model's likelihoods are summed as integers
+    over the least common denominator of those seen so far. After the last
+    observation the sums give each model's marginal, its prior times that
+    sum, and the table is checked as a joint distribution: its cells total
+    exactly 1 and each marginal equals the prior exactly.
+    """
+    om = scenario.observation_model
+    pairs: dict[int, tuple[int, int]] = {}
+    scaled: dict[int, int] = {}  # id of a value object -> its numerator over den
+    den = 1
+    sums = [0] * len(prior[0])
+    for x, row in zip(om.observation_labels, om.likelihood):
+        ids = list(map(id, row))
+        if None in map(pairs.get, ids):  # value objects not seen yet
+            for key, lik in zip(ids, row):
+                if key not in pairs:
+                    pairs[key] = (num, lik_den) = lik.as_integer_ratio()
+                    if den % lik_den:
+                        factor = math.lcm(den, lik_den) // den
+                        den *= factor
+                        sums = [s * factor for s in sums]
+                        scaled = {k: n * factor for k, n in scaled.items()}
+                    scaled[key] = num * (den // lik_den)
+        sums = list(map(operator.add, sums, map(scaled.__getitem__, ids)))
+        yield x, list(map(pairs.__getitem__, ids))
+    prior_nums, prior_dens = prior
+    marginals = list(zip(map(operator.mul, prior_nums, sums), [d * den for d in prior_dens]))
+    nums, total_den = _over_lcm(marginals)
+    if (total := sum(nums)) != total_den:
+        raise InvariantViolation(
+            f"joint table sums to {Fraction(total, total_den)}, expected exactly 1"
+        )
+    probs = scenario.model_space.prior.probs
+    for theta, (num, m_den), p_num, p_den, p in zip(
+        om.model_labels, marginals, prior_nums, prior_dens, probs
+    ):
+        if num * p_den != m_den * p_num:
+            marginal = Fraction(num, m_den)
+            raise InvariantViolation(
+                f"joint marginal for model {theta!r} is {marginal}, expected the prior {p}"
+            )
 
 
 def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
@@ -87,41 +172,13 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
     table is a genuine joint distribution: cells total exactly 1 and the
     per-model marginals reproduce the prior exactly.
     """
-    if not scenario.is_exact:
-        raise ExactnessError(
-            f"scenario {scenario.name!r} contains float probabilities; "
-            "the oracle requires exact rationals"
-        )
-    ms = scenario.model_space
+    likelihoods = dict(_rows(scenario, _exact_prior(scenario)))
     om = scenario.observation_model
-    prior = ms.prior.probs  # Fractions: the scenario is exact
-    parts = [p.as_integer_ratio() for p in prior]
-    # one integer pair per distinct likelihood value object, found by its
-    # id; the scenario keeps every object alive
-    pairs: dict[int, tuple[int, int]] = {}
-    cells: dict[str, list[tuple[int, int]]] = {}
-    for x, row in zip(om.observation_labels, om.likelihood):
-        cells[x] = row_cells = []
-        for (num, den), lik in zip(parts, row):
-            pair = pairs.get(id(lik))
-            if pair is None:
-                pairs[id(lik)] = pair = lik.as_integer_ratio()
-            row_cells.append((num * pair[0], den * pair[1]))
-    marginals = [(sum(nums), den) for nums, den in map(_over_lcm, zip(*cells.values()))]
-    nums, den = _over_lcm(marginals)
-    if (total := sum(nums)) != den:
-        raise InvariantViolation(f"joint table sums to {Fraction(total, den)}, expected exactly 1")
-    for theta, (num, den), (p_num, p_den), p in zip(om.model_labels, marginals, parts, prior):
-        if num * p_den != den * p_num:
-            marginal = Fraction(num, den)
-            raise InvariantViolation(
-                f"joint marginal for model {theta!r} is {marginal}, expected the prior {p}"
-            )
     return JointOutcomeTable(
         model_labels=tuple(om.model_labels),
         observation_labels=tuple(om.observation_labels),
-        prior=prior,
-        _cells=cells,
+        prior=scenario.model_space.prior.probs,
+        _likelihoods=likelihoods,
     )
 
 
@@ -157,7 +214,8 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
     """
     if observation not in table.observation_labels:
         raise KeyError(f"unknown observation {observation!r}")
-    metrics = _metrics(table, observation, [p.as_integer_ratio() for p in table.prior])
+    metrics = _metrics(observation, table.model_labels, _prior_parts(table.prior),
+                       table._likelihoods[observation])
     if metrics is None:
         raise ImpossibleObservationError(
             f"observation {observation!r} has zero probability under the prior"
@@ -166,69 +224,81 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
 
 
 def _metrics(
-    table: JointOutcomeTable, observation: str, prior_pairs: list[tuple[int, int]]
+    observation: str, models: tuple[str, ...], prior: _Prior, liks: Sequence[tuple[int, int]]
 ) -> OracleMetrics | None:
-    """:func:`oracle_metrics` of a known observation; None when it has zero evidence.
+    """The oracle's one kernel: :func:`oracle_metrics` of an observation; None at evidence 0.
 
-    ``prior_pairs`` holds the integer pair of each prior. Over the least
-    common denominator of the observation's cells, each model's posterior
-    ``joint / evidence`` is one integer over their sum.
-    Its ratio to the prior ``P(theta | x) / P(theta)``, which equals
-    ``P(x | theta) / P(x)``, is reduced before its logs, because the logs
-    of an unreduced pair can differ in the last bits; that one ratio gives
-    both the TIC and the model's KL term. It is reduced from reduced parts
-    (the cross gcds of Knuth, *TAOCP* vol. 2, section 4.5.1): the joint
-    cell over the prior, whose integers are small, times the reciprocal of
-    the evidence, reduced once per observation. Each gcd then has one
-    small operand, where a gcd of the unreduced pair would take two
-    operands the size of the whole row's common denominator.
+    ``prior`` holds the prior's integers and ``liks`` each model's
+    likelihood of the observation as a reduced integer pair. Over the
+    least common denominator of the joint cells, each model's posterior
+    ``joint / evidence`` is one integer over their sum. The TIC is the log
+    of ``P(x | theta) / P(x)``, which equals ``P(theta | x) / P(theta)``;
+    that one ratio gives both the TIC and the model's KL term. It is
+    reduced before its logs, because the logs of an unreduced pair can
+    differ in the last bits, and it is reduced from reduced parts (the
+    cross gcds of Knuth, *TAOCP* vol. 2, section 4.5.1): the likelihood's
+    own pair times the reciprocal of the evidence, reduced once per
+    observation. Each gcd then has one small operand, where a gcd of the
+    unreduced pair would take two operands the size of the whole row's
+    common denominator. The ratio depends on the likelihood alone, so
+    each distinct likelihood takes its logs once per observation.
     """
-    cells = table._cells[observation]
-    joints, den = _over_lcm(cells)
+    joints, den = _joints(prior, liks)
     total = sum(joints)
     if total == 0:
         return None
     evidence = Fraction(total, den)
     ev_num, ev_den = evidence.as_integer_ratio()
+    bits_of: dict[tuple[int, int], float] = {}  # a likelihood's pair -> its TIC
     floats: list[float] = []
-    tic_bits: dict[str, float | None] = {}
+    tics: list[float | None] = []
     kl = 0.0
-    for theta, joint, (cell_num, cell_den), (prior_num, prior_den) in zip(
-        table.model_labels, joints, cells, prior_pairs
-    ):
+    for joint, prior_num, pair in zip(joints, prior[0], liks):
         floats.append(post := joint / total)  # int true division: float(posterior)
-        if prior_num == 0:
-            tic_bits[theta] = None
-        elif joint == 0:
-            tic_bits[theta] = float("-inf")
-        else:
-            # P(x | theta) = cell / prior, reduced, then times ev_den / ev_num
-            lik_num, lik_den = cell_num * prior_den, cell_den * prior_num
-            g = math.gcd(lik_num, lik_den)
-            lik_num, lik_den = lik_num // g, lik_den // g
+        if joint == 0:  # no TIC where the prior is 0; -inf where the model is refuted
+            tics.append(None if prior_num == 0 else -math.inf)
+            continue
+        bits = bits_of.get(pair)
+        if bits is None:
+            lik_num, lik_den = pair
             g_num, g_den = math.gcd(lik_num, ev_num), math.gcd(ev_den, lik_den)
             ratio_num = lik_num // g_num * (ev_den // g_den)
             ratio_den = lik_den // g_den * (ev_num // g_num)
             # math.log2 handles arbitrarily large ints without overflow, so
             # the ratio never has to pass through a float before the log.
-            tic_bits[theta] = bits = math.log2(ratio_num) - math.log2(ratio_den)
-            kl += post * bits
+            bits_of[pair] = bits = math.log2(ratio_num) - math.log2(ratio_den)
+        tics.append(bits)
+        kl += post * bits
     return OracleMetrics(
         observation=observation,
-        models=table.model_labels,
+        models=models,
         evidence=evidence,
         posterior_nums=tuple(joints),
         posterior_den=total,
         posterior_floats=tuple(floats),
-        tic_bits=tic_bits,
+        tic_bits=dict(zip(models, tics)),
         kl_bits=kl,
     )
 
 
 def observation_metrics(table: JointOutcomeTable) -> tuple[OracleMetrics | None, ...]:
     """The metrics of every observation, in order; None where its evidence is 0."""
-    prior_pairs = [p.as_integer_ratio() for p in table.prior]  # once per table, not per cell
-    return tuple([_metrics(table, x, prior_pairs) for x in table.observation_labels])
+    prior = _prior_parts(table.prior)  # once per table, not per cell
+    models, likelihoods = table.model_labels, table._likelihoods
+    return tuple([_metrics(x, models, prior, likelihoods[x]) for x in table.observation_labels])
+
+
+def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
+    """:func:`observation_metrics` of the scenario's joint table, one observation at a time.
+
+    No table is built: each observation's metrics come from its
+    likelihood row as it is read. The checks of :func:`enumerate_joint`
+    run once the last observation has been given, so read to the end.
+    A float scenario raises ``ExactnessError`` at the call.
+    """
+    prior = _exact_prior(scenario)
+    models = tuple(scenario.observation_model.model_labels)
+    return (_metrics(x, models, prior, liks) for x, liks in _rows(scenario, prior))
 
 
 def oracle_mi(table: JointOutcomeTable) -> float:
@@ -238,9 +308,12 @@ def oracle_mi(table: JointOutcomeTable) -> float:
 
 def oracle_mi_from_metrics(metrics: Iterable[OracleMetrics | None]) -> float:
     """:func:`oracle_mi` from the metrics of every observation (None entries skipped)."""
+    return oracle_mi_from_terms((m.evidence, m.kl_bits) for m in metrics if m is not None)
+
+
+def oracle_mi_from_terms(terms: Iterable[tuple[Fraction, float]]) -> float:
+    """:func:`oracle_mi` from each possible observation's evidence and KL, in observation order."""
     mi = 0.0
-    for m in metrics:
-        if m is None:
-            continue
-        mi += m.evidence.numerator / m.evidence.denominator * m.kl_bits  # float(evidence)
+    for evidence, kl in terms:
+        mi += evidence.numerator / evidence.denominator * kl  # float(evidence)
     return mi

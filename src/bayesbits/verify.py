@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, compress, repeat
-from typing import Iterable, Iterator
+from itertools import chain, compress, islice, repeat
+from typing import Iterable
 
-from .aggregates import kl_classical_from_update, kl_from_update
-from .aggregates import mi_classical_from_updates, mi_from_kls
-from .core import Distribution, info_content, prob_from_info
-from .engine import updates
+from .aggregates import kl_classical_and_entropy, kl_from_update
+from .aggregates import mi_classical_from_entropies, mi_from_kls
+from .core import info_content, prob_from_info
+from .engine import marginals
 from .errors import DomainError
-from .oracle import enumerate_joint, observation_metrics, oracle_mi_from_metrics
+from .oracle import oracle_mi_from_terms, scenario_metrics
 from .scenario import Scenario
 
 __all__ = ["VERIFY_TOL", "bits_deviation", "verify_scenario"]
@@ -51,49 +51,75 @@ def max_deviation(a: Iterable[float | None], b: Iterable[float | None]) -> float
     )
 
 
+# Observations are compared in batches of about this many cells. Each
+# quantity is one column per batch, so the comparison makes a few calls
+# per batch, not per observation, and memory stays within one batch.
+_BATCH_CELLS = 4096
+
+
 def verify_scenario(scenario: Scenario) -> tuple[float, int]:
     """Max engine-vs-oracle deviation in bits, and the comparison count.
 
-    Each quantity is an engine column against an oracle column. An
-    observation only one path finds impossible counts as one comparison
-    at deviation ``inf``; one both find impossible is skipped.
+    One pass pairs each observation's engine marginal with its oracle
+    metrics; neither path builds a joint table or a per-model report.
+    The pairs are compared a batch at a time and dropped. An observation
+    only one path finds impossible counts as one comparison at deviation
+    ``inf``; one both find impossible is skipped. Both MIs are summed
+    over the observations possible on both paths, in order.
     """
     ms, om = scenario.model_space, scenario.observation_model
-    pairs = list(zip(updates(ms, om), observation_metrics(enumerate_joint(scenario))))
-    one_sided = sum([(u is None) != (m is None) for u, m in pairs])
-    devs, counts = zip(*_deviations(ms.prior, pairs))
-    return (math.inf if one_sided else max(devs)), sum(counts) + one_sided
+    batch_size = max(1, _BATCH_CELLS // len(ms.labels))
+    # strict: the oracle is read to its end, where it checks the joint table
+    pairs = zip(marginals(ms, om), scenario_metrics(scenario), strict=True)
+    dev, checks, one_sided = 0.0, 2, 0  # 2: the MI of each engine path
+    terms: list[tuple] = []
+    while batch := list(islice(pairs, batch_size)):
+        one_sided += sum([(m is None) != (o is None) for m, o in batch])
+        batch_dev, batch_checks = _compare([p for p in batch if None not in p], terms)
+        dev, checks = max(dev, batch_dev), checks + batch_checks
+    mi_oracle = oracle_mi_from_terms([(ev, kl) for *_, ev, kl in terms])
+    mi = mi_from_kls([(ev, kl) for ev, kl, *_ in terms])
+    mi_classical = mi_classical_from_entropies(ms.prior, [(ev, h) for ev, _, h, *_ in terms])
+    dev = max(dev, max_deviation((mi, mi_classical), (mi_oracle, mi_oracle)))
+    return (math.inf if one_sided else dev), checks + one_sided
 
 
-def _deviations(prior: Distribution, pairs: list) -> Iterator[tuple[float, int]]:
-    """Each quantity's engine-vs-oracle deviation, from (update, metrics) pairs, and its count.
+def _compare(both: list, terms: list[tuple]) -> tuple[float, int]:
+    """Largest deviation and comparison count of a batch of (marginal, metrics) pairs.
 
-    Engine columns are lazy, so a per-cell column is never held in full.
+    Each quantity is an engine column against an oracle column. Per-cell
+    engine columns are lazy, so they are never held in full. Appends each
+    pair's MI terms to ``terms``: the engine's evidence, KL and posterior
+    entropy, then the oracle's evidence and KL.
     """
-    both = [(u, m) for u, m in pairs if u is not None and m is not None]
-    us, oracle = [u for u, _ in both], [m for _, m in both]
-    kls, oracle_kls = [kl_from_update(u) for u in us], [m.kl_bits for m in oracle]
-    mi_oracle = oracle_mi_from_metrics([m for _, m in pairs])
-    yield max_deviation([mi_from_kls(zip([u.evidence for u in us], kls))], [mi_oracle]), 1
-    yield max_deviation([mi_classical_from_updates(prior, [u for u, _ in pairs])], [mi_oracle]), 1
-    yield max_deviation(kls, oracle_kls), len(oracle_kls)
-    yield max_deviation(map(kl_classical_from_update, us), oracle_kls), len(oracle_kls)
-    evidence = [info_content(m.evidence) for m in oracle]
-    yield max_deviation((u.evidence_info for u in us), evidence), len(oracle)
-    posteriors = [p for m in oracle for p in m.posterior_floats]
-    infos = chain.from_iterable([u.posterior_infos for u in us])
-    try:  # a NaN, or an information content below -noise, has no probability
-        yield max_deviation(map(prob_from_info, infos), posteriors), len(posteriors)
-    except DomainError:
-        yield math.inf, len(posteriors)
+    engine, oracle = [m for m, _ in both], [o for _, o in both]
+    kls, oracle_kls = [kl_from_update(m) for m in engine], [o.kl_bits for o in oracle]
+    classical = [kl_classical_and_entropy(m) for m in engine]
+    terms += [(m.evidence, kl, h, o.evidence, o.kl_bits)
+              for m, o, kl, (_, h) in zip(engine, oracle, kls, classical)]
+    devs = [
+        max_deviation(kls, oracle_kls),
+        max_deviation([kl for kl, _ in classical], oracle_kls),
+        max_deviation((m.evidence_info for m in engine),
+                      [info_content(o.evidence) for o in oracle]),
+    ]
+    posteriors = [p for o in oracle for p in o.posterior_floats]
+    try:  # a TIC of None or NaN, or an information content below -noise, has no probability
+        infos = chain.from_iterable([m.posterior_infos for m in engine])
+        devs.append(max_deviation(map(prob_from_info, infos), posteriors))
+    except (DomainError, TypeError):
+        devs.append(math.inf)
     # The oracle gives no TIC (None) where the prior is 0. There the
     # engine's TIC and log-odds update are not compared, but each such
     # cell still counts as one TIC comparison, of None with None.
-    defined = [o for m in oracle for o in m.tic_bits.values() if o is not None]
+    defined = [t for o in oracle for t in o.tic_bits.values() if t is not None]
 
     def where_defined(rows: Iterable[Iterable]) -> Iterable:
-        masks = (map(operator.is_not, m.tic_bits.values(), repeat(None)) for m in oracle)
+        masks = (map(operator.is_not, o.tic_bits.values(), repeat(None)) for o in oracle)
         return chain.from_iterable(map(compress, rows, masks))
 
-    yield max_deviation(where_defined(u.tics for u in us), defined), len(posteriors)
-    yield max_deviation(where_defined(u.log_odds_updates() for u in us), defined), len(defined)
+    devs.append(max_deviation(where_defined(m.tics for m in engine), defined))
+    devs.append(max_deviation(where_defined(m.log_odds_updates() for m in engine), defined))
+    # evidence and both KLs per observation, each posterior and TIC, each
+    # defined log-odds update
+    return max(devs), 3 * len(oracle) + 2 * len(posteriors) + len(defined)

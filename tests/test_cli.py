@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -324,11 +325,13 @@ class TestVerify:
         # per observation: evidence, 2 posteriors, 2 TICs, 1 log-odds, 2 KLs
         assert "comparisons: 18\n" in capsys.readouterr().out
         every = getattr(verify, path_name)
-        monkeypatch.setattr(verify, path_name, lambda *args: (None,) + every(*args)[1:])
+        # each path yields one observation at a time; the first becomes None
+        monkeypatch.setattr(verify, path_name,
+                            lambda *args: chain([None], islice(every(*args), 1, None)))
         assert cli.main(["verify", path]) == 4
         return capsys.readouterr().out
 
-    @pytest.mark.parametrize("path_name", ["updates", "observation_metrics"])
+    @pytest.mark.parametrize("path_name", ["marginals", "scenario_metrics"])
     def test_observation_impossible_on_one_path_fails(self, tmp_path, capsys, monkeypatch, path_name):
         # x's 8 comparisons become one, at deviation inf
         out = self.verify_first_dropped(tmp_path, capsys, monkeypatch, path_name)

@@ -120,6 +120,15 @@ def run_case(case: str, paths: dict[str, str]) -> tuple[int, str]:
     return run_cli([paths[scenario] if arg == "{path}" else arg for arg in argv])
 
 
+def case_outcome(case: str, paths: dict[str, str]) -> tuple[tuple[int, str], tuple[int, str]]:
+    """The exit code and stdout of the case, and the exit code and golden file it must match.
+
+    The scenario path appears in no output, so the files do not depend on it.
+    """
+    expected = (GOLDEN / f"{case}.out").read_bytes().decode("utf-8")
+    return run_case(case, paths), (CASES[case][2], expected)
+
+
 if __name__ != "__main__":  # collected by pytest; the script below runs without it
     import pytest
 
@@ -129,11 +138,8 @@ if __name__ != "__main__":  # collected by pytest; the script below runs without
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_golden_output(case, paths):
-        expected = (GOLDEN / f"{case}.out").read_bytes().decode("utf-8")
-        code, out = run_case(case, paths)
-        # the scenario path appears in no output, so the files do not depend on it
-        assert code == CASES[case][2]
-        assert out == expected
+        got, expected = case_outcome(case, paths)
+        assert got == expected
 
 
 def main(argv: list[str]) -> int:
@@ -149,15 +155,15 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         scenario_files = scenario_paths(Path(tmp))
         for name in sorted(CASES):
-            code, out = run_case(name, scenario_files)
             if check:
-                expected = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
-                if code != CASES[name][2] or out != expected:
+                got, expected = case_outcome(name, scenario_files)
+                if got != expected:
                     failed.append(name)
-            elif code != CASES[name][2]:
+                continue
+            code, out = run_case(name, scenario_files)
+            if code != CASES[name][2]:
                 sys.exit(f"{name}: exit code {code}, expected {CASES[name][2]}")
-            else:
-                (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
+            (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
     if not check:
         print(f"wrote {len(CASES)} golden files to {GOLDEN}")
         return 0

@@ -347,7 +347,7 @@ def test_log_odds_updates_divide_no_fractions(monkeypatch):
     divisions = call_counter(monkeypatch, Fraction, "__truediv__")
     reflected = call_counter(monkeypatch, Fraction, "__rtruediv__")
     per_row = []
-    log_odds = engine.ObservationUpdate.log_odds_updates
+    log_odds = engine.Marginal.log_odds_updates
 
     def watched(self):
         before = divisions[0] + reflected[0]
@@ -355,7 +355,7 @@ def test_log_odds_updates_divide_no_fractions(monkeypatch):
         per_row.append(divisions[0] + reflected[0] - before)
         return result
 
-    monkeypatch.setattr(engine.ObservationUpdate, "log_odds_updates", watched)
+    monkeypatch.setattr(engine.Marginal, "log_odds_updates", watched)
     assert verify_scenario(scenario)[0] <= 1e-9
     assert len(per_row) == 22 and not any(per_row)
 

@@ -12,6 +12,7 @@ content has no probability.
 import cProfile
 import math
 import pstats
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -99,6 +100,21 @@ def test_verify_makes_no_call_per_cell():
     assert verify_scenario(scenario) == (pytest.approx(0.0, abs=VERIFY_TOL), 860)
 
 
+def test_verify_holds_one_batch_of_observations_at_a_time():
+    # 318 observations of 160 models. Holding every observation's update
+    # and the oracle's whole table peaks at about 14 MiB here; comparing
+    # batches of about 4096 cells and dropping each peaks near 1.5 MiB.
+    scenario = mhp_scenario(MhpConfig(door_count=160, host_policy=HostPolicy.FORGETFUL))
+    tracemalloc.start()
+    try:
+        max_dev, checks = verify_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (max_dev <= VERIFY_TOL, checks) == (True, 153596)
+    assert peak < 3 * 2**20
+
+
 # an 8-door forgetful game in which door D8 has prior 0 (the golden custom8 game)
 PRIOR_8 = ["1/4", "1/8", "1/8", "1/16", "3/16", "1/8", "1/8", "0"]
 
@@ -121,18 +137,22 @@ def refuted_cell(scenario) -> tuple[int, int]:
     raise AssertionError("the game refutes no model")
 
 
-def patch_updates(monkeypatch, field: str, i: int, j: int, value) -> None:
-    """Make ``verify``'s updates carry ``value`` in cell ``j`` of ``field`` of update ``i``."""
-    real = verify.updates
+def patch_marginals(monkeypatch, scenario, name: str, i: int, j: int, value) -> None:
+    """Make column ``name`` of the engine marginal of observation ``i`` read ``value`` in cell ``j``.
 
-    def faulty(ms, om):
-        us = list(real(ms, om))
-        column = list(getattr(us[i], field))
-        column[j] = value
-        us[i] = us[i]._replace(**{field: tuple(column)})
-        return tuple(us)
+    ``name`` is a field or a property of ``engine.Marginal``, the
+    marginals ``verify`` reads.
+    """
+    x = scenario.observation_model.observation_labels[i]
+    column = getattr(engine.Marginal, name)
 
-    monkeypatch.setattr(verify, "updates", faulty)
+    def faulty(self):
+        cells = list(column.__get__(self))
+        if self.observation == x:
+            cells[j] = value
+        return cells
+
+    monkeypatch.setattr(engine.Marginal, name, property(faulty))
 
 
 def test_the_game_passes_unpatched(game):
@@ -149,7 +169,7 @@ def test_a_faulty_tic_cell_deviates_by_inf(monkeypatch, game, value):
     # of 0 keeps the fault out of every KL and MI
     checks = verify_scenario(game)[1]
     i, j = refuted_cell(game)
-    patch_updates(monkeypatch, "tics", i, j, value)
+    patch_marginals(monkeypatch, game, "tics", i, j, value)
     assert verify_scenario(game) == (math.inf, checks)
 
 
@@ -158,7 +178,7 @@ def test_a_faulty_log_odds_cell_deviates_by_inf(monkeypatch, game, value):
     checks = verify_scenario(game)[1]
     i, j = refuted_cell(game)
     x = game.observation_model.observation_labels[i]
-    row = engine.ObservationUpdate.log_odds_updates
+    row = engine.Marginal.log_odds_updates
 
     def faulty(self):
         cells = row(self)
@@ -166,7 +186,7 @@ def test_a_faulty_log_odds_cell_deviates_by_inf(monkeypatch, game, value):
             cells[j] = value
         return cells
 
-    monkeypatch.setattr(engine.ObservationUpdate, "log_odds_updates", faulty)
+    monkeypatch.setattr(engine.Marginal, "log_odds_updates", faulty)
     assert verify_scenario(game) == (math.inf, checks)
 
 
@@ -177,7 +197,7 @@ def test_a_faulty_posterior_cell_is_reported(monkeypatch, game):
     checks = verify_scenario(game)[1]
     u = engine.updates(game.model_space, game.observation_model)[0]
     j = next(j for j, num in enumerate(u.posterior_nums) if num != 0)
-    patch_updates(monkeypatch, "posterior_infos", 0, j, u.posterior_infos[j] + 1)
+    patch_marginals(monkeypatch, game, "posterior_infos", 0, j, u.posterior_infos[j] + 1)
     dev, faulty_checks = verify_scenario(game)
     assert faulty_checks == checks
     assert dev == pytest.approx(u.posterior_floats[j] / 2, rel=1e-9)
@@ -188,7 +208,7 @@ def test_a_broken_posterior_cell_deviates_by_inf(monkeypatch, tmp_path, capsys, 
     # prob_from_info refuses such an information content; verify counts
     # the refusal as deviation inf and fails, rather than exiting 2
     checks = verify_scenario(game)[1]
-    patch_updates(monkeypatch, "posterior_infos", 0, 0, value)
+    patch_marginals(monkeypatch, game, "posterior_infos", 0, 0, value)
     assert verify_scenario(game) == (math.inf, checks)
     path = tmp_path / "game.json"
     save_scenario(game, path)
