@@ -135,7 +135,9 @@ def _rows(scenario: Scenario, prior: _Prior) -> Iterator[tuple[str, list[tuple[i
     sums = [0] * len(prior[0])
     for x, row in zip(om.observation_labels, om.likelihood):
         ids = list(map(id, row))
-        if None in map(pairs.get, ids):  # value objects not seen yet
+        try:
+            liks = list(map(pairs.__getitem__, ids))
+        except KeyError:  # value objects not seen yet
             for key, lik in zip(ids, row):
                 if key not in pairs:
                     pairs[key] = (num, lik_den) = lik.as_integer_ratio()
@@ -145,8 +147,9 @@ def _rows(scenario: Scenario, prior: _Prior) -> Iterator[tuple[str, list[tuple[i
                         sums = [s * factor for s in sums]
                         scaled = {k: n * factor for k, n in scaled.items()}
                     scaled[key] = num * (den // lik_den)
+            liks = list(map(pairs.__getitem__, ids))
         sums = list(map(operator.add, sums, map(scaled.__getitem__, ids)))
-        yield x, list(map(pairs.__getitem__, ids))
+        yield x, liks
     prior_nums, prior_dens = prior
     marginals = list(zip(map(operator.mul, prior_nums, sums), [d * den for d in prior_dens]))
     nums, total_den = _over_lcm(marginals)
@@ -249,12 +252,11 @@ def _metrics(
         return None
     evidence = Fraction(total, den)
     ev_num, ev_den = evidence.as_integer_ratio()
+    floats = list(map(total.__rtruediv__, joints))  # int true division: float(posterior)
     bits_of: dict[tuple[int, int], float] = {}  # a likelihood's pair -> its TIC
-    floats: list[float] = []
     tics: list[float | None] = []
     kl = 0.0
-    for joint, prior_num, pair in zip(joints, prior[0], liks):
-        floats.append(post := joint / total)  # int true division: float(posterior)
+    for joint, post, prior_num, pair in zip(joints, floats, prior[0], liks):
         if joint == 0:  # no TIC where the prior is 0; -inf where the model is refuted
             tics.append(None if prior_num == 0 else -math.inf)
             continue

@@ -72,11 +72,12 @@ def verify_scenario(scenario: Scenario) -> tuple[float, int]:
     # strict: the oracle is read to its end, where it checks the joint table
     pairs = zip(marginals(ms, om), scenario_metrics(scenario), strict=True)
     dev, checks, one_sided = 0.0, 2, 0  # 2: the MI of each engine path
-    terms: list[tuple] = []
+    terms: list[tuple] = []  # each observation's MI terms, from _compare
     while batch := list(islice(pairs, batch_size)):
         one_sided += sum([(m is None) != (o is None) for m, o in batch])
-        batch_dev, batch_checks = _compare([p for p in batch if None not in p], terms)
+        batch_dev, batch_checks, batch_terms = _compare([p for p in batch if None not in p])
         dev, checks = max(dev, batch_dev), checks + batch_checks
+        terms += batch_terms
     mi_oracle = oracle_mi_from_terms([(ev, kl) for *_, ev, kl in terms])
     mi = mi_from_kls([(ev, kl) for ev, kl, *_ in terms])
     mi_classical = mi_classical_from_entropies(ms.prior, [(ev, h) for ev, _, h, *_ in terms])
@@ -84,19 +85,19 @@ def verify_scenario(scenario: Scenario) -> tuple[float, int]:
     return (math.inf if one_sided else dev), checks + one_sided
 
 
-def _compare(both: list, terms: list[tuple]) -> tuple[float, int]:
+def _compare(both: list) -> tuple[float, int, list[tuple]]:
     """Largest deviation and comparison count of a batch of (marginal, metrics) pairs.
 
     Each quantity is an engine column against an oracle column. Per-cell
-    engine columns are lazy, so they are never held in full. Appends each
-    pair's MI terms to ``terms``: the engine's evidence, KL and posterior
-    entropy, then the oracle's evidence and KL.
+    engine columns are lazy, so they are never held in full. Also returns
+    each pair's MI terms: the engine's evidence, KL and posterior entropy,
+    then the oracle's evidence and KL.
     """
     engine, oracle = [m for m, _ in both], [o for _, o in both]
     kls, oracle_kls = [kl_from_update(m) for m in engine], [o.kl_bits for o in oracle]
     classical = [kl_classical_and_entropy(m) for m in engine]
-    terms += [(m.evidence, kl, h, o.evidence, o.kl_bits)
-              for m, o, kl, (_, h) in zip(engine, oracle, kls, classical)]
+    terms = [(m.evidence, kl, h, o.evidence, o.kl_bits)
+             for m, o, kl, (_, h) in zip(engine, oracle, kls, classical)]
     devs = [
         max_deviation(kls, oracle_kls),
         max_deviation([kl for kl, _ in classical], oracle_kls),
@@ -122,4 +123,4 @@ def _compare(both: list, terms: list[tuple]) -> tuple[float, int]:
     devs.append(max_deviation(where_defined(m.log_odds_updates() for m in engine), defined))
     # evidence and both KLs per observation, each posterior and TIC, each
     # defined log-odds update
-    return max(devs), 3 * len(oracle) + 2 * len(posteriors) + len(defined)
+    return max(devs), 3 * len(oracle) + 2 * len(posteriors) + len(defined), terms
