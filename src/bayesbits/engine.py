@@ -279,11 +279,19 @@ def _log_odds_updates(u: ObservationUpdate | Marginal) -> list[Bits | None]:
     if u.scaled_row is None:
         return [None if prior_i == math.inf else -math.inf if num == 0 else _log2_positive(num / p)
                 for num, p, prior_i in zip(u.posterior_nums, u.priors, u.prior_infos)]
-    scale, total, row_nums = u.scaled_prior[1], u.posterior_den, u.scaled_row[0]
-    logs = {lik: _log2_quotient(lik * scale, total) if lik else -math.inf for lik in set(row_nums)}
-    row: list[Bits | None] = list(map(logs.__getitem__, row_nums))
-    if math.inf in u.prior_infos:  # a prior of 0
-        return [None if prior_i == math.inf else bits for bits, prior_i in zip(row, u.prior_infos)]
+    scale, total = u.scaled_prior[1], u.posterior_den
+    logs: dict[int, Bits] = {}  # a row numerator -> its log-odds update
+    row: list[Bits | None] = []
+    for lik, prior_i in zip(u.scaled_row[0], u.prior_infos):
+        if prior_i == math.inf:  # prior 0
+            row.append(None)
+        elif lik == 0:
+            row.append(-math.inf)
+        else:
+            bits = logs.get(lik)
+            if bits is None:
+                logs[lik] = bits = _log2_quotient(lik * scale, total)
+            row.append(bits)
     return row
 
 

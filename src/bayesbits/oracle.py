@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ExactnessError, ImpossibleObservationError, InvariantViolation
@@ -43,22 +44,13 @@ def _prior_parts(probs: Iterable[Fraction]) -> _Prior:
     return [n for n, _ in pairs], [d for _, d in pairs]
 
 
-def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    # The fractions n/d as numerators over their least common denominator,
-    # so that they sum as integers: no gcd per value.
-    den = math.lcm(*{d for _, d in pairs})
-    return [n * (den // d) for n, d in pairs], den
-
-
 def _joints(prior: _Prior, liks: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """One observation's joint cells ``P(theta) * P(x | theta)``, in model
-    order, as numerators over their least common denominator."""
-    prior_nums, prior_dens = prior
-    dens = list(map(operator.mul, prior_dens, [d for _, d in liks]))
-    den = math.lcm(*(distinct := set(dens)))
-    scale = {d: den // d for d in distinct}
-    nums = map(operator.mul, prior_nums, [n for n, _ in liks])
-    return list(map(operator.mul, nums, map(scale.__getitem__, dens))), den
+    order, as numerators over their least common denominator, so that they
+    sum as integers: no gcd per cell."""
+    cells = [(p_num * l_num, p_den * l_den) for p_num, p_den, (l_num, l_den) in zip(*prior, liks)]
+    den = math.lcm(*{d for _, d in cells})
+    return [n * (den // d) for n, d in cells], den
 
 
 class JointOutcomeTable(Record):
@@ -117,22 +109,25 @@ def _exact_prior(scenario: Scenario) -> _Prior:
     return _prior_parts(scenario.model_space.prior.probs)
 
 
-def _rows(scenario: Scenario, prior: _Prior) -> Iterator[tuple[str, list[tuple[int, int]]]]:
-    """Each observation with its likelihoods as reduced integer pairs, in order.
+# One observation as the oracle reads it: its label, each model's
+# likelihood as a reduced integer pair, and the joint cells as numerators
+# over their common denominator (see _joints)
+_Row = tuple[str, list[tuple[int, int]], list[int], int]
+
+
+def _rows(scenario: Scenario, prior: _Prior) -> Iterator[_Row]:
+    """Each observation of the scenario as the oracle reads it, in order.
 
     Each likelihood value object's pair is read once, found by its id (the
     scenario keeps every object alive), and every cell holding the object
-    shares it. Meanwhile each model's likelihoods are summed as integers
-    over the least common denominator of those seen so far. After the last
-    observation the sums give each model's marginal, its prior times that
-    sum, and the table is checked as a joint distribution: its cells total
-    exactly 1 and each marginal equals the prior exactly.
+    shares it. Meanwhile each model's joint cells are summed as integers
+    over the least common denominator of the rows so far. After the last
+    observation the table is checked as a joint distribution: its cells
+    total exactly 1 and each model's marginal equals its prior exactly.
     """
     om = scenario.observation_model
     pairs: dict[int, tuple[int, int]] = {}
-    scaled: dict[int, int] = {}  # id of a value object -> its numerator over den
-    den = 1
-    sums = [0] * len(prior[0])
+    sums, sums_den = [0] * len(prior[0]), 1  # each model's cells so far, over sums_den
     for x, row in zip(om.observation_labels, om.likelihood):
         ids = list(map(id, row))
         try:
@@ -140,29 +135,23 @@ def _rows(scenario: Scenario, prior: _Prior) -> Iterator[tuple[str, list[tuple[i
         except KeyError:  # value objects not seen yet
             for key, lik in zip(ids, row):
                 if key not in pairs:
-                    pairs[key] = (num, lik_den) = lik.as_integer_ratio()
-                    if den % lik_den:
-                        factor = math.lcm(den, lik_den) // den
-                        den *= factor
-                        sums = [s * factor for s in sums]
-                        scaled = {k: n * factor for k, n in scaled.items()}
-                    scaled[key] = num * (den // lik_den)
+                    pairs[key] = lik.as_integer_ratio()
             liks = list(map(pairs.__getitem__, ids))
-        sums = list(map(operator.add, sums, map(scaled.__getitem__, ids)))
-        yield x, liks
-    prior_nums, prior_dens = prior
-    marginals = list(zip(map(operator.mul, prior_nums, sums), [d * den for d in prior_dens]))
-    nums, total_den = _over_lcm(marginals)
-    if (total := sum(nums)) != total_den:
+        joints, den = _joints(prior, liks)
+        if sums_den % den:
+            factor = math.lcm(sums_den, den) // sums_den
+            sums, sums_den = [s * factor for s in sums], sums_den * factor
+        scaled = joints if den == sums_den else map(operator.mul, joints, repeat(sums_den // den))
+        sums = list(map(operator.add, sums, scaled))
+        yield x, liks, joints, den
+    if (total := sum(sums)) != sums_den:
         raise InvariantViolation(
-            f"joint table sums to {Fraction(total, total_den)}, expected exactly 1"
+            f"joint table sums to {Fraction(total, sums_den)}, expected exactly 1"
         )
     probs = scenario.model_space.prior.probs
-    for theta, (num, m_den), p_num, p_den, p in zip(
-        om.model_labels, marginals, prior_nums, prior_dens, probs
-    ):
-        if num * p_den != m_den * p_num:
-            marginal = Fraction(num, m_den)
+    for theta, num, p_num, p_den, p in zip(om.model_labels, sums, *prior, probs):
+        if num * p_den != sums_den * p_num:
+            marginal = Fraction(num, sums_den)
             raise InvariantViolation(
                 f"joint marginal for model {theta!r} is {marginal}, expected the prior {p}"
             )
@@ -175,7 +164,7 @@ def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
     table is a genuine joint distribution: cells total exactly 1 and the
     per-model marginals reproduce the prior exactly.
     """
-    likelihoods = dict(_rows(scenario, _exact_prior(scenario)))
+    likelihoods = {x: liks for x, liks, _, _ in _rows(scenario, _exact_prior(scenario))}
     om = scenario.observation_model
     return JointOutcomeTable(
         model_labels=tuple(om.model_labels),
@@ -217,8 +206,7 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
     """
     if observation not in table.observation_labels:
         raise KeyError(f"unknown observation {observation!r}")
-    metrics = _metrics(observation, table.model_labels, _prior_parts(table.prior),
-                       table._likelihoods[observation])
+    metrics = _table_metrics(table, observation, _prior_parts(table.prior))
     if metrics is None:
         raise ImpossibleObservationError(
             f"observation {observation!r} has zero probability under the prior"
@@ -226,15 +214,18 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
     return metrics
 
 
-def _metrics(
-    observation: str, models: tuple[str, ...], prior: _Prior, liks: Sequence[tuple[int, int]]
-) -> OracleMetrics | None:
+def _table_metrics(table: JointOutcomeTable, x: str, prior: _Prior) -> OracleMetrics | None:
+    liks = table._likelihoods[x]
+    return _metrics(table.model_labels, prior[0], (x, liks, *_joints(prior, liks)))
+
+
+def _metrics(models: tuple[str, ...], prior_nums: list[int], row: _Row) -> OracleMetrics | None:
     """The oracle's one kernel: :func:`oracle_metrics` of an observation; None at evidence 0.
 
-    ``prior`` holds the prior's integers and ``liks`` each model's
-    likelihood of the observation as a reduced integer pair. Over the
-    least common denominator of the joint cells, each model's posterior
-    ``joint / evidence`` is one integer over their sum. The TIC is the log
+    ``prior_nums`` holds the prior's numerators, and ``row`` the
+    observation as :func:`_rows` gives it. With the joint cells over their
+    least common denominator, each model's posterior ``joint / evidence``
+    is one integer over their sum. The TIC is the log
     of ``P(x | theta) / P(x)``, which equals ``P(theta | x) / P(theta)``;
     that one ratio gives both the TIC and the model's KL term. It is
     reduced before its logs, because the logs of an unreduced pair can
@@ -246,7 +237,7 @@ def _metrics(
     common denominator. The ratio depends on the likelihood alone, so
     each distinct likelihood takes its logs once per observation.
     """
-    joints, den = _joints(prior, liks)
+    observation, liks, joints, den = row
     total = sum(joints)
     if total == 0:
         return None
@@ -256,7 +247,7 @@ def _metrics(
     bits_of: dict[tuple[int, int], float] = {}  # a likelihood's pair -> its TIC
     tics: list[float | None] = []
     kl = 0.0
-    for joint, post, prior_num, pair in zip(joints, floats, prior[0], liks):
+    for joint, post, prior_num, pair in zip(joints, floats, prior_nums, liks):
         if joint == 0:  # no TIC where the prior is 0; -inf where the model is refuted
             tics.append(None if prior_num == 0 else -math.inf)
             continue
@@ -286,8 +277,7 @@ def _metrics(
 def observation_metrics(table: JointOutcomeTable) -> tuple[OracleMetrics | None, ...]:
     """The metrics of every observation, in order; None where its evidence is 0."""
     prior = _prior_parts(table.prior)  # once per table, not per cell
-    models, likelihoods = table.model_labels, table._likelihoods
-    return tuple([_metrics(x, models, prior, likelihoods[x]) for x in table.observation_labels])
+    return tuple([_table_metrics(table, x, prior) for x in table.observation_labels])
 
 
 def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
@@ -300,7 +290,7 @@ def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
     """
     prior = _exact_prior(scenario)
     models = tuple(scenario.observation_model.model_labels)
-    return (_metrics(x, models, prior, liks) for x, liks in _rows(scenario, prior))
+    return (_metrics(models, prior[0], row) for row in _rows(scenario, prior))
 
 
 def oracle_mi(table: JointOutcomeTable) -> float:

@@ -21,8 +21,8 @@ from bayesbits import (
     posterior_prob_info_form,
     tic,
 )
-from bayesbits.errors import ExactnessError, ImpossibleObservationError
-from bayesbits.oracle import observation_metrics, oracle_mi_from_metrics
+from bayesbits.errors import ExactnessError, ImpossibleObservationError, InvariantViolation
+from bayesbits.oracle import observation_metrics, oracle_mi_from_metrics, scenario_metrics
 from bayesbits.verify import bits_deviation
 from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
 from random_agreement_sweep import random_scenario
@@ -79,6 +79,30 @@ class TestEnumerateJoint:
             table.joint("zzz", "Monty_B")
         with pytest.raises(KeyError):
             table.evidence("zzz")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # M0's likelihoods sum to 3/4: the cells total 7/8
+            ([["1/2", "1/2"], ["1/4", "1/2"]], "joint table sums to 7/8, expected exactly 1"),
+            # M0's sum to 3/2 and M1's to 1/2: the cells total 1, M0's marginal is 3/4
+            ([["1", "1/4"], ["1/2", "1/4"]],
+             "joint marginal for model 'M0' is 3/4, expected the prior 1/2"),
+        ],
+        ids=["total", "marginal"],
+    )
+    def test_checks_the_table_it_reads(self, monkeypatch, rows, message):
+        # A Scenario refuses such columns, so these skip its check: the
+        # oracle's own sums, kept while it reads the rows, must catch them.
+        monkeypatch.setattr(ObservationModel, "_check", lambda self, exact: None)
+        prior = Distribution(["M0", "M1"], ["1/2", "1/2"])
+        om = ObservationModel(["x", "y"], prior.labels, rows)
+        scenario = Scenario("unchecked", ModelSpace(prior), om)
+        with pytest.raises(InvariantViolation, match=message):
+            enumerate_joint(scenario)
+        metrics = scenario_metrics(scenario)
+        with pytest.raises(InvariantViolation, match=message):
+            list(metrics)
 
 
 class TestOracleMetrics:
