@@ -130,13 +130,14 @@ def _rows(scenario: Scenario, prior: _Prior) -> Iterator[_Row]:
     sums, sums_den = [0] * len(prior[0]), 1  # each model's cells so far, over sums_den
     for x, row in zip(om.observation_labels, om.likelihood):
         ids = list(map(id, row))
-        try:
-            liks = list(map(pairs.__getitem__, ids))
-        except KeyError:  # value objects not seen yet
-            for key, lik in zip(ids, row):
-                if key not in pairs:
-                    pairs[key] = lik.as_integer_ratio()
-            liks = list(map(pairs.__getitem__, ids))
+        liks = list(map(pairs.get, ids))
+        if None in liks:  # value objects not seen yet
+            for j, lik in enumerate(row):
+                if liks[j] is None:
+                    pair = pairs.get(ids[j])
+                    if pair is None:
+                        pairs[ids[j]] = pair = lik.as_integer_ratio()
+                    liks[j] = pair
         joints, den = _joints(prior, liks)
         if sums_den % den:
             factor = math.lcm(sums_den, den) // sums_den
