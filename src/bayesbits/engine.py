@@ -17,9 +17,9 @@ the net signed bits the observation delivers to that one hypothesis.
 Positive TIC informs, negative TIC misleads, and the posterior falls out
 as ``posterior_info = prior_info - tic``. One observation's work comes in
 two parts: its :class:`Marginal` (the evidence, the TICs and the posteriors
-of Bayes' rule in probability space), all that KL and MI read, and the
-report columns that :meth:`Marginal.report` adds to make its
-:class:`ObservationUpdate`. The exact-rational oracle in
+of Bayes' rule in probability space), all that KL, MI and ``verify``
+read, and the report columns that :meth:`Marginal.report` adds to make
+its :class:`ObservationUpdate`. The exact-rational oracle in
 :mod:`bayesbits.oracle` checks both routes. The input types,
 ``ModelSpace`` and ``ObservationModel``, live in :mod:`bayesbits.scenario`.
 """
