@@ -216,6 +216,7 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
 
 
 def _table_metrics(table: JointOutcomeTable, x: str, prior: _Prior) -> OracleMetrics | None:
+    """:func:`_metrics` of observation ``x`` of the table."""
     liks = table._likelihoods[x]
     return _metrics(table.model_labels, prior[0], (x, liks, *_joints(prior, liks)))
 
@@ -226,8 +227,8 @@ def _metrics(models: tuple[str, ...], prior_nums: list[int], row: _Row) -> Oracl
     ``prior_nums`` holds the prior's numerators, and ``row`` the
     observation as :func:`_rows` gives it. With the joint cells over their
     least common denominator, each model's posterior ``joint / evidence``
-    is one integer over their sum. The TIC is the log
-    of ``P(x | theta) / P(x)``, which equals ``P(theta | x) / P(theta)``;
+    is one integer over their sum. The TIC is the log of
+    ``P(x | theta) / P(x)``, which equals ``P(theta | x) / P(theta)``;
     that one ratio gives both the TIC and the model's KL term. It is
     reduced before its logs, because the logs of an unreduced pair can
     differ in the last bits, and it is reduced from reduced parts (the

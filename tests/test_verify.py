@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bayesbits import Distribution, HostPolicy, MhpConfig, mhp_scenario
-from bayesbits import cli, engine, verify
+from bayesbits import cli, engine
 from bayesbits.scenario import door_labels, save_scenario
 from bayesbits.verify import VERIFY_TOL, bits_deviation, max_deviation, verify_scenario
 
