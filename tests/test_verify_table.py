@@ -10,7 +10,10 @@ comparison count and ``repr`` of the maximum deviation in bits that
   prior rules out, which :func:`corpus_gaps` checks;
 * the 14- and 16-door games with the standard and the forgetful host,
   each with a prior of random weights over their 36-bit sum, the shape
-  of the benchmark's wide priors.
+  of the benchmark's wide priors;
+* ``near-one``: a prior of ``1 - 2**-60`` and ``2**-60``, whose values
+  and posteriors lie within 2**-53 of 1, where ``core._log2_quotient``
+  takes its ``log1p`` branch.
 
 A rewrite of the engine, the oracle or the check must reproduce every
 line. The cases need no pytest to run. To compare them on any
@@ -31,6 +34,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -43,7 +47,8 @@ GAMES = [(n, policy) for n in (14, 16) for policy in ("standard", "forgetful")]
 
 def scenarios() -> dict:
     """Every case of the corpus, by name, in table order."""
-    from bayesbits import Distribution, HostPolicy, MhpConfig, mhp_scenario
+    from bayesbits import (Distribution, HostPolicy, MhpConfig, ModelSpace, ObservationModel,
+                           Scenario, mhp_scenario)
     from bayesbits.scenario import door_labels
     from random_agreement_sweep import random_scenario
 
@@ -55,6 +60,11 @@ def scenarios() -> dict:
         prior = Distribution(door_labels(n), [Fraction(w, sum(weights)) for w in weights])
         cfg = MhpConfig(door_count=n, prior=prior, host_policy=HostPolicy(policy))
         cases[f"custom{n}-{policy}"] = mhp_scenario(cfg)
+    tiny = Fraction(1, 2**60)
+    cases["near-one"] = Scenario("near-one", ModelSpace(Distribution(["A", "B"], [1 - tiny, tiny])),
+                                 ObservationModel(["x0", "x1"], ["A", "B"],
+                                                  [[Fraction(1, 2), Fraction(1, 3)],
+                                                   [Fraction(1, 2), Fraction(2, 3)]]))
     return cases
 
 
@@ -80,17 +90,22 @@ def differing(cases: dict) -> list[str]:
 
 
 def corpus_gaps(cases: dict) -> list[str]:
-    """Each edge case the random scenarios fail to reach."""
-    zero_prior = zero_likelihood = impossible = False
+    """Each edge case the random scenarios, or for a value near 1 any case, fail to reach."""
+    zero_prior = zero_likelihood = impossible = near_one = False
     for name, s in cases.items():
+        prior, rows = s.model_space.prior.probs, s.observation_model.likelihood
+        # an exact value that rounds to the float 1.0: its bits come from
+        # core._log2_quotient's log1p branch, with a non-zero argument
+        near_one |= any(p != 1 and float(p) == 1.0 for p in chain(prior, *rows))
         if not name.startswith("random-"):
             continue
-        prior, rows = s.model_space.prior.probs, s.observation_model.likelihood
         zero_prior |= 0 in prior
         zero_likelihood |= any(0 in row for row in rows)
         impossible |= any(all(p * lik == 0 for p, lik in zip(prior, row)) for row in rows)
-    gaps = {"a zero prior": zero_prior, "a zero likelihood": zero_likelihood,
-            "an impossible observation": impossible}
+    gaps = {"random case with a zero prior": zero_prior,
+            "random case with a zero likelihood": zero_likelihood,
+            "random case with an impossible observation": impossible,
+            "case with a value within 2**-53 of 1": near_one}
     return [gap for gap, reached in gaps.items() if not reached]
 
 
@@ -125,7 +140,7 @@ def main(argv: list[str]) -> int:
     for name in failed:
         print(f"differs: {name}")
     for gap in gaps:
-        print(f"corpus: no random case has {gap}")
+        print(f"corpus: no {gap}")
     print(f"{len(cases) - len(failed)} of {len(cases)} verify lines match on Python {python}")
     return 1 if failed or gaps else 0
 
