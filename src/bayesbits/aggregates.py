@@ -11,16 +11,17 @@ nonnegative because a refuted model carries posterior weight 0 and
 ``0 * (+/-inf)`` counts as 0 inside these sums.
 
 Each function returns bits as a plain float. The terms it sums are
-columns of one observation's engine ``Marginal`` or ``ObservationUpdate``;
-MI folds the observations' marginals into its sum one at a time.
+columns of one observation's engine ``Marginal``; MI folds the
+observations' marginals into its sum one at a time. Each quantity has
+one reduction, which ``kl``, ``mi`` and ``verify`` all call.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Bits, Distribution, Probability, _float, _log2_quotient, entropy
-from .engine import Marginal, ObservationUpdate, marginals, update
+from .core import Bits, Distribution, _log2_quotient, entropy
+from .engine import Marginal, marginals, update
 from .scenario import ModelSpace, ObservationModel
 
 __all__ = [
@@ -41,8 +42,8 @@ def kl_expected_tic(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
     return kl_from_update(update(ms, om, x))
 
 
-def kl_from_update(u: ObservationUpdate) -> Bits:
-    """:func:`kl_expected_tic` of an observation's update or marginal."""
+def kl_from_update(u: Marginal) -> Bits:
+    """:func:`kl_expected_tic` of an observation's marginal."""
     value = 0.0
     for num, weight, t in zip(u.posterior_nums, u.posterior_floats, u.tics):
         if num != 0:
@@ -52,19 +53,14 @@ def kl_from_update(u: ObservationUpdate) -> Bits:
 
 def kl_classical(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
     """KL(posterior || prior) summed directly over posterior log-odds."""
-    return kl_classical_from_update(update(ms, om, x))
+    return kl_classical_and_entropy(update(ms, om, x))[0]
 
 
-def kl_classical_from_update(u: Marginal | ObservationUpdate) -> Bits:
-    """:func:`kl_classical` of an observation already applied."""
-    return kl_classical_and_entropy(u)[0]
+def kl_classical_and_entropy(u: Marginal) -> tuple[Bits, Bits]:
+    """:func:`kl_classical` of an observation's marginal, and its posterior entropy.
 
-
-def kl_classical_and_entropy(u: Marginal | ObservationUpdate) -> tuple[Bits, Bits]:
-    """:func:`kl_classical_from_update` and the posterior entropy, from one log per cell.
-
-    The MI paths, which need no classical KL, take the entropy alone from
-    :func:`_posterior_entropy`.
+    Both come from one log per posterior. This is the one posterior-entropy
+    reduction: the classical MI path takes its entropy from here.
     """
     kl = h = 0.0
     den = u.posterior_den
@@ -82,55 +78,38 @@ def mutual_information(ms: ModelSpace, om: ObservationModel) -> Bits:
     Observations with zero evidence cannot occur and are skipped; they
     would contribute weight 0 anyway.
     """
-    return mi_from_kls((m.evidence, kl_from_update(m)) for m in marginals(ms, om) if m is not None)
+    return mi_from_kls((m.evidence_float, kl_from_update(m))
+                       for m in marginals(ms, om) if m is not None)
 
 
-def mi_from_kls(kls: Iterable[tuple[Probability, Bits]]) -> Bits:
+def mi_from_kls(kls: Iterable[tuple[float, Bits]]) -> Bits:
     """:func:`mutual_information` from (evidence, KL) pairs: their evidence-weighted sum, in order."""
     value = 0.0
     for ev, kl in kls:
-        value += _float(ev) * kl
+        value += ev * kl
     return value
 
 
 def mutual_information_classical(ms: ModelSpace, om: ObservationModel) -> Bits:
     """Mutual information as prior entropy minus expected posterior entropy."""
-    return mi_classical_from_updates(ms.prior, marginals(ms, om))
-
-
-def _posterior_entropy(u: Marginal | ObservationUpdate) -> Bits:
-    """Entropy of the posteriors, taken as they are: the engine's already form a distribution."""
-    h, den = 0.0, u.posterior_den
-    for num, post in zip(u.posterior_nums, u.posterior_floats):
-        if num != 0:
-            h -= post * _log2_quotient(num, den)
-    return h
-
-
-def mi_classical_from_updates(
-    prior: Distribution, us: Iterable[Marginal | ObservationUpdate | None]
-) -> Bits:
-    """:func:`mutual_information_classical` from the marginal or update of every observation."""
-    return mi_classical_from_entropies(
-        prior, ((u.evidence, _posterior_entropy(u)) for u in us if u is not None)
-    )
-
-
-def mi_classical_from_entropies(
-    prior: Distribution, terms: Iterable[tuple[Probability, Bits]]
-) -> Bits:
-    """:func:`mutual_information_classical` from each possible observation's
-    evidence and posterior entropy, in observation order."""
-    return entropy(prior) - mi_from_kls(terms)
+    return mi_both_paths(ms, om)[1]
 
 
 def mi_both_paths(ms: ModelSpace, om: ObservationModel) -> tuple[Bits, Bits]:
     """:func:`mutual_information` and :func:`mutual_information_classical` from one pass.
 
-    Each observation's marginal is reduced to its evidence, KL and
-    posterior entropy, and dropped.
+    Each observation's marginal is reduced to its evidence, its KL and
+    its :func:`kl_classical_and_entropy`, and dropped.
     """
-    terms = [(m.evidence, kl_from_update(m), _posterior_entropy(m))
+    terms = [(m.evidence_float, kl_from_update(m), kl_classical_and_entropy(m))
              for m in marginals(ms, om) if m is not None]
+    return mi_from_terms(ms.prior, terms)
+
+
+def mi_from_terms(
+    prior: Distribution, terms: list[tuple[float, Bits, tuple[Bits, Bits]]]
+) -> tuple[Bits, Bits]:
+    """:func:`mi_both_paths` from each possible observation's evidence, KL and
+    :func:`kl_classical_and_entropy`, in observation order."""
     return (mi_from_kls([(ev, kl) for ev, kl, _ in terms]),
-            mi_classical_from_entropies(ms.prior, [(ev, h) for ev, _, h in terms]))
+            entropy(prior) - mi_from_kls([(ev, h) for ev, _, (_, h) in terms]))

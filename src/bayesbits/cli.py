@@ -22,8 +22,8 @@ A process loads only what its subcommand runs: ``engine`` and
 output. A first word that names a subcommand gets a parser of its own
 arguments; other argv, or a word it leaves, get the full parser. Keep new
 work out of module level. ``solve`` folds each observation into the MI
-and drops it, and builds report columns for the printed one alone; with
-``--format csv`` it computes no KL or MI. ``mi`` builds no update.
+and drops it, and reads report columns of the printed one alone; with
+``--format csv`` it computes no KL or MI. ``mi`` reads no report column.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .scenario import (
 )
 
 if TYPE_CHECKING:
-    from .engine import ModelTransfer, ObservationUpdate
+    from .engine import Marginal, ModelTransfer
 
 __all__ = ["ReportDocument", "build_report", "entry_point", "main"]
 
@@ -74,19 +74,19 @@ class ReportDocument(NamedTuple):
     """Everything one solve run prints, before any formatting."""
 
     scenario: str
-    transfer: ObservationUpdate
+    transfer: Marginal
     kl_bits: float | None
     mi_bits: float | None
 
 
 def build_report(scenario: Scenario, observation: str, totals: bool = True) -> ReportDocument:
-    """The report of ``observation``: its update and, with ``totals``, its KL and the MI.
+    """The report of ``observation``: its marginal and, with ``totals``, its KL and the MI.
 
     One pass over the observations folds each one's marginal into the MI
-    and drops it; the printed observation alone gets report columns.
+    and drops it; the printed observation's is kept for its report columns.
     """
     from .aggregates import kl_from_update, mi_from_kls
-    from .engine import marginals, update, update_from
+    from .engine import marginals, update
 
     ms, om = scenario.model_space, scenario.observation_model
     if not totals:
@@ -94,12 +94,13 @@ def build_report(scenario: Scenario, observation: str, totals: bool = True) -> R
     index, printed, kls = om._x_index(observation), None, []
     for i, m in enumerate(marginals(ms, om)):
         if m is not None:
-            kls.append((m.evidence, kl_from_update(m)))
+            kls.append((m.evidence_float, kl_from_update(m)))
         if i == index:
             printed = m
-    u = update_from(printed, observation)
-    kl, mi = kl_from_update(u), mi_from_kls(kls)
-    return ReportDocument(scenario.name, u, max(0.0, kl), max(0.0, mi))
+    if printed is None:  # P(x) is 0, so update raises ImpossibleObservationError
+        update(ms, om, observation)
+    kl, mi = kl_from_update(printed), mi_from_kls(kls)
+    return ReportDocument(scenario.name, printed, max(0.0, kl), max(0.0, mi))
 
 
 def _cells(entry: ModelTransfer) -> tuple[Any, ...]:
@@ -311,14 +312,14 @@ def _both_paths(quantity: str, via_tic: float, classical: float, precision: int)
 
 
 def cmd_kl(args: argparse.Namespace) -> int:
-    from .aggregates import kl_classical_from_update, kl_from_update
+    from .aggregates import kl_classical_and_entropy, kl_from_update
     from .engine import update
 
     scenario = load_scenario(args.scenario)
     u = update(scenario.model_space, scenario.observation_model, args.observe)
     print(f"scenario: {scenario.name}")
     print(f"observation: {args.observe}")
-    return _both_paths("kl", kl_from_update(u), kl_classical_from_update(u), args.precision)
+    return _both_paths("kl", kl_from_update(u), kl_classical_and_entropy(u)[0], args.precision)
 
 
 def cmd_mi(args: argparse.Namespace) -> int:

@@ -15,11 +15,11 @@ Their difference is the transfer information content,
 
 the net signed bits the observation delivers to that one hypothesis.
 Positive TIC informs, negative TIC misleads, and the posterior falls out
-as ``posterior_info = prior_info - tic``. One observation's work comes in
-two parts: its :class:`Marginal` (the evidence, the TICs and the posteriors
-of Bayes' rule in probability space), all that KL, MI and ``verify``
-read, and the report columns that :meth:`Marginal.report` adds to make
-its :class:`ObservationUpdate`. The exact-rational oracle in
+as ``posterior_info = prior_info - tic``. One observation's work is one
+:class:`Marginal`: the evidence, the TICs and the posteriors of Bayes'
+rule in probability space, which KL, MI and ``verify`` read, and the
+report columns (sign classes, posterior bits, the transfer report's
+rows) that it computes from them on demand. The exact-rational oracle in
 :mod:`bayesbits.oracle` checks both routes. The input types,
 ``ModelSpace`` and ``ObservationModel``, live in :mod:`bayesbits.scenario`.
 """
@@ -182,71 +182,120 @@ class ModelTransfer(NamedTuple):
     posterior_prob: float
 
 
-class ObservationUpdate(NamedTuple):
-    """One observation applied to every model in a single pass.
+# What every observation reuses of the prior, worked out once per command:
+# the model space, the prior's values over one common denominator (None
+# unless all are Fractions), and their infos.
+_PriorTerms = tuple[ModelSpace, tuple[list[int], int] | None, tuple[Bits, ...]]
 
-    The evidence ``P(x)`` is marginalised once and shared by every
-    model's TIC and posterior. Per-model tuples line up with ``models``.
-    ``tics`` and ``posterior_infos`` cover models with prior 0 too
-    (``posterior_info`` is then ``+inf``); their ``signs`` entry is None.
-    Bayes' rule in probability space gives posterior ``j`` as
-    ``posterior_nums[j] / posterior_den``: unreduced integers on exact
-    rows, the float over 1 on float rows. ``posterior_floats`` holds their
-    correctly rounded floats; ``posteriors`` builds the values, exact on
-    exact rows, on each access. ``scaled_prior`` and ``scaled_row`` are the
-    prior's and the likelihood row's numerators, each over one
-    denominator, None unless the row is exact. ``entries`` lays the same
-    values out as a transfer report, one :class:`ModelTransfer` row per
-    model.
+
+def _prior_terms(ms: ModelSpace) -> _PriorTerms:
+    probs = ms.prior.probs
+    return ms, _common_denominator(probs), tuple([_info(p) for p in probs])
+
+
+class Marginal(NamedTuple):
+    """One observation applied to every model: its likelihood row marginalised against the prior.
+
+    The one per-observation record. KL, both MI paths and ``verify`` read
+    its fields; ``solve`` prints its report columns, which are computed
+    on each access. ``P(x)`` is held as a float (``evidence_float``) and
+    in bits, and ``evidence`` is the exact Fraction on exact rows. Per-model
+    lists line up with ``models``. ``tics`` and ``posterior_infos`` cover
+    models with prior 0 too (``posterior_info`` is then ``+inf``); their
+    ``signs`` entry is None. Bayes' rule in probability space gives
+    posterior ``j`` as ``posterior_nums[j] / posterior_den``: unreduced
+    integers on exact rows, the float over 1 on float rows, with
+    ``posterior_floats`` their correctly rounded floats. ``scaled_row``
+    holds the likelihood row's numerators over one denominator, None
+    unless the row is exact. The prior's columns are read from ``prior``,
+    shared by every observation of a command.
     """
 
     observation: str
-    models: tuple[str, ...]
-    priors: tuple[Probability, ...]
-    prior_infos: tuple[Bits, ...]
-    evidence: Probability
+    evidence_float: float
     evidence_info: Bits
-    likelihood_infos: tuple[Bits, ...]
-    tics: tuple[Bits, ...]
-    signs: tuple[SignClass | None, ...]
-    posterior_nums: tuple[int, ...] | tuple[float, ...]
+    tics: list[Bits]
+    posterior_nums: list[int] | list[float]
     posterior_den: int
-    posterior_floats: tuple[float, ...]
-    posterior_infos: tuple[Bits, ...]
-    scaled_prior: tuple[tuple[int, ...], int] | None
-    scaled_row: tuple[tuple[int, ...], int] | None
+    posterior_floats: list[float]
+    likelihood_infos: list[Bits]
+    scaled_row: tuple[list[int], int] | None
+    prior: _PriorTerms
+
+    @property
+    def models(self) -> tuple[str, ...]:
+        return self.prior[0].labels
+
+    @property
+    def prior_infos(self) -> tuple[Bits, ...]:
+        return self.prior[2]
+
+    @property
+    def evidence(self) -> Probability:
+        """``P(x)``: a Fraction on exact rows, the float otherwise."""
+        if self.scaled_row is None:
+            return self.evidence_float
+        return Fraction(self.posterior_den, self.prior[1][1] * self.scaled_row[1])
 
     @property
     def posteriors(self) -> tuple[Probability, ...]:
         """``P(theta | x)`` per model: Fractions on exact rows, floats otherwise."""
-        if not isinstance(self.evidence, Fraction):
-            return self.posterior_floats
+        if self.scaled_row is None:
+            return tuple(self.posterior_floats)
         return tuple([Fraction(num, self.posterior_den) for num in self.posterior_nums])
 
     @property
+    def posterior_infos(self) -> list[Bits]:
+        """Each model's posterior information content, ``prior_info - tic``."""
+        return list(map(operator.sub, self.prior[2], self.tics))
+
+    @property
+    def signs(self) -> list[SignClass | None]:
+        """Each model's sign class, None where the prior is 0.
+
+        Exact rows compare ``P(x | theta)`` with ``P(x)`` exactly; float
+        rows classify the TIC with :func:`classify_tic`'s neutral band.
+        """
+        prior_infos = self.prior[2]
+        if self.scaled_row is None:
+            return [None if prior_i == math.inf else classify_tic(t)  # inf: prior 0
+                    for prior_i, t in zip(prior_infos, self.tics)]
+        row_nums, prior_den = self.scaled_row[0], self.prior[1][1]
+        total = self.posterior_den
+        # (P(x | theta) - P(x)) * prior_den * row_den: its sign, without rounding
+        excess = [lik * prior_den - total for lik in row_nums]
+        informs, neutral, misleads = SignClass.INFORMS, SignClass.NEUTRAL, SignClass.MISLEADS
+        return [None if prior_i == math.inf
+                else informs if e > 0 else misleads if e < 0 else neutral
+                for prior_i, e in zip(prior_infos, excess)]
+
+    @property
     def entries(self) -> tuple[ModelTransfer, ...]:
-        """One row per model, in model order, built on each access."""
-        return tuple([self._entry(j) for j in range(len(self.models))])
+        """The transfer report: one :class:`ModelTransfer` row per model, in model order."""
+        ms, _, prior_infos = self.prior
+        return tuple([
+            ModelTransfer(
+                model=model,
+                prior_prob=prior_p,
+                prior_info=prior_i,
+                evidence_info=self.evidence_info,
+                likelihood_info=lik_i,
+                tic=None if sign is None else t,  # None: prior 0
+                sign_class=sign,
+                posterior_info=post_i,
+                posterior_prob=prob_from_info(post_i),
+            )
+            for model, prior_p, prior_i, lik_i, t, sign, post_i in zip(
+                ms.labels, ms.prior.probs, prior_infos, self.likelihood_infos, self.tics,
+                self.signs, self.posterior_infos,
+            )
+        ])
 
     def entry_for(self, theta: str) -> ModelTransfer:
         """The transfer report's entry of model ``theta``."""
         if theta not in self.models:
             raise UnknownLabelError(f"no entry for model {theta!r}")
-        return self._entry(self.models.index(theta))
-
-    def _entry(self, j: int) -> ModelTransfer:
-        post_i = self.posterior_infos[j]
-        return ModelTransfer(
-            model=self.models[j],
-            prior_prob=self.priors[j],
-            prior_info=self.prior_infos[j],
-            evidence_info=self.evidence_info,
-            likelihood_info=self.likelihood_infos[j],
-            tic=None if self.signs[j] is None else self.tics[j],  # None: prior 0
-            sign_class=self.signs[j],
-            posterior_info=post_i,
-            posterior_prob=prob_from_info(post_i),
-        )
+        return self.entries[self.models.index(theta)]
 
     def local_transfer_entropy(self, j: int) -> Bits:
         """Log-odds update ``log2(P(theta|x) / P(theta))`` of model ``j``.
@@ -263,129 +312,33 @@ class ObservationUpdate(NamedTuple):
         return bits
 
     def log_odds_updates(self) -> list[Bits | None]:
-        """:meth:`local_transfer_entropy` of every model, None where the prior is 0."""
-        return _log_odds_updates(self)
+        """Each model's log-odds update ``log2(P(theta | x) / P(theta))``, None where the prior is 0.
 
-
-def _log_odds_updates(u: ObservationUpdate | Marginal) -> list[Bits | None]:
-    """Each model's log-odds update ``log2(P(theta | x) / P(theta))``, None where the prior is 0.
-
-    On exact rows the ratio equals ``P(x | theta) / P(x)``: the model's
-    numerator in the scaled row times the prior's denominator, over the
-    joints' total, with no Fraction division and no pair read. Its float
-    depends on the rational alone, so each distinct numerator in the row
-    takes one log.
-    """
-    if u.scaled_row is None:
-        return [None if prior_i == math.inf else -math.inf if num == 0 else _log2_positive(num / p)
-                for num, p, prior_i in zip(u.posterior_nums, u.priors, u.prior_infos)]
-    scale, total = u.scaled_prior[1], u.posterior_den
-    logs: dict[int, Bits] = {}  # a row numerator -> its log-odds update
-    row: list[Bits | None] = []
-    for lik, prior_i in zip(u.scaled_row[0], u.prior_infos):
-        if prior_i == math.inf:  # prior 0
-            row.append(None)
-        elif lik == 0:
-            row.append(-math.inf)
-        else:
-            bits = logs.get(lik)
-            if bits is None:
-                logs[lik] = bits = _log2_quotient(lik * scale, total)
-            row.append(bits)
-    return row
-
-
-# What every observation reuses of the prior, worked out once per command:
-# the model space, the prior's values over one common denominator (None
-# unless all are Fractions), and their infos.
-_PriorTerms = tuple[ModelSpace, tuple[tuple[int, ...], int] | None, tuple[Bits, ...]]
-
-
-def _prior_terms(ms: ModelSpace) -> _PriorTerms:
-    probs = ms.prior.probs
-    scaled = _common_denominator(probs)
-    scaled = scaled and (tuple(scaled[0]), scaled[1])  # tuples keep an update hashable
-    return ms, scaled, tuple([_info(p) for p in probs])
-
-
-class Marginal(NamedTuple):
-    """One observation's likelihood row marginalised against the prior.
-
-    All that KL, both MI paths and ``verify`` read: ``P(x)`` as a float
-    (``evidence``) and in bits, and each model's TIC and posterior as
-    :class:`ObservationUpdate` holds them. :meth:`report` adds the report
-    columns from ``likelihood_infos`` and, on exact rows, ``scaled_row``,
-    the row's numerators over one denominator. The prior's columns are
-    read from ``prior``, shared by every observation of a command.
-    """
-
-    observation: str
-    evidence: float
-    evidence_info: Bits
-    tics: list[Bits]
-    posterior_nums: list[int] | list[float]
-    posterior_den: int
-    posterior_floats: list[float]
-    likelihood_infos: list[Bits]
-    scaled_row: tuple[list[int], int] | None
-    prior: _PriorTerms
-
-    @property
-    def priors(self) -> tuple[Probability, ...]:
-        return self.prior[0].prior.probs
-
-    @property
-    def scaled_prior(self) -> tuple[tuple[int, ...], int] | None:
-        return self.prior[1]
-
-    @property
-    def prior_infos(self) -> tuple[Bits, ...]:
-        return self.prior[2]
-
-    @property
-    def posterior_infos(self) -> list[Bits]:
-        """Each model's posterior information content, ``prior_info - tic``."""
-        return list(map(operator.sub, self.prior[2], self.tics))
-
-    def log_odds_updates(self) -> list[Bits | None]:
-        """The update's :meth:`ObservationUpdate.log_odds_updates`, with no report built."""
-        return _log_odds_updates(self)
-
-    def report(self) -> ObservationUpdate:
-        """The observation's full update: sign classes, posterior bits and exact evidence added."""
+        On exact rows the ratio equals ``P(x | theta) / P(x)``: the model's
+        numerator in the scaled row times the prior's denominator, over the
+        joints' total, with no Fraction division and no pair read. Its float
+        depends on the rational alone, so each distinct numerator in the row
+        takes one log.
+        """
         ms, scaled_prior, prior_infos = self.prior
-        tics = self.tics
         if self.scaled_row is None:
-            ev = self.evidence
-            signs = [None if prior_i == math.inf else classify_tic(t)  # inf: prior 0
-                     for prior_i, t in zip(prior_infos, tics)]
-        else:
-            (row_nums, row_den), prior_den = self.scaled_row, scaled_prior[1]
-            total = self.posterior_den
-            ev = Fraction(total, prior_den * row_den)
-            # (P(x | theta) - P(x)) * prior_den * row_den: its sign, without rounding
-            excess = [lik * prior_den - total for lik in row_nums]
-            informs, neutral, misleads = SignClass.INFORMS, SignClass.NEUTRAL, SignClass.MISLEADS
-            signs = [None if prior_i == math.inf
-                     else informs if e > 0 else misleads if e < 0 else neutral
-                     for prior_i, e in zip(prior_infos, excess)]
-        return ObservationUpdate(
-            observation=self.observation,
-            models=ms.labels,
-            priors=ms.prior.probs,
-            prior_infos=prior_infos,
-            evidence=ev,
-            evidence_info=self.evidence_info,
-            likelihood_infos=tuple(self.likelihood_infos),
-            tics=tuple(tics),
-            signs=tuple(signs),
-            posterior_nums=tuple(self.posterior_nums),
-            posterior_den=self.posterior_den,
-            posterior_floats=tuple(self.posterior_floats),
-            posterior_infos=tuple(self.posterior_infos),
-            scaled_prior=scaled_prior,
-            scaled_row=self.scaled_row and (tuple(self.scaled_row[0]), self.scaled_row[1]),
-        )
+            return [None if prior_i == math.inf else -math.inf if num == 0
+                    else _log2_positive(num / p)
+                    for num, p, prior_i in zip(self.posterior_nums, ms.prior.probs, prior_infos)]
+        scale, total = scaled_prior[1], self.posterior_den
+        logs: dict[int, Bits] = {}  # a row numerator -> its log-odds update
+        row: list[Bits | None] = []
+        for lik, prior_i in zip(self.scaled_row[0], prior_infos):
+            if prior_i == math.inf:  # prior 0
+                row.append(None)
+            elif lik == 0:
+                row.append(-math.inf)
+            else:
+                bits = logs.get(lik)
+                if bits is None:
+                    logs[lik] = bits = _log2_quotient(lik * scale, total)
+                row.append(bits)
+        return row
 
 
 def _marginal(
@@ -426,23 +379,20 @@ def _marginal(
                     scaled_row, pt)
 
 
-def update_from(m: Marginal | None, x: str) -> ObservationUpdate:
-    """The update of ``x`` from its marginal ``m``, which is None when ``P(x)`` is 0."""
+def update(ms: ModelSpace, om: ObservationModel, x: str) -> Marginal:
+    """Apply observation ``x`` to every model at once.
+
+    The per-label functions (:func:`tic`, :func:`posterior_info`, ...)
+    read their values from this record; :func:`transfer_report` returns it.
+    Raises ``ImpossibleObservationError`` when ``P(x)`` is 0.
+    """
+    _check_pairing(ms, om)
+    m = _marginal(_prior_terms(ms), x, om.likelihood[om._x_index(x)], {})
     if m is None:
         raise ImpossibleObservationError(
             f"observation {x!r} has zero evidence; cannot condition on it"
         )
-    return m.report()
-
-
-def update(ms: ModelSpace, om: ObservationModel, x: str) -> ObservationUpdate:
-    """Apply observation ``x`` to every model at once.
-
-    The per-label functions (:func:`tic`, :func:`posterior_info`, ...)
-    read their values from this update; :func:`transfer_report` returns it.
-    """
-    _check_pairing(ms, om)
-    return update_from(_marginal(_prior_terms(ms), x, om.likelihood[om._x_index(x)], {}), x)
+    return m
 
 
 def marginals(ms: ModelSpace, om: ObservationModel) -> Iterator[Marginal | None]:
@@ -457,18 +407,10 @@ def marginals(ms: ModelSpace, om: ObservationModel) -> Iterator[Marginal | None]
     return (_marginal(pt, x, row, cache) for x, row in zip(om.observation_labels, om.likelihood))
 
 
-def updates(ms: ModelSpace, om: ObservationModel) -> tuple[ObservationUpdate | None, ...]:
-    """The update of every observation, in observation order; None where the evidence is 0.
+def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> Marginal:
+    """Full information-transfer decomposition of observation ``x``: its :class:`Marginal`.
 
-    :func:`marginals` with the report columns of each.
-    """
-    return tuple([None if m is None else m.report() for m in marginals(ms, om)])
-
-
-def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> ObservationUpdate:
-    """Full information-transfer decomposition of observation ``x``: its update.
-
-    The update's ``entries`` hold one row per model: both surprisal
+    The record's ``entries`` hold one row per model: both surprisal
     sources, the TIC, its sign class, and the posterior computed via the
     information-space route.
     """

@@ -19,7 +19,12 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ExactnessError, ImpossibleObservationError, InvariantViolation
+from .errors import (
+    ExactnessError,
+    ImpossibleObservationError,
+    InvariantViolation,
+    UnknownLabelError,
+)
 from .record import Record
 from .scenario import Scenario
 
@@ -27,10 +32,8 @@ __all__ = [
     "JointOutcomeTable",
     "OracleMetrics",
     "enumerate_joint",
-    "observation_metrics",
     "oracle_metrics",
     "oracle_mi",
-    "oracle_mi_from_metrics",
     "oracle_mi_from_terms",
     "scenario_metrics",
 ]
@@ -86,7 +89,7 @@ class JointOutcomeTable(Record):
 
     def joint(self, model: str, observation: str) -> Fraction:
         if model not in self.model_labels or observation not in self._likelihoods:
-            raise KeyError(f"no joint cell for ({model!r}, {observation!r})")
+            raise UnknownLabelError(f"no joint cell for ({model!r}, {observation!r})")
         j = self.model_labels.index(model)
         p_num, p_den = self.prior[j].as_integer_ratio()
         l_num, l_den = self._likelihoods[observation][j]
@@ -94,7 +97,7 @@ class JointOutcomeTable(Record):
 
     def evidence(self, observation: str) -> Fraction:
         if observation not in self.observation_labels:
-            raise KeyError(f"unknown observation {observation!r}")
+            raise UnknownLabelError(f"unknown observation {observation!r}")
         joints, den = _joints(_prior_parts(self.prior), self._likelihoods[observation])
         return Fraction(sum(joints), den)
 
@@ -206,7 +209,7 @@ def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
     (their surprisal shift is undefined), and refuted models get -inf.
     """
     if observation not in table.observation_labels:
-        raise KeyError(f"unknown observation {observation!r}")
+        raise UnknownLabelError(f"unknown observation {observation!r}")
     metrics = _table_metrics(table, observation, _prior_parts(table.prior))
     if metrics is None:
         raise ImpossibleObservationError(
@@ -276,19 +279,14 @@ def _metrics(models: tuple[str, ...], prior_nums: list[int], row: _Row) -> Oracl
     )
 
 
-def observation_metrics(table: JointOutcomeTable) -> tuple[OracleMetrics | None, ...]:
-    """The metrics of every observation, in order; None where its evidence is 0."""
-    prior = _prior_parts(table.prior)  # once per table, not per cell
-    return tuple([_table_metrics(table, x, prior) for x in table.observation_labels])
-
-
 def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
-    """:func:`observation_metrics` of the scenario's joint table, one observation at a time.
+    """:func:`oracle_metrics` of every observation of the scenario, in order, one at a time.
 
     No table is built: each observation's metrics come from its
-    likelihood row as it is read. The checks of :func:`enumerate_joint`
-    run once the last observation has been given, so read to the end.
-    A float scenario raises ``ExactnessError`` at the call.
+    likelihood row as it is read, and are None where its evidence is 0.
+    The checks of :func:`enumerate_joint` run once the last observation
+    has been given, so read to the end. A float scenario raises
+    ``ExactnessError`` at the call.
     """
     prior = _exact_prior(scenario)
     models = tuple(scenario.observation_model.model_labels)
@@ -297,11 +295,8 @@ def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
 
 def oracle_mi(table: JointOutcomeTable) -> float:
     """Mutual information in bits: evidence-weighted KL over observations."""
-    return oracle_mi_from_metrics(observation_metrics(table))
-
-
-def oracle_mi_from_metrics(metrics: Iterable[OracleMetrics | None]) -> float:
-    """:func:`oracle_mi` from the metrics of every observation (None entries skipped)."""
+    prior = _prior_parts(table.prior)  # once per table, not per cell
+    metrics = (_table_metrics(table, x, prior) for x in table.observation_labels)
     return oracle_mi_from_terms((m.evidence, m.kl_bits) for m in metrics if m is not None)
 
 

@@ -12,8 +12,7 @@ import operator
 from itertools import chain, compress, islice, repeat
 from typing import Iterable
 
-from .aggregates import kl_classical_and_entropy, kl_from_update
-from .aggregates import mi_classical_from_entropies, mi_from_kls
+from .aggregates import kl_classical_and_entropy, kl_from_update, mi_from_terms
 from .core import info_content, prob_from_info
 from .engine import marginals
 from .errors import DomainError
@@ -79,8 +78,7 @@ def verify_scenario(scenario: Scenario) -> tuple[float, int]:
         dev, checks = max(dev, batch_dev), checks + batch_checks
         terms += batch_terms
     mi_oracle = oracle_mi_from_terms([(ev, kl) for *_, ev, kl in terms])
-    mi = mi_from_kls([(ev, kl) for ev, kl, *_ in terms])
-    mi_classical = mi_classical_from_entropies(ms.prior, [(ev, h) for ev, _, h, *_ in terms])
+    mi, mi_classical = mi_from_terms(ms.prior, [(ev, kl, c) for ev, kl, c, _, _ in terms])
     dev = max(dev, max_deviation((mi, mi_classical), (mi_oracle, mi_oracle)))
     return (math.inf if one_sided else dev), checks + one_sided
 
@@ -90,14 +88,14 @@ def _compare(both: list) -> tuple[float, int, list[tuple]]:
 
     Each quantity is an engine column against an oracle column. Per-cell
     engine columns are lazy, so they are never held in full. Also returns
-    each pair's MI terms: the engine's evidence, KL and posterior entropy,
-    then the oracle's evidence and KL.
+    each pair's MI terms: the engine's evidence, KL, classical KL and
+    posterior entropy, then the oracle's evidence and KL.
     """
     engine, oracle = [m for m, _ in both], [o for _, o in both]
     kls, oracle_kls = [kl_from_update(m) for m in engine], [o.kl_bits for o in oracle]
     classical = [kl_classical_and_entropy(m) for m in engine]
-    terms = [(m.evidence, kl, h, o.evidence, o.kl_bits)
-             for m, o, kl, (_, h) in zip(engine, oracle, kls, classical)]
+    terms = [(m.evidence_float, kl, c, o.evidence, o.kl_bits)
+             for m, o, kl, c in zip(engine, oracle, kls, classical)]
     devs = [
         max_deviation(kls, oracle_kls),
         max_deviation([kl for kl, _ in classical], oracle_kls),

@@ -20,7 +20,7 @@ from bayesbits import (
 )
 from bayesbits import cli
 from bayesbits.cli import build_report
-from bayesbits.engine import update, updates
+from bayesbits.engine import marginals, update
 from random_agreement_sweep import random_scenario
 
 LOG2_3 = 1.584962500721156
@@ -85,7 +85,7 @@ class TestKl:
         rng = random.Random(20261019)
         for _ in range(100):
             scenario = random_scenario(rng, max_models=6, max_observations=6)
-            for u in updates(*parts(scenario)):
+            for u in marginals(*parts(scenario)):
                 if u is None:
                     continue
                 expected = sum(float(w) * t for w, t in zip(u.posteriors, u.tics) if w != 0)
@@ -157,7 +157,7 @@ class TestMutualInformation:
         ms, om = parts(biased)
         manual = sum(
             float(u.evidence) * kl_expected_tic(ms, om, u.observation)
-            for u in updates(ms, om)
+            for u in marginals(ms, om)
             if u is not None
         )
         assert mutual_information(ms, om) == pytest.approx(manual, abs=0.0)
@@ -191,5 +191,5 @@ class TestMutualInformation:
             ("A", "B"),
             [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
         )
-        assert [u is None for u in updates(ms, om)] == [False, True]
+        assert [u is None for u in marginals(ms, om)] == [False, True]
         assert mutual_information(ms, om) == 0.0

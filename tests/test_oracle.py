@@ -21,8 +21,13 @@ from bayesbits import (
     posterior_prob_info_form,
     tic,
 )
-from bayesbits.errors import ExactnessError, ImpossibleObservationError, InvariantViolation
-from bayesbits.oracle import observation_metrics, oracle_mi_from_metrics, scenario_metrics
+from bayesbits.errors import (
+    BayesBitsError,
+    ExactnessError,
+    ImpossibleObservationError,
+    InvariantViolation,
+)
+from bayesbits.oracle import oracle_mi_from_terms, scenario_metrics
 from bayesbits.verify import bits_deviation
 from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
 from random_agreement_sweep import random_scenario
@@ -73,12 +78,19 @@ class TestEnumerateJoint:
 
     def test_unknown_lookups(self, traditional):
         table = enumerate_joint(traditional)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as joint_x:
             table.joint("A", "zzz")
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as joint_theta:
             table.joint("zzz", "Monty_B")
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as evidence:
             table.evidence("zzz")
+        with pytest.raises(KeyError) as metrics:
+            oracle_metrics(table, "zzz")
+        # one family with the engine's label errors, and a message without repr quotes
+        for exc in (joint_x, joint_theta, evidence, metrics):
+            assert isinstance(exc.value, BayesBitsError)
+        assert str(joint_theta.value) == "no joint cell for ('zzz', 'Monty_B')"
+        assert str(metrics.value) == "unknown observation 'zzz'"
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -275,7 +287,7 @@ class TestKernels:
     def test_mi_from_metrics_matches_oracle_mi(self):
         for scenario in self.scenarios():
             table = enumerate_joint(scenario)
-            every = observation_metrics(table)
+            every = tuple(scenario_metrics(scenario))
             assert len(every) == len(table.observation_labels)
             mi = 0.0
             for x, m in zip(table.observation_labels, every):
@@ -283,7 +295,8 @@ class TestKernels:
                 if m is not None:
                     assert m == oracle_metrics(table, x)
                     mi += float(m.evidence) * m.kl_bits
-            assert same_bits(oracle_mi(table), oracle_mi_from_metrics(every))
+            terms = [(m.evidence, m.kl_bits) for m in every if m is not None]
+            assert same_bits(oracle_mi(table), oracle_mi_from_terms(terms))
             assert same_bits(oracle_mi(table), mi)
 
 

@@ -18,21 +18,18 @@ from bayesbits import (
     kl_expected_tic,
     local_transfer_entropy,
     mutual_information,
+    mutual_information_classical,
     oracle_metrics,
     posterior_prob_info_form,
     tic,
     transfer_report,
 )
-from bayesbits.aggregates import (
-    kl_classical_from_update,
-    kl_from_update,
-    mi_classical_from_updates,
-)
+from bayesbits.aggregates import kl_classical_and_entropy, kl_from_update
 from bayesbits.cli import build_report
 from bayesbits.core import entropy, info_content, prob_from_info
-from bayesbits.engine import posterior_info, update, updates
+from bayesbits.engine import marginals, posterior_info, update
 from bayesbits.errors import InvariantViolation
-from bayesbits.oracle import observation_metrics
+from bayesbits.oracle import scenario_metrics
 from bayesbits.scenario import load_scenario, scenario_from_json_text, scenario_to_json_text
 from bayesbits.verify import bits_deviation
 from helpers import likelihood, same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
@@ -279,8 +276,8 @@ def check_integer_kernels(scenario) -> Counter:
     paths: Counter = Counter()
     ms, om = scenario.model_space, scenario.observation_model
     prior = ms.prior.probs
-    all_updates = updates(ms, om)
-    all_metrics = observation_metrics(enumerate_joint(scenario))
+    all_updates = tuple(marginals(ms, om))
+    all_metrics = tuple(scenario_metrics(scenario))
     conditional = 0.0
     for row, u, m in zip(om.likelihood, all_updates, all_metrics):
         ev = sum((lik * p for lik, p in zip(row, prior)), Fraction(0))
@@ -313,10 +310,10 @@ def check_integer_kernels(scenario) -> Counter:
             kl_classical += float(post) * (info_reference(p, paths) - post_info)
             entropy_x += float(post) * post_info
         assert same_bits(kl_from_update(u), kl)
-        assert same_bits(kl_classical_from_update(u), kl_classical)
+        assert same_bits(kl_classical_and_entropy(u)[0], kl_classical)
         conditional += float(ev) * entropy_x
     prior_entropy = sum([float(p) * info_reference(p, paths) for p in prior if p != 0])
-    assert same_bits(mi_classical_from_updates(ms.prior, all_updates), prior_entropy - conditional)
+    assert same_bits(mutual_information_classical(ms, om), prior_entropy - conditional)
     return paths
 
 

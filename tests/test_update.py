@@ -39,9 +39,9 @@ from bayesbits.core import _log2_positive, info_content
 from bayesbits.engine import (
     SignClass,
     classify_tic,
+    marginals,
     posterior_info,
     update,
-    updates,
 )
 from bayesbits.errors import ImpossibleObservationError, UndefinedLogError
 from bayesbits.verify import verify_scenario
@@ -61,7 +61,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def log_odds_reference(u, j: int) -> float:
     """``log2(posterior / prior)`` of the reduced ratio: the integer-part kernel must give its bits."""
     post = u.posteriors[j]
-    return -math.inf if post == 0 else _log2_positive(post / u.priors[j])
+    return -math.inf if post == 0 else _log2_positive(post / u.entries[j].prior_prob)
 
 
 def expected_sign(lik, ev, t):
@@ -81,8 +81,7 @@ def check_against_formulas(scenario) -> int:
     ms, om = scenario.model_space, scenario.observation_model
     exact = scenario.is_exact
     impossible = 0
-    all_updates = updates(ms, om)
-    for x, row, shared in zip(om.observation_labels, om.likelihood, all_updates):
+    for x, row, shared in zip(om.observation_labels, om.likelihood, marginals(ms, om)):
         ev = sum(lik * p for lik, p in zip(row, ms.prior.probs))
         assert evidence(ms, om, x) == ev and isinstance(ev, Fraction) == exact
         assert same_bits(float(evidence(ms, om, x)), float(ev))
@@ -195,20 +194,36 @@ def test_one_marginalisation_per_observation(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def column_counter(monkeypatch, name: str) -> list[int]:
+    """Count reads of the on-demand column ``engine.Marginal.name`` from now on."""
+    calls = [0]
+    column = getattr(engine.Marginal, name)
+
+    def counting(self):
+        calls[0] += 1
+        return column.__get__(self)
+
+    monkeypatch.setattr(engine.Marginal, name, property(counting))
+    return calls
+
+
 def test_solve_builds_report_columns_for_the_printed_observation_only(monkeypatch):
+    # the sign column is worked out once for the printed table, not once per row
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
-    built = call_counter(monkeypatch, engine, "ObservationUpdate")
+    built = column_counter(monkeypatch, "signs")
     report = build_report(scenario, "Monty_D12_car")
+    cli.render_table(report, 6)
     assert built == [1] and report.transfer.observation == "Monty_D12_car"
     ms, om = scenario.model_space, scenario.observation_model
-    assert report.transfer == updates(ms, om)[om.observation_labels.index("Monty_D12_car")]
+    printed = tuple(marginals(ms, om))[om.observation_labels.index("Monty_D12_car")]
+    assert report.transfer == printed
 
 
 def test_mi_builds_no_update(monkeypatch, tmp_path, capsys):
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
     path = tmp_path / "custom-12.json"
     save_scenario(scenario, path)
-    built = call_counter(monkeypatch, engine, "ObservationUpdate")
+    built = column_counter(monkeypatch, "signs")
     ms, om = scenario.model_space, scenario.observation_model
     mutual_information(ms, om)
     mutual_information_classical(ms, om)
@@ -228,8 +243,8 @@ def test_csv_solve_computes_no_kl_or_mi(monkeypatch, tmp_path, capsys):
     def refuse(*args):
         raise AssertionError("solve --format csv computed a KL or an MI")
 
-    for name in ("kl_from_update", "kl_classical_from_update", "mi_from_kls",
-                 "mi_classical_from_updates", "mi_both_paths", "_posterior_entropy"):
+    for name in ("kl_from_update", "kl_classical_and_entropy", "mi_from_kls", "mi_from_terms",
+                 "mi_both_paths"):
         monkeypatch.setattr(aggregates, name, refuse)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
@@ -334,7 +349,7 @@ def test_classical_mi_builds_no_distribution(monkeypatch):
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
     calls = call_counter(monkeypatch, aggregates, "Distribution")
     ms, om = scenario.model_space, scenario.observation_model
-    assert aggregates.mi_classical_from_updates(ms.prior, updates(ms, om)) == pytest.approx(
+    assert aggregates.mutual_information_classical(ms, om) == pytest.approx(
         oracle.oracle_mi(oracle.enumerate_joint(scenario)), abs=1e-9
     )
     assert verify_scenario(scenario)[0] <= 1e-9
@@ -370,6 +385,7 @@ def test_exact_values_build_no_fraction_per_cell(monkeypatch):
     assert 0 < built[0] <= 4 * n_obs + 10
     built[0] = 0
     report = build_report(scenario, "Monty_C")
+    cli.render_table(report, 6)  # the exact evidence is built for the printed table
     assert 0 < built[0] <= 4 * n_obs + 10
     assert report.transfer.evidence == Fraction(1, 12)
 
@@ -426,7 +442,7 @@ def test_one_log_per_distinct_likelihood_per_row(monkeypatch):
     nonzero = sum(p != 0 for p in objects.values())
     logs = [call_counter(monkeypatch, module, "_log2_quotient") for module in (core, engine)]
     infos = [call_counter(monkeypatch, module, "_info") for module in (core, engine)]
-    us = updates(ms, om)
+    us = tuple(marginals(ms, om))
     assert all(us) and (len(objects), nonzero) == (2, 1)
     n_priors, n_rows = len(ms.labels), len(om.likelihood)
     assert (n_priors, n_rows) == (16, 30)
@@ -441,8 +457,8 @@ def test_equal_value_objects_get_equal_infos():
     om = ObservationModel(["x", "y"], prior.labels, [row, [1 - p for p in row]])
     assert len({id(p) for p in om.likelihood[0]}) == 3
     u = update(ModelSpace(prior), om, "x")
-    assert updates(ModelSpace(prior), om)[0] == u
-    assert u.likelihood_infos == (info_content(Fraction(1, 3)),) * 3
+    assert next(marginals(ModelSpace(prior), om)) == u
+    assert u.likelihood_infos == [info_content(Fraction(1, 3))] * 3
 
 
 def test_engine_reads_each_pair_once_per_command(monkeypatch):
@@ -454,7 +470,7 @@ def test_engine_reads_each_pair_once_per_command(monkeypatch):
     bound = len(ms.labels) + len(objects)
     assert bound == 12 + 2
     pairs = call_counter(monkeypatch, Fraction, "as_integer_ratio")
-    rows = [u.log_odds_updates() for u in updates(ms, om) if u is not None]
+    rows = [u.log_odds_updates() for u in marginals(ms, om) if u is not None]
     assert len(rows) == 22 and 0 < pairs[0] <= bound
     pairs[0] = 0
     build_report(scenario, "Monty_C")
@@ -467,8 +483,8 @@ def test_oracle_reads_each_prior_pair_once_per_table(monkeypatch):
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
     table = oracle.enumerate_joint(scenario)
     pairs = call_counter(monkeypatch, Fraction, "as_integer_ratio")
-    metrics = oracle.observation_metrics(table)
-    n_models, n_obs = len(table.model_labels), len(metrics)
+    oracle.oracle_mi(table)  # the metrics of every observation
+    n_models, n_obs = len(table.model_labels), len(table.observation_labels)
     assert (n_models, n_obs) == (12, 22)
     assert 0 < pairs[0] <= n_models + n_obs
 
@@ -497,7 +513,7 @@ def check_log_odds_rows(scenario) -> int:
     """
     ms, om = scenario.model_space, scenario.observation_model
     zero_priors = 0
-    for x, u in zip(om.observation_labels, updates(ms, om)):
+    for x, u in zip(om.observation_labels, marginals(ms, om)):
         if u is None:
             continue
         row = u.log_odds_updates()
@@ -538,5 +554,5 @@ def test_float_evidence_above_one_carries_zero_bits():
     assert u.evidence > 1
     assert u.evidence_info == 0.0
     assert [e.evidence_info for e in u.entries] == [0.0] * 5
-    assert u.tics == (0.0,) * 5
-    assert u.posterior_infos == u.prior_infos
+    assert u.tics == [0.0] * 5
+    assert u.posterior_infos == list(u.prior_infos)

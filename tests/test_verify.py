@@ -128,7 +128,7 @@ def game():
 def refuted_cell(scenario) -> tuple[int, int]:
     """(observation, model) of a model with prior > 0 that the observation refutes."""
     ms, om = scenario.model_space, scenario.observation_model
-    for i, u in enumerate(engine.updates(ms, om)):
+    for i, u in enumerate(engine.marginals(ms, om)):
         if u is None:
             continue
         for j, (num, sign) in enumerate(zip(u.posterior_nums, u.signs)):
@@ -157,7 +157,7 @@ def patch_marginals(monkeypatch, scenario, name: str, i: int, j: int, value) -> 
 
 def test_the_game_passes_unpatched(game):
     i, j = refuted_cell(game)
-    u = engine.updates(game.model_space, game.observation_model)[i]
+    u = tuple(engine.marginals(game.model_space, game.observation_model))[i]
     assert u.tics[j] == -math.inf and u.log_odds_updates()[j] == -math.inf
     assert u.log_odds_updates()[-1] is None  # door D8: prior 0
     assert verify_scenario(game)[0] <= VERIFY_TOL
@@ -195,7 +195,7 @@ def test_a_faulty_posterior_cell_is_reported(monkeypatch, game):
     # or infinite: a posterior information content one bit too high shows
     # as a deviation of half the posterior.
     checks = verify_scenario(game)[1]
-    u = engine.updates(game.model_space, game.observation_model)[0]
+    u = tuple(engine.marginals(game.model_space, game.observation_model))[0]
     j = next(j for j, num in enumerate(u.posterior_nums) if num != 0)
     patch_marginals(monkeypatch, game, "posterior_infos", 0, j, u.posterior_infos[j] + 1)
     dev, faulty_checks = verify_scenario(game)
