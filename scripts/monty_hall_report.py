@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from bayesbits import Distribution, HostPolicy, MhpConfig, evidence, mhp_scenario
-from bayesbits.cli import build_report, render_table
+from bayesbits.cli import _PRECISION, build_report, render_table
 from bayesbits.verify import verify_scenario
 
 
@@ -34,7 +34,7 @@ def variants():
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--precision", type=int, default=6, help="decimal places")
+    parser.add_argument("--precision", **_PRECISION, help="decimal places (0 to 17)")
     args = parser.parse_args(argv)
 
     for scenario in variants():

@@ -48,12 +48,20 @@ def random_scenario(rng: random.Random, max_models: int, max_observations: int) 
     )
 
 
+def positive_int(text: str) -> int:
+    """An argparse ``type``: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=1000, help="scenarios to sweep")
+    parser.add_argument("--count", type=positive_int, default=1000, help="scenarios to sweep")
     parser.add_argument("--seed", type=int, default=20260819, help="RNG seed")
-    parser.add_argument("--max-models", type=int, default=8)
-    parser.add_argument("--max-observations", type=int, default=8)
+    parser.add_argument("--max-models", type=positive_int, default=8)
+    parser.add_argument("--max-observations", type=positive_int, default=8)
     args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)

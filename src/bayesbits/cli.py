@@ -20,10 +20,13 @@ A process loads only what its subcommand runs: ``engine`` and
 ``aggregates`` are imported by ``solve``, ``kl``, ``mi`` and ``verify``,
 ``verify`` (with the oracle) by ``verify`` alone, and ``csv`` by CSV
 output. A first word that names a subcommand gets a parser of its own
-arguments; other argv, or a word it leaves, get the full parser. Keep new
-work out of module level. ``solve`` folds each observation into the MI
-and drops it, and reads report columns of the printed one alone; with
-``--format csv`` it computes no KL or MI. ``mi`` reads no report column.
+arguments, which checks argv and never prints; other argv, an error or a
+word it leaves get the full parser of :func:`build_parser`, the only one
+that prints help, usage or an error. Keep new work out of module level.
+``solve`` folds each observation into the MI and drops it, and reads
+report columns of the printed one alone; with ``--format csv`` it
+computes no KL or MI. ``mi`` reads no report column. The renderers
+format the report a column at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import argparse
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 from .core import Distribution, probability_repr
 from .errors import BayesBitsError, DomainError, ImpossibleObservationError
@@ -50,7 +54,7 @@ from .scenario import (
 )
 
 if TYPE_CHECKING:
-    from .engine import Marginal, ModelTransfer
+    from .engine import Marginal
 
 __all__ = ["ReportDocument", "build_report", "entry_point", "main"]
 
@@ -103,22 +107,6 @@ def build_report(scenario: Scenario, observation: str, totals: bool = True) -> R
     return ReportDocument(scenario.name, printed, max(0.0, kl), max(0.0, mi))
 
 
-def _cells(entry: ModelTransfer) -> tuple[Any, ...]:
-    """A model's report values in :data:`CSV_HEADER` order."""
-    sign = entry.sign_class.value if entry.sign_class is not None else None
-    return (
-        entry.model,
-        entry.prior_prob,
-        entry.prior_info,
-        entry.evidence_info,
-        entry.likelihood_info,
-        entry.tic,
-        sign,
-        entry.posterior_info,
-        entry.posterior_prob,
-    )
-
-
 # --- cell formatters: None, a label, a Fraction or a float -------------------
 
 
@@ -150,31 +138,61 @@ def _csv(v: Any) -> str:
     return _cell(v, "", repr)
 
 
-def _align_table(header: list[str], body: list[list[str]], left: set[int]) -> str:
-    widths = [len(h) for h in header]
-    for row in body:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in [header] + body:
-        cells = [
-            cell.ljust(widths[i]) if i in left else cell.rjust(widths[i])
-            for i, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+# --- report columns, each formatted with one call ----------------------------
+
+# CSV_HEADER indices of the report columns that hold a float in every row
+_FLOAT_COLUMNS = frozenset({2, 3, 4, 7, 8})
+
+# repr of an infinity, which JSON cannot carry -> what _json_text writes for
+# it; the float columns are information contents and probabilities, never -inf
+_JSON_NONFINITE = {"inf": '"Infinity"'}
+
+
+def _column_texts(
+    report: Marginal, cell: Callable[[Any], str], floats: Callable[[Iterable[float]], list[str]]
+) -> list[list[str]]:
+    """The report's columns as text, in :data:`CSV_HEADER` order.
+
+    ``floats`` formats each all-float column whole, after ``x + 0.0``
+    turns ``-0.0`` into ``0.0`` as :func:`_cell` does; ``cell`` formats
+    the label, prior, TIC and sign columns value by value.
+    """
+    columns = list(report.columns)
+    columns[6] = [None if sign is None else sign.value for sign in columns[6]]
+    return [
+        floats(map((0.0).__add__, column)) if i in _FLOAT_COLUMNS
+        else list(map(cell, column))
+        for i, column in enumerate(columns)
+    ]
+
+
+def _json_floats(column: Iterable[float]) -> list[str]:
+    texts = list(map(repr, column))
+    return list(map(_JSON_NONFINITE.get, texts, texts))
+
+
+def _align_table(header: list[str], columns: list[list[str]], left: set[int]) -> str:
+    padded = []
+    for i, column in enumerate(columns):
+        cells = [header[i], *column]
+        pad = str.ljust if i in left else str.rjust
+        padded.append(list(map(pad, cells, repeat(max(map(len, cells))))))
+    return "\n".join(["  ".join(row).rstrip() for row in zip(*padded)])
 
 
 def render_table(doc: ReportDocument, precision: int) -> str:
     report = doc.transfer
-    body = [[_text(v, precision) for v in _cells(entry)] for entry in report.entries]
+    spec = f"{{:.{precision}f}}".format
+    columns = _column_texts(
+        report, lambda v: _text(v, precision), lambda column: list(map(spec, column))
+    )
     lines = [
         f"scenario: {doc.scenario}",
         f"observation: {report.observation}",
         f"evidence: {_text(report.evidence, precision)} "
         f"({_text(report.evidence_info, precision)} bits)",
         "",
-        _align_table(CSV_HEADER, body, left={0, 6}),
+        _align_table(CSV_HEADER, columns, left={0, 6}),
         "",
         f"KL(posterior || prior): {_text(doc.kl_bits, precision)} bits",
         f"mutual information: {_text(doc.mi_bits, precision)} bits",
@@ -185,16 +203,16 @@ def render_table(doc: ReportDocument, precision: int) -> str:
 def render_json(doc: ReportDocument) -> str:
     """``json.dumps`` of the report with ``indent=2``, laid out here as the scenario file is."""
     report = doc.transfer
-    models = [
-        _json_list([f'"{k}": {_json_text(v)}' for k, v in zip(CSV_HEADER, _cells(entry))], 2, "{}")
-        for entry in report.entries
+    keyed = [
+        list(map(f'"{key}": '.__add__, column))
+        for key, column in zip(CSV_HEADER, _column_texts(report, _json_text, _json_floats))
     ]
     fields = [
         ("scenario", _json_text(doc.scenario)),
         ("observation", _json_text(report.observation)),
         ("evidence", _json_text(report.evidence)),
         ("evidence_bits", _json_text(report.evidence_info)),
-        ("models", _json_list(models, 1)),
+        ("models", _json_list([_json_list(row, 2, "{}") for row in zip(*keyed)], 1)),
         ("kl_bits", _json_text(doc.kl_bits)),
         ("mi_bits", _json_text(doc.mi_bits)),
     ]
@@ -208,7 +226,7 @@ def render_csv(doc: ReportDocument) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows([_csv(v) for v in _cells(entry)] for entry in doc.transfer.entries)
+    writer.writerows(zip(*_column_texts(doc.transfer, _csv, lambda column: list(map(repr, column)))))
     return buffer.getvalue()
 
 
@@ -394,15 +412,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Malformed(Exception):
+    """A subcommand parser's error, which :func:`build_parser` reports instead."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One subcommand's arguments, as a check of argv that never prints.
+
+    It has no ``-h``, and an error raises :class:`_Malformed`. Its
+    formatter has a fixed width: ``add_argument`` builds one to check
+    each metavar, and so none asks the terminal its width.
+    """
+
+    def __init__(self, command: str) -> None:
+        super().__init__(
+            prog=f"bayesbits {command}",
+            add_help=False,
+            formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
+        )
+        _add_arguments(self, command)
+
+    def error(self, message: str) -> NoReturn:
+        raise _Malformed(message)
+
+
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """``argv`` parsed as :func:`build_parser` parses it, by a parser of the
-    subcommand its first word names unless that parser leaves a word over."""
+    """``argv`` parsed as :func:`build_parser` parses it.
+
+    When its first word names a subcommand, a parser of that subcommand's
+    arguments alone checks the rest; unless it takes every word without
+    an error, the full parser parses ``argv`` and prints any help, usage
+    or error.
+    """
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"bayesbits {argv[0]}")
-        _add_arguments(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
+        try:
+            args, extras = _CommandParser(argv[0]).parse_known_args(argv[1:])
+        except _Malformed:
+            pass
+        else:
+            if not extras:
+                return args
     return build_parser().parse_args(argv)
 
 

@@ -198,8 +198,9 @@ class Marginal(NamedTuple):
 
     The one per-observation record. KL, both MI paths and ``verify`` read
     its fields; ``solve`` prints its report columns, which are computed
-    on each access. ``P(x)`` is held as a float (``evidence_float``) and
-    in bits, and ``evidence`` is the exact Fraction on exact rows. Per-model
+    on each access, whole (``columns``) or a row per model (``entries``).
+    ``P(x)`` is held as a float (``evidence_float``) and in bits, and
+    ``evidence`` is the exact Fraction on exact rows. Per-model
     lists line up with ``models``. ``tics`` and ``posterior_infos`` cover
     models with prior 0 too (``posterior_info`` is then ``+inf``); their
     ``signs`` entry is None. Bayes' rule in probability space gives
@@ -270,26 +271,30 @@ class Marginal(NamedTuple):
                 for prior_i, e in zip(prior_infos, excess)]
 
     @property
+    def columns(self) -> tuple[Sequence, ...]:
+        """The transfer report a column at a time, in :class:`ModelTransfer` field order.
+
+        Each column lines up with ``models``; the TIC is None where the
+        sign is, at prior 0.
+        """
+        ms, _, prior_infos = self.prior
+        signs, post_infos = self.signs, self.posterior_infos
+        return (
+            ms.labels,
+            ms.prior.probs,
+            prior_infos,
+            [self.evidence_info for _ in signs],
+            self.likelihood_infos,
+            [None if sign is None else t for sign, t in zip(signs, self.tics)],
+            signs,
+            post_infos,
+            list(map(prob_from_info, post_infos)),
+        )
+
+    @property
     def entries(self) -> tuple[ModelTransfer, ...]:
         """The transfer report: one :class:`ModelTransfer` row per model, in model order."""
-        ms, _, prior_infos = self.prior
-        return tuple([
-            ModelTransfer(
-                model=model,
-                prior_prob=prior_p,
-                prior_info=prior_i,
-                evidence_info=self.evidence_info,
-                likelihood_info=lik_i,
-                tic=None if sign is None else t,  # None: prior 0
-                sign_class=sign,
-                posterior_info=post_i,
-                posterior_prob=prob_from_info(post_i),
-            )
-            for model, prior_p, prior_i, lik_i, t, sign, post_i in zip(
-                ms.labels, ms.prior.probs, prior_infos, self.likelihood_infos, self.tics,
-                self.signs, self.posterior_infos,
-            )
-        ])
+        return tuple(map(ModelTransfer._make, zip(*self.columns)))
 
     def entry_for(self, theta: str) -> ModelTransfer:
         """The transfer report's entry of model ``theta``."""

@@ -349,7 +349,7 @@ def _json_at(value: Any, level: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _json_list(items: list[str], level: int, brackets: str = "[]") -> str:
+def _json_list(items: Sequence[str], level: int, brackets: str = "[]") -> str:
     """The JSON array of the encoded ``items``, laid out as ``indent=2`` lays it ``level`` deep.
 
     With ``brackets="{}"`` and items ``"key": value``, the JSON object.

@@ -1,5 +1,7 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -8,7 +10,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bayesbits import Distribution, ModelSpace, ObservationModel, Scenario
@@ -16,7 +18,7 @@ from bayesbits import cli, core, engine, load_scenario, save_scenario, verify
 from bayesbits.errors import ImpossibleObservationError, InvariantViolation
 from bayesbits.scenario import MAX_DOORS
 
-from helpers import random_float_scenario
+from helpers import random_float_scenario, wide_36_bit, wide_rational_scenario
 from random_agreement_sweep import random_scenario
 
 
@@ -562,6 +564,12 @@ LABELS = st.lists(st.sampled_from(AWKWARD) | st.text(min_size=1, max_size=6), mi
                   max_size=8, unique=True)
 
 
+def entry_cells(entry: engine.ModelTransfer) -> tuple:
+    """A report row's values in ``CSV_HEADER`` order, the sign class as its label."""
+    sign = entry.sign_class
+    return entry._replace(sign_class=None if sign is None else sign.value)
+
+
 def json_dumps_report(doc) -> str:
     """The report as ``json.dumps`` lays it out: the text ``render_json`` must keep."""
     report = doc.transfer
@@ -571,7 +579,7 @@ def json_dumps_report(doc) -> str:
         "evidence": cli._json(report.evidence),
         "evidence_bits": cli._json(report.evidence_info),
         "models": [
-            dict(zip(cli.CSV_HEADER, map(cli._json, cli._cells(entry)))) for entry in report.entries
+            dict(zip(cli.CSV_HEADER, map(cli._json, entry_cells(entry)))) for entry in report.entries
         ],
         "kl_bits": cli._json(doc.kl_bits),
         "mi_bits": cli._json(doc.mi_bits),
@@ -601,6 +609,93 @@ def test_json_layout_matches_json_dumps(seed, exact, name, models, observations)
         solved += 1
         assert cli.render_json(doc) == json_dumps_report(doc)
     assert solved > 0
+
+
+def table_reference(doc, precision: int) -> str:
+    """``render_table``'s text built cell by cell from the report's rows."""
+    report = doc.transfer
+    rows = [cli.CSV_HEADER]
+    rows += [[cli._text(v, precision) for v in entry_cells(e)] for e in report.entries]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(cli.CSV_HEADER))]
+    table = [
+        "  ".join(
+            cell.ljust(width) if i in (0, 6) else cell.rjust(width)
+            for i, (cell, width) in enumerate(zip(row, widths))
+        ).rstrip()
+        for row in rows
+    ]
+    return "\n".join([
+        f"scenario: {doc.scenario}",
+        f"observation: {report.observation}",
+        f"evidence: {cli._text(report.evidence, precision)} "
+        f"({cli._text(report.evidence_info, precision)} bits)",
+        "",
+        *table,
+        "",
+        f"KL(posterior || prior): {cli._text(doc.kl_bits, precision)} bits",
+        f"mutual information: {cli._text(doc.mi_bits, precision)} bits",
+    ]) + "\n"
+
+
+def csv_reference(doc) -> str:
+    """``render_csv``'s text built cell by cell from the report's rows."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(cli.CSV_HEADER)
+    writer.writerows([cli._csv(v) for v in entry_cells(e)] for e in doc.transfer.entries)
+    return buffer.getvalue()
+
+
+def column_scenario(seed: int, exact: bool) -> Scenario:
+    rng = random.Random(seed)
+    return wide_rational_scenario(rng, wide_36_bit) if exact else random_float_scenario(rng)
+
+
+def solved_docs(scenario: Scenario) -> list:
+    """Each solvable observation's report, then a copy whose float columns
+    and TIC hold a ``-0.0``."""
+    docs = []
+    for x in scenario.observation_model.observation_labels:
+        try:
+            doc = cli.build_report(scenario, x)
+        except ImpossibleObservationError:
+            continue
+        m = doc.transfer
+        signed_zero = m._replace(
+            evidence_info=-0.0,
+            likelihood_infos=[-0.0, *m.likelihood_infos[1:]],
+            tics=[-0.0, *m.tics[1:]],
+        )
+        docs += [doc, doc._replace(transfer=signed_zero)]
+    return docs
+
+
+# seed 0 (exact) and seed 1 (float, so a float prior) each hold a model of
+# prior 0 (TIC and sign None, prior_info inf) and a refuted one (TIC -inf)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans())
+@example(seed=0, exact=True)
+@example(seed=1, exact=False)
+def test_column_renderers_match_a_per_cell_reference(seed, exact):
+    docs = solved_docs(column_scenario(seed, exact))
+    assert docs
+    for doc in docs:
+        for precision in (0, 6, 17):
+            assert cli.render_table(doc, precision) == table_reference(doc, precision)
+        assert cli.render_csv(doc) == csv_reference(doc)
+        assert cli.render_json(doc) == json_dumps_report(doc)
+
+
+def test_column_examples_hold_the_special_values():
+    """The explicit examples above reach every kind of cell the renderers treat apart."""
+    for seed, exact in ((0, True), (1, False)):
+        docs = solved_docs(column_scenario(seed, exact))
+        entries = [entry for doc in docs for entry in doc.transfer.entries]
+        assert any(e.tic is None and e.sign_class is None for e in entries)
+        assert any(e.tic == -math.inf for e in entries)
+        assert any(e.prior_info == math.inf for e in entries)
+        assert any(math.copysign(1.0, e.evidence_info) < 0 for e in entries)
+        assert exact or all(isinstance(e.prior_prob, float) for e in entries)
 
 
 def compensated_sum(values, start=0):

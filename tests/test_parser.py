@@ -1,11 +1,12 @@
-"""The CLI parses a subcommand's argv with a parser of that subcommand alone.
+"""The CLI checks a subcommand's argv with a parser of that subcommand alone.
 
 When the first word of its argv names a subcommand, ``cli.parse_args``
-builds one ``ArgumentParser(prog="bayesbits <command>")`` with that
-command's arguments and its ``-h``, and parses the rest of argv with
-``parse_known_args``. A word it leaves over sends argv to the full parser
-of ``cli.build_parser()``, which prints the "unrecognized arguments"
-error under the top-level usage line. Every other argv gets the full
+builds one parser with that command's arguments and nothing else: no
+``-h``, a formatter of fixed width (so no terminal query), and an
+``error()`` that raises instead of printing and exiting. It parses the
+rest of argv with ``parse_known_args``. An error, or a word left over,
+sends argv to the full parser of ``cli.build_parser()``, the only parser
+that prints help, usage or an error. Every other argv gets the full
 parser too: top-level help, no command, an unknown command, an option
 before the command.
 
@@ -16,12 +17,14 @@ exit code the case names; a case in SAME_AS must also give what its twin
 gives. Help and usage text wrap to the terminal width, so every run sets
 ``COLUMNS=80``. argparse words its messages a little differently on each
 Python, which is why the corpus compares two runs rather than committed
-text. The parser work of a call is pinned too: ``main`` on a subcommand
-builds 1 parser with at most 3 argparse ``gettext`` calls, an argv with
-a word left over builds 1 + 6, and ``build_parser()`` builds 6 parsers
-with 22 ``add_argument`` calls.
+text. The parser work of a call is pinned too: ``main`` on a well-formed
+subcommand call builds 1 parser with its command's own arguments alone,
+at most 2 argparse ``gettext`` calls and no terminal-size query, and
+``parse_args`` writes nothing; an argv with a word left over builds
+1 + 6 parsers, and ``build_parser()`` builds 6 parsers with 22
+``add_argument`` calls.
 
-The corpus and the work counts need no pytest to run. To check them on
+The corpus and the work checks need no pytest to run. To check them on
 any interpreter:
 
     python3 tests/test_parser.py --check
@@ -33,6 +36,7 @@ import argparse
 import contextlib
 import io
 import os
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -108,6 +112,12 @@ CORPUS: dict[str, tuple[list[str], int]] = {
     "ambiguous-option": (["mhp", "custom-3", "--p", "B"], 2),
     "format-with-equals": (["solve", "{path}", "--format=csv"], 2),
     "two-double-dashes": (["verify", "--", "--", "{path}"], 2),
+    # the subcommand's own parser has no -h: its help, even abbreviated,
+    # and an option that -h leaves without a value go to the full parser
+    "help-abbreviated-after-command": (["solve", "{path}", "--observe", "z", "--he"], 0),
+    "help-as-option-value": (["solve", "{path}", "--observe", "-h"], 2),
+    "help-long-after-path": (["verify", "{path}", "--help"], 0),
+    "help-shortest-abbreviation": (["mhp", "custom-3", "--h"], 0),
 }
 
 # case -> the case whose exit code, stdout and stderr it must repeat
@@ -142,20 +152,21 @@ def full_parser_run(argv: list[str]) -> tuple[int, str, str]:
 
 
 # case -> most add_argument calls main makes on it: the command's own
-# arguments, then its -h
-MOST_ARGUMENTS = {"verify": 2, "solve": 5, "mhp": 7}
+# arguments alone
+MOST_ARGUMENTS = {"verify": 1, "solve": 4, "mhp": 6}
 
 # what count_parser_work counts -> (owner, attribute) it wraps
 COUNTED = {
     "parsers": (argparse.ArgumentParser, "__init__"),
     "add_argument": (argparse._ActionsContainer, "add_argument"),
     "gettext": (argparse, "_"),
+    "terminal_size": (shutil, "get_terminal_size"),
 }
 
 
 def count_parser_work(call: Callable[[], object]) -> Counter:
-    """The argparse parsers constructed, and the ``add_argument`` and
-    ``gettext`` calls made, while ``call()`` runs."""
+    """The argparse parsers constructed, and the ``add_argument``,
+    ``gettext`` and terminal-size calls made, while ``call()`` runs."""
     counts: Counter = Counter()
     originals = {key: getattr(owner, name) for key, (owner, name) in COUNTED.items()}
 
@@ -177,14 +188,32 @@ def count_parser_work(call: Callable[[], object]) -> Counter:
 
 
 def main_work_problem(case: str, most: int) -> str | None:
-    """None if ``main`` on ``case`` succeeds with 1 parser, at most 3
-    ``gettext`` and at most ``most`` ``add_argument`` calls; else what it did."""
+    """None if ``main`` on ``case`` succeeds with 1 parser, at most 2
+    ``gettext``, at most ``most`` ``add_argument`` and no terminal-size
+    calls; else what it did."""
     codes = []
     work = count_parser_work(lambda: codes.append(run_cli(case_argv(case))[0]))
-    if codes == [0] and work["parsers"] == 1:
-        if work["gettext"] <= 3 and work["add_argument"] <= most:
+    if codes == [0] and work["parsers"] == 1 and work["terminal_size"] == 0:
+        if work["gettext"] <= 2 and work["add_argument"] <= most:
             return None
     return f"{case}: exit {codes}, {dict(work)}"
+
+
+def silent_parse_problem(case: str) -> str | None:
+    """None if ``cli.parse_args`` on the well-formed ``case`` returns its
+    namespace and writes nothing; else what it did."""
+    from bayesbits import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = cli.parse_args(case_argv(case))
+        except SystemExit as exc:
+            parsed = exc
+    written = out.getvalue() + err.getvalue()
+    if isinstance(parsed, argparse.Namespace) and not written:
+        return None
+    return f"{case}: parse_args gave {parsed!r}, wrote {written!r}"
 
 
 def leftover_work_problem() -> str | None:
@@ -211,6 +240,7 @@ def full_work_problem() -> str | None:
 def work_problems() -> list[str]:
     """Every broken parser work bound, in the order the checks run."""
     found = [main_work_problem(case, most) for case, most in MOST_ARGUMENTS.items()]
+    found += [silent_parse_problem(case) for case in MOST_ARGUMENTS]
     found += [leftover_work_problem(), full_work_problem()]
     return [problem for problem in found if problem is not None]
 
@@ -242,10 +272,14 @@ if __name__ != "__main__":  # collected by pytest; the script below runs without
     def test_same_output_as_its_twin(case):
         assert run_cli(case_argv(case)) == run_cli(case_argv(SAME_AS[case]))
 
-    # 1 parser and at most 3 gettext calls as well
+    # 1 parser, at most 2 gettext calls and no terminal query as well
     @pytest.mark.parametrize("case, most", MOST_ARGUMENTS.items())
     def test_main_adds_only_its_arguments(case, most):
         assert main_work_problem(case, most) is None
+
+    @pytest.mark.parametrize("case", sorted(MOST_ARGUMENTS))
+    def test_a_well_formed_parse_writes_nothing(case):
+        assert silent_parse_problem(case) is None
 
     def test_a_word_left_over_builds_the_full_parser():
         assert leftover_work_problem() is None
@@ -280,7 +314,7 @@ def main(argv: list[str]) -> int:
         print(f"differs: {case}")
     for problem in problems:
         print(f"work: {problem}")
-    counts = len(MOST_ARGUMENTS) + 2
+    counts = 2 * len(MOST_ARGUMENTS) + 2
     print(
         f"{len(CORPUS) - len(failed)} of {len(CORPUS)} parser cases match and "
         f"{counts - len(problems)} of {counts} work counts hold on Python {python}"

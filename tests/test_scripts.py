@@ -1,0 +1,31 @@
+"""The scripts refuse arguments they cannot use with argparse's usage error, exit 2."""
+
+import pytest
+
+import monty_hall_report
+import random_agreement_sweep
+
+
+@pytest.mark.parametrize("precision", ["-1", "18"])
+def test_report_precision_is_bounded_as_in_the_cli(precision, capsys):
+    with pytest.raises(SystemExit) as exc:
+        monty_hall_report.main(["--precision", precision])
+    assert exc.value.code == 2
+    assert "argument --precision: invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--count", "0"], ["--count", "-5"], ["--max-models", "0"], ["--max-observations", "0"]],
+)
+def test_sweep_sizes_and_counts_are_at_least_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        random_agreement_sweep.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}: must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_of_one_smallest_scenario_passes(capsys):
+    argv = ["--count", "1", "--max-models", "1", "--max-observations", "1"]
+    assert random_agreement_sweep.main(argv) == 0
+    assert "scenarios: 1\n" in capsys.readouterr().out
