@@ -14,30 +14,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from bayesbits import Distribution, HostPolicy, MhpConfig, evidence, mhp_scenario
-from bayesbits.cli import _PRECISION, build_report, render_table
+from bayesbits import evidence
+from bayesbits.report import MAX_PRECISION, build_report, render_table
+from bayesbits.scenario import MHP_PRESETS, mhp_preset
 from bayesbits.verify import verify_scenario
-
-
-def variants():
-    yield mhp_scenario(MhpConfig(), name="Traditional Monty Hall")
-    biased_prior = Distribution(
-        ("A", "B", "C"), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-    )
-    yield mhp_scenario(MhpConfig(prior=biased_prior), name="Biased Monty Hall")
-    yield mhp_scenario(
-        MhpConfig(host_policy=HostPolicy.FORGETFUL), name="Forgetful Monty Hall"
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--precision", **_PRECISION, help="decimal places (0 to 17)")
+    parser.add_argument("--precision", type=int, choices=range(MAX_PRECISION + 1), default=6,
+                        metavar="PRECISION", help=f"decimal places (0 to {MAX_PRECISION})")
     args = parser.parse_args(argv)
 
-    for scenario in variants():
+    for scenario in map(mhp_preset, MHP_PRESETS):
         banner = "=" * 72
         print(banner)
         print(scenario.name)

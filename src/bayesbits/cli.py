@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: each subcommand maps argv to library calls.
 
 Subcommands:
 
@@ -16,236 +16,37 @@ All output is deterministic: stable ordering, fixed formatting, no
 timestamps. Exit codes: 0 success, 2 usage or parse error, 3 impossible
 observation, 4 verification failure.
 
-A process loads only what its subcommand runs: ``engine`` and
-``aggregates`` are imported by ``solve``, ``kl``, ``mi`` and ``verify``,
-``verify`` (with the oracle) by ``verify`` alone, and ``csv`` by CSV
-output. A first word that names a subcommand gets a parser of its own
-arguments, which checks argv and never prints; other argv, an error or a
-word it leaves get the full parser of :func:`build_parser`, the only one
-that prints help, usage or an error. Keep new work out of module level.
-``solve`` folds each observation into the MI and drops it, and reads
-report columns of the printed one alone; with ``--format csv`` it
-computes no KL or MI. ``mi`` reads no report column. The renderers
-format the report a column at a time.
+A process loads only what its subcommand runs: the handlers of
+``solve``, ``kl``, ``mi`` and ``verify`` import :mod:`bayesbits.report`
+and, through it, the engine; a parser that bounds ``--precision`` imports
+``report`` alone. A first word that names a subcommand gets a parser of
+its own arguments, which checks argv and never prints; other argv, an
+error or a word it leaves get the full parser of :func:`build_parser`,
+the only one that prints help, usage or an error. Keep new work out of
+module level.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from json.encoder import encode_basestring_ascii
-from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
-from .core import Distribution, probability_repr
+from .core import Distribution
 from .errors import BayesBitsError, DomainError, ImpossibleObservationError
-from .scenario import (
-    MAX_DOORS,
-    HostPolicy,
-    MhpConfig,
-    Scenario,
-    _json_list,
-    door_labels,
-    load_scenario,
-    mhp_scenario,
-    save_scenario,
-    scenario_to_json_text,
-)
+from .scenario import MAX_DOORS, MHP_PRESETS, HostPolicy, MhpConfig, Scenario, door_labels
+from .scenario import load_scenario, mhp_preset, mhp_scenario, save_scenario, scenario_to_json_text
 
-if TYPE_CHECKING:
-    from .engine import Marginal
-
-__all__ = ["ReportDocument", "build_report", "entry_point", "main"]
-
-CSV_HEADER = [
-    "model",
-    "prior",
-    "prior_bits",
-    "evidence_bits",
-    "likelihood_bits",
-    "tic_bits",
-    "sign",
-    "posterior_bits",
-    "posterior_prob",
-]
-
-
-# --- report document ---------------------------------------------------------
-
-
-class ReportDocument(NamedTuple):
-    """Everything one solve run prints, before any formatting."""
-
-    scenario: str
-    transfer: Marginal
-    kl_bits: float | None
-    mi_bits: float | None
-
-
-def build_report(scenario: Scenario, observation: str, totals: bool = True) -> ReportDocument:
-    """The report of ``observation``: its marginal and, with ``totals``, its KL and the MI.
-
-    One pass over the observations folds each one's marginal into the MI
-    and drops it; the printed observation's is kept for its report columns.
-    """
-    from .aggregates import kl_from_update, mi_from_kls
-    from .engine import marginals, update
-
-    ms, om = scenario.model_space, scenario.observation_model
-    if not totals:
-        return ReportDocument(scenario.name, update(ms, om, observation), None, None)
-    index, printed, kls = om._x_index(observation), None, []
-    for i, m in enumerate(marginals(ms, om)):
-        if m is not None:
-            kls.append((m.evidence_float, kl_from_update(m)))
-        if i == index:
-            printed = m
-    if printed is None:  # P(x) is 0, so update raises ImpossibleObservationError
-        update(ms, om, observation)
-    kl, mi = kl_from_update(printed), mi_from_kls(kls)
-    return ReportDocument(scenario.name, printed, max(0.0, kl), max(0.0, mi))
-
-
-# --- cell formatters: None, a label, a Fraction or a float -------------------
-
-
-def _cell(v: Any, none: Any, number: Callable[[float], Any]) -> Any:
-    if v is None:
-        return none
-    if isinstance(v, float):
-        # collapse -0.0 so formatted output never shows a negative zero
-        return number(0.0 if v == 0.0 else v)
-    return v if isinstance(v, str) else probability_repr(v)
-
-
-def _text(v: Any, precision: int) -> str:
-    return _cell(v, "n/a", lambda x: f"{x:.{precision}f}")
-
-
-def _json(v: Any) -> Any:
-    # JSON numbers cannot carry infinities, so those become strings
-    return _cell(v, None, lambda x: x if math.isfinite(x) else "Infinity" if x > 0 else "-Infinity")
-
-
-def _json_text(v: Any) -> str:
-    """:func:`_json` of ``v`` as ``json.dumps`` writes it: C string escaper, float ``repr``."""
-    v = _json(v)
-    return "null" if v is None else encode_basestring_ascii(v) if isinstance(v, str) else repr(v)
-
-
-def _csv(v: Any) -> str:
-    return _cell(v, "", repr)
-
-
-# --- report columns, each formatted with one call ----------------------------
-
-# CSV_HEADER indices of the report columns that hold a float in every row
-_FLOAT_COLUMNS = frozenset({2, 3, 4, 7, 8})
-
-# repr of an infinity, which JSON cannot carry -> what _json_text writes for
-# it; the float columns are information contents and probabilities, never -inf
-_JSON_NONFINITE = {"inf": '"Infinity"'}
-
-
-def _column_texts(
-    report: Marginal, cell: Callable[[Any], str], floats: Callable[[Iterable[float]], list[str]]
-) -> list[list[str]]:
-    """The report's columns as text, in :data:`CSV_HEADER` order.
-
-    ``floats`` formats each all-float column whole, after ``x + 0.0``
-    turns ``-0.0`` into ``0.0`` as :func:`_cell` does; ``cell`` formats
-    the label, prior, TIC and sign columns value by value.
-    """
-    columns = list(report.columns)
-    columns[6] = [None if sign is None else sign.value for sign in columns[6]]
-    return [
-        floats(map((0.0).__add__, column)) if i in _FLOAT_COLUMNS
-        else list(map(cell, column))
-        for i, column in enumerate(columns)
-    ]
-
-
-def _json_floats(column: Iterable[float]) -> list[str]:
-    texts = list(map(repr, column))
-    return list(map(_JSON_NONFINITE.get, texts, texts))
-
-
-def _align_table(header: list[str], columns: list[list[str]], left: set[int]) -> str:
-    padded = []
-    for i, column in enumerate(columns):
-        cells = [header[i], *column]
-        pad = str.ljust if i in left else str.rjust
-        padded.append(list(map(pad, cells, repeat(max(map(len, cells))))))
-    return "\n".join(["  ".join(row).rstrip() for row in zip(*padded)])
-
-
-def render_table(doc: ReportDocument, precision: int) -> str:
-    report = doc.transfer
-    spec = f"{{:.{precision}f}}".format
-    columns = _column_texts(
-        report, lambda v: _text(v, precision), lambda column: list(map(spec, column))
-    )
-    lines = [
-        f"scenario: {doc.scenario}",
-        f"observation: {report.observation}",
-        f"evidence: {_text(report.evidence, precision)} "
-        f"({_text(report.evidence_info, precision)} bits)",
-        "",
-        _align_table(CSV_HEADER, columns, left={0, 6}),
-        "",
-        f"KL(posterior || prior): {_text(doc.kl_bits, precision)} bits",
-        f"mutual information: {_text(doc.mi_bits, precision)} bits",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def render_json(doc: ReportDocument) -> str:
-    """``json.dumps`` of the report with ``indent=2``, laid out here as the scenario file is."""
-    report = doc.transfer
-    keyed = [
-        list(map(f'"{key}": '.__add__, column))
-        for key, column in zip(CSV_HEADER, _column_texts(report, _json_text, _json_floats))
-    ]
-    fields = [
-        ("scenario", _json_text(doc.scenario)),
-        ("observation", _json_text(report.observation)),
-        ("evidence", _json_text(report.evidence)),
-        ("evidence_bits", _json_text(report.evidence_info)),
-        ("models", _json_list([_json_list(row, 2, "{}") for row in zip(*keyed)], 1)),
-        ("kl_bits", _json_text(doc.kl_bits)),
-        ("mi_bits", _json_text(doc.mi_bits)),
-    ]
-    return _json_list([f'"{key}": {text}' for key, text in fields], 0, "{}") + "\n"
-
-
-def render_csv(doc: ReportDocument) -> str:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(zip(*_column_texts(doc.transfer, _csv, lambda column: list(map(repr, column)))))
-    return buffer.getvalue()
+__all__ = ["entry_point", "main"]
 
 
 # --- subcommands -------------------------------------------------------------
-
-# preset -> (scenario name, --prior, --policy) of a 3-door game with pick A
-_PRESETS: dict[str, tuple[str, str | None, str | None]] = {
-    "traditional": ("Traditional Monty Hall", None, None),
-    "biased": ("Biased Monty Hall", "1/2,1/3,1/6", None),
-    "forgetful": ("Forgetful Monty Hall", None, "forgetful"),
-}
 
 
 def _parse_prior_flag(raw: str, doors: tuple[str, ...]) -> Distribution:
     parts = raw.split(",")
     if len(parts) != len(doors):
-        raise DomainError(
-            f"--prior has {len(parts)} entries but the game has {len(doors)} doors"
-        )
+        raise DomainError(f"--prior has {len(parts)} entries but the game has {len(doors)} doors")
     return Distribution(doors, [part.strip() for part in parts])
 
 
@@ -274,34 +75,24 @@ def _custom_door_count(variant: str, doors: int | None) -> int:
     return doors
 
 
-def _mhp_from_args(args: argparse.Namespace) -> Scenario:
+def cmd_mhp(args: argparse.Namespace) -> int:
     variant: str = args.variant
-    if variant in _PRESETS:
+    if variant in MHP_PRESETS:
         for flag in ("doors", "pick", "prior", "policy"):
             if getattr(args, flag) is not None:
                 raise DomainError(
                     f"--{flag} only applies to the custom variant; "
                     f"{variant!r} is a fixed preset"
                 )
-        name, prior, policy = _PRESETS[variant]
-        doors, pick = 3, None
+        scenario = mhp_preset(variant)
     else:
-        name, prior, policy, pick = None, args.prior, args.policy, args.pick
         doors = _custom_door_count(variant, args.doors)
-    labels = door_labels(doors)
-    cfg = MhpConfig(
-        door_count=doors,
-        prior=_parse_prior_flag(prior, labels) if prior is not None else None,
-        contestant_pick=pick if pick is not None else "A",
-        host_policy=HostPolicy(policy) if policy is not None else HostPolicy.STANDARD,
-    )
-    scenario = mhp_scenario(cfg, name=name)
+        prior = None if args.prior is None else _parse_prior_flag(args.prior, door_labels(doors))
+        pick = "A" if args.pick is None else args.pick
+        policy = HostPolicy.STANDARD if args.policy is None else HostPolicy(args.policy)
+        scenario = mhp_scenario(MhpConfig(doors, prior, pick, policy))
     metadata = {"variant": variant, **scenario.metadata}
-    return Scenario(scenario.name, scenario.model_space, scenario.observation_model, metadata)
-
-
-def cmd_mhp(args: argparse.Namespace) -> int:
-    scenario = _mhp_from_args(args)
+    scenario = Scenario(scenario.name, scenario.model_space, scenario.observation_model, metadata)
     if args.out is not None:
         save_scenario(scenario, args.out)
         print(f"wrote {args.out}")
@@ -311,8 +102,9 @@ def cmd_mhp(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    doc = build_report(scenario, args.observe, totals=args.format != "csv")
+    from .report import build_report, render_csv, render_json, render_table
+
+    doc = build_report(load_scenario(args.scenario), args.observe, totals=args.format != "csv")
     if args.format == "json":
         sys.stdout.write(render_json(doc))
     elif args.format == "csv":
@@ -322,53 +114,33 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _both_paths(quantity: str, via_tic: float, classical: float, precision: int) -> int:
-    print(f"{quantity}_expected_tic_bits: {_text(max(0.0, via_tic), precision)}")
-    print(f"{quantity}_classical_bits: {_text(max(0.0, classical), precision)}")
-    print(f"difference: {_csv(via_tic - classical)}")
+def cmd_kl(args: argparse.Namespace) -> int:
+    from .report import kl_text
+
+    sys.stdout.write(kl_text(load_scenario(args.scenario), args.observe, args.precision))
     return 0
 
 
-def cmd_kl(args: argparse.Namespace) -> int:
-    from .aggregates import kl_classical_and_entropy, kl_from_update
-    from .engine import update
-
-    scenario = load_scenario(args.scenario)
-    u = update(scenario.model_space, scenario.observation_model, args.observe)
-    print(f"scenario: {scenario.name}")
-    print(f"observation: {args.observe}")
-    return _both_paths("kl", kl_from_update(u), kl_classical_and_entropy(u)[0], args.precision)
-
-
 def cmd_mi(args: argparse.Namespace) -> int:
-    from .aggregates import mi_both_paths
+    from .report import mi_text
 
-    scenario = load_scenario(args.scenario)
-    via_tic, classical = mi_both_paths(scenario.model_space, scenario.observation_model)
-    print(f"scenario: {scenario.name}")
-    return _both_paths("mi", via_tic, classical, args.precision)
+    sys.stdout.write(mi_text(load_scenario(args.scenario), args.precision))
+    return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import verify
+    from .report import verify_text
 
-    scenario = load_scenario(args.scenario)
-    max_dev, checks = verify.verify_scenario(scenario)
-    print(f"scenario: {scenario.name}")
-    print(f"comparisons: {checks}")
-    print(f"max_deviation_bits: {_csv(max_dev)}")
-    print(f"tolerance_bits: {repr(verify.VERIFY_TOL)}")
-    ok = max_dev <= verify.VERIFY_TOL
-    print(f"status: {'PASS' if ok else 'FAIL'}")
+    text, ok = verify_text(load_scenario(args.scenario))
+    sys.stdout.write(text)
     return 0 if ok else 4
 
 
 # --- argument parsing --------------------------------------------------------
 
-_PRECISION: dict[str, Any] = dict(type=int, choices=range(18), default=6, metavar="PRECISION")
 _SCENARIO = ("scenario", dict(help="path to a scenario JSON file"))
 _OBSERVE = ("--observe", dict(required=True, help="observation label to condition on"))
-_DECIMALS = ("--precision", dict(_PRECISION, help="decimal places"))
+_DECIMALS = ("--precision", dict(type=int, default=6, metavar="PRECISION", help="decimal places"))
 
 # subcommand -> (help, handler, (name or flag, add_argument options) of each argument)
 _COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[str, dict[str, Any]]]]] = {
@@ -385,7 +157,7 @@ _COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[str, dict[str, An
         _SCENARIO,
         _OBSERVE,
         ("--format", dict(choices=["table", "json", "csv"], default="table", help="output format")),
-        ("--precision", dict(_PRECISION, help="table decimal places")),
+        ("--precision", dict(_DECIMALS[1], help="table decimal places")),
     ]),
     "kl": ("KL(posterior || prior) via both paths", cmd_kl, [_SCENARIO, _OBSERVE, _DECIMALS]),
     "mi": ("mutual information via both paths", cmd_mi, [_SCENARIO, _DECIMALS]),
@@ -396,6 +168,9 @@ _COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[str, dict[str, An
 def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
     """Give ``parser`` the arguments and the handler of ``command``."""
     for arg, options in _COMMANDS[command][2]:
+        if arg == "--precision":  # 0 to MAX_PRECISION; only report commands take it
+            from .report import MAX_PRECISION
+            options = dict(options, choices=range(MAX_PRECISION + 1))
         parser.add_argument(arg, **options)
     parser.set_defaults(func=_COMMANDS[command][1])
 

@@ -34,12 +34,14 @@ from .record import Record
 __all__ = [
     "HostPolicy",
     "MAX_DOORS",
+    "MHP_PRESETS",
     "MhpConfig",
     "ModelSpace",
     "ObservationModel",
     "Scenario",
     "door_labels",
     "load_scenario",
+    "mhp_preset",
     "mhp_scenario",
     "save_scenario",
     "scenario_from_json_text",
@@ -305,6 +307,21 @@ def mhp_scenario(cfg: MhpConfig, name: str | None = None) -> Scenario:
             "host_policy": cfg.host_policy.value,
         },
     )
+
+
+# classic 3-door games, pick A: variant -> (name, prior, policy); import builds no Distribution
+MHP_PRESETS: dict[str, tuple[str, tuple[str, ...] | None, HostPolicy]] = {
+    "traditional": ("Traditional Monty Hall", None, HostPolicy.STANDARD),
+    "biased": ("Biased Monty Hall", ("1/2", "1/3", "1/6"), HostPolicy.STANDARD),
+    "forgetful": ("Forgetful Monty Hall", None, HostPolicy.FORGETFUL),
+}
+
+
+def mhp_preset(variant: str) -> Scenario:
+    """The classic game ``variant`` of :data:`MHP_PRESETS`."""
+    name, prior, policy = MHP_PRESETS[variant]
+    probs = None if prior is None else Distribution(door_labels(3), prior)
+    return mhp_scenario(MhpConfig(prior=probs, host_policy=policy), name=name)
 
 
 # --- file format -----------------------------------------------------------

@@ -19,8 +19,8 @@ from bayesbits import (
     transfer_report,
 )
 from bayesbits import cli
-from bayesbits.cli import build_report
 from bayesbits.engine import marginals, update
+from bayesbits.report import build_report
 from random_agreement_sweep import random_scenario
 
 LOG2_3 = 1.584962500721156

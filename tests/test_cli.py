@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from bayesbits import Distribution, ModelSpace, ObservationModel, Scenario
 from bayesbits import cli, core, engine, load_scenario, save_scenario, verify
 from bayesbits.errors import ImpossibleObservationError, InvariantViolation
+from bayesbits.report import CSV_HEADER, _csv, _json, _text, build_report
+from bayesbits.report import render_csv, render_json, render_table
 from bayesbits.scenario import MAX_DOORS
 
 from helpers import random_float_scenario, wide_36_bit, wide_rational_scenario
@@ -551,11 +553,11 @@ class TestCellFormatters:
         ],
     )
     def test_each_format(self, value, text, machine, csv_cell):
-        assert cli._text(value, 3) == text
-        assert cli._json(value) == machine
-        assert cli._csv(value) == csv_cell
+        assert _text(value, 3) == text
+        assert _json(value) == machine
+        assert _csv(value) == csv_cell
         if value == 0.0:
-            assert math.copysign(1.0, cli._json(value)) == 1.0
+            assert math.copysign(1.0, _json(value)) == 1.0
 
 
 # labels that need JSON escapes: a quote, a backslash, a tab, an astral character, a control
@@ -576,13 +578,13 @@ def json_dumps_report(doc) -> str:
     payload = {
         "scenario": doc.scenario,
         "observation": report.observation,
-        "evidence": cli._json(report.evidence),
-        "evidence_bits": cli._json(report.evidence_info),
+        "evidence": _json(report.evidence),
+        "evidence_bits": _json(report.evidence_info),
         "models": [
-            dict(zip(cli.CSV_HEADER, map(cli._json, entry_cells(entry)))) for entry in report.entries
+            dict(zip(CSV_HEADER, map(_json, entry_cells(entry)))) for entry in report.entries
         ],
-        "kl_bits": cli._json(doc.kl_bits),
-        "mi_bits": cli._json(doc.mi_bits),
+        "kl_bits": _json(doc.kl_bits),
+        "mi_bits": _json(doc.mi_bits),
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -603,20 +605,20 @@ def test_json_layout_matches_json_dumps(seed, exact, name, models, observations)
     solved = 0
     for x in scenario.observation_model.observation_labels:
         try:
-            doc = cli.build_report(scenario, x)
+            doc = build_report(scenario, x)
         except ImpossibleObservationError:
             continue
         solved += 1
-        assert cli.render_json(doc) == json_dumps_report(doc)
+        assert render_json(doc) == json_dumps_report(doc)
     assert solved > 0
 
 
 def table_reference(doc, precision: int) -> str:
     """``render_table``'s text built cell by cell from the report's rows."""
     report = doc.transfer
-    rows = [cli.CSV_HEADER]
-    rows += [[cli._text(v, precision) for v in entry_cells(e)] for e in report.entries]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(cli.CSV_HEADER))]
+    rows = [CSV_HEADER]
+    rows += [[_text(v, precision) for v in entry_cells(e)] for e in report.entries]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(CSV_HEADER))]
     table = [
         "  ".join(
             cell.ljust(width) if i in (0, 6) else cell.rjust(width)
@@ -627,13 +629,13 @@ def table_reference(doc, precision: int) -> str:
     return "\n".join([
         f"scenario: {doc.scenario}",
         f"observation: {report.observation}",
-        f"evidence: {cli._text(report.evidence, precision)} "
-        f"({cli._text(report.evidence_info, precision)} bits)",
+        f"evidence: {_text(report.evidence, precision)} "
+        f"({_text(report.evidence_info, precision)} bits)",
         "",
         *table,
         "",
-        f"KL(posterior || prior): {cli._text(doc.kl_bits, precision)} bits",
-        f"mutual information: {cli._text(doc.mi_bits, precision)} bits",
+        f"KL(posterior || prior): {_text(doc.kl_bits, precision)} bits",
+        f"mutual information: {_text(doc.mi_bits, precision)} bits",
     ]) + "\n"
 
 
@@ -641,8 +643,8 @@ def csv_reference(doc) -> str:
     """``render_csv``'s text built cell by cell from the report's rows."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(cli.CSV_HEADER)
-    writer.writerows([cli._csv(v) for v in entry_cells(e)] for e in doc.transfer.entries)
+    writer.writerow(CSV_HEADER)
+    writer.writerows([_csv(v) for v in entry_cells(e)] for e in doc.transfer.entries)
     return buffer.getvalue()
 
 
@@ -657,7 +659,7 @@ def solved_docs(scenario: Scenario) -> list:
     docs = []
     for x in scenario.observation_model.observation_labels:
         try:
-            doc = cli.build_report(scenario, x)
+            doc = build_report(scenario, x)
         except ImpossibleObservationError:
             continue
         m = doc.transfer
@@ -681,9 +683,9 @@ def test_column_renderers_match_a_per_cell_reference(seed, exact):
     assert docs
     for doc in docs:
         for precision in (0, 6, 17):
-            assert cli.render_table(doc, precision) == table_reference(doc, precision)
-        assert cli.render_csv(doc) == csv_reference(doc)
-        assert cli.render_json(doc) == json_dumps_report(doc)
+            assert render_table(doc, precision) == table_reference(doc, precision)
+        assert render_csv(doc) == csv_reference(doc)
+        assert render_json(doc) == json_dumps_report(doc)
 
 
 def test_column_examples_hold_the_special_values():

@@ -25,11 +25,11 @@ from bayesbits import (
     transfer_report,
 )
 from bayesbits.aggregates import kl_classical_and_entropy, kl_from_update
-from bayesbits.cli import build_report
 from bayesbits.core import entropy, info_content, prob_from_info
 from bayesbits.engine import marginals, posterior_info, update
 from bayesbits.errors import InvariantViolation
 from bayesbits.oracle import scenario_metrics
+from bayesbits.report import build_report
 from bayesbits.scenario import load_scenario, scenario_from_json_text, scenario_to_json_text
 from bayesbits.verify import bits_deviation
 from helpers import likelihood, same_bits, wide_36_bit, wide_coprime, wide_rational_scenario

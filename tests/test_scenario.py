@@ -28,13 +28,13 @@ from bayesbits.errors import (
     ScenarioFormatError,
     UnknownLabelError,
 )
+from bayesbits.report import build_report, render_csv, render_json, render_table
 from bayesbits.scenario import (
     ModelSpace,
     ObservationModel,
     scenario_from_json_text,
     scenario_to_json_text,
 )
-from bayesbits.cli import build_report, render_csv, render_json, render_table
 from bayesbits.scenario import MAX_DOORS
 from helpers import likelihood
 

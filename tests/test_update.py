@@ -34,7 +34,6 @@ from bayesbits import (
 )
 from bayesbits import aggregates, cli, core, engine, oracle, verify
 from bayesbits import scenario as scenario_io
-from bayesbits.cli import build_report
 from bayesbits.core import _log2_positive, info_content
 from bayesbits.engine import (
     SignClass,
@@ -44,6 +43,7 @@ from bayesbits.engine import (
     update,
 )
 from bayesbits.errors import ImpossibleObservationError, UndefinedLogError
+from bayesbits.report import build_report, render_csv, render_json, render_table
 from bayesbits.verify import verify_scenario
 
 from helpers import (
@@ -212,7 +212,7 @@ def test_solve_builds_report_columns_for_the_printed_observation_only(monkeypatc
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
     built = column_counter(monkeypatch, "signs")
     report = build_report(scenario, "Monty_D12_car")
-    cli.render_table(report, 6)
+    render_table(report, 6)
     assert built == [1] and report.transfer.observation == "Monty_D12_car"
     ms, om = scenario.model_space, scenario.observation_model
     printed = tuple(marginals(ms, om))[om.observation_labels.index("Monty_D12_car")]
@@ -262,8 +262,7 @@ def test_solve_and_mi_hold_one_observation_at_a_time(forgetful_320, run):
     scenario = forgetful_320
     ms, om = scenario.model_space, scenario.observation_model
     assert len(om.observation_labels) * len(ms.labels) == 638 * 320
-    render = {"table": lambda doc: cli.render_table(doc, 6), "json": cli.render_json,
-              "csv": cli.render_csv}
+    render = {"table": lambda doc: render_table(doc, 6), "json": render_json, "csv": render_csv}
     tracemalloc.start()
     try:
         if run == "mutual_information":
@@ -385,7 +384,7 @@ def test_exact_values_build_no_fraction_per_cell(monkeypatch):
     assert 0 < built[0] <= 4 * n_obs + 10
     built[0] = 0
     report = build_report(scenario, "Monty_C")
-    cli.render_table(report, 6)  # the exact evidence is built for the printed table
+    render_table(report, 6)  # the exact evidence is built for the printed table
     assert 0 < built[0] <= 4 * n_obs + 10
     assert report.transfer.evidence == Fraction(1, 12)
 
