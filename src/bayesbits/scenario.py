@@ -23,6 +23,7 @@ import os
 import stat
 from fractions import Fraction
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -361,11 +362,6 @@ def _printable(text: str, where: str) -> str:
     return text
 
 
-def _json_at(value: Any, level: int) -> str:
-    """``json.dumps(value, indent=2)`` as it reads nested ``level`` deep in a document."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
-
-
 def _json_list(items: Sequence[str], level: int, brackets: str = "[]") -> str:
     """The JSON array of the encoded ``items``, laid out as ``indent=2`` lays it ``level`` deep.
 
@@ -384,29 +380,83 @@ def _prob_json(p: Probability) -> str:
     return json.dumps(p)
 
 
+# metadata value types whose JSON text does not depend on the indent
+_FLAT_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _metadata_json(metadata: dict[str, Any]) -> str:
+    """``json.dumps(metadata, indent=2)`` as it reads one level deep in a document.
+
+    A flat object, with ``str`` keys and ``str``, ``int``, ``float``,
+    ``bool`` or ``None`` values (the ``{}`` of a scenario built in code,
+    the metadata of a Monty Hall game), is laid out here: each string goes
+    through json's C escaper and each other value through ``json.dumps``
+    without an indent, json's C path, which writes the same text. Any
+    other metadata goes through ``json.dumps(indent=2)``, its text and
+    errors unchanged.
+    """
+    if all(type(key) is str and type(value) in _FLAT_TYPES for key, value in metadata.items()):
+        return _json_list([
+            encode_basestring_ascii(key) + ": "
+            + (encode_basestring_ascii(value) if type(value) is str else json.dumps(value))
+            for key, value in metadata.items()
+        ], 1, "{}")
+    return json.dumps(metadata, indent=2).replace("\n", "\n  ")
+
+
+def _check_text_fields(s: Scenario) -> None:
+    """Refuse a name or label that :func:`scenario_from_json_text` would refuse.
+
+    A lone surrogate would be written as an escape that does not load,
+    and a non-string would make the C escaper raise a bare ``TypeError``.
+    The error names the field. One join and one encode check the lot.
+    """
+    ms, om = s.model_space, s.observation_model
+    try:
+        "".join([s.name, *ms.labels, *om.observation_labels]).encode("utf-8")
+        return
+    except (TypeError, UnicodeEncodeError):
+        pass
+    fields = chain(
+        [("name", s.name)],
+        ((f"models[{i}].label", label) for i, label in enumerate(ms.labels)),
+        ((f"observations[{i}]", label) for i, label in enumerate(om.observation_labels)),
+    )
+    for field, text in fields:
+        where = f"cannot write scenario: {field}"
+        if not isinstance(text, str):
+            raise ScenarioFormatError(f"{where}: expected a string, got {type(text).__name__}")
+        _printable(text, where)
+
+
 def scenario_to_json_text(s: Scenario) -> str:
     """Canonical JSON text of a scenario; exact values stay "num/den".
 
     The text is ``json.dumps(document, indent=2)``, laid out here: given
     an indent, ``json`` encodes in pure Python, which cost more than the
-    rest of a save. Only the free-form metadata still goes through it;
-    a string's JSON does not depend on the indent. Each distinct value
-    object is formatted once.
+    rest of a save. The name, labels and flat metadata go through json's
+    C string escaper, and only metadata that is not flat goes through
+    ``json.dumps(indent=2)`` (see :func:`_metadata_json`). Each distinct
+    value object is formatted once. A name or label that a load would
+    refuse raises :class:`ScenarioFormatError`.
     """
+    _check_text_fields(s)
     ms, om = s.model_space, s.observation_model
     values = [*ms.prior.probs, *chain.from_iterable(om.likelihood)]
     texts = {key: _prob_json(p) for key, p in dict(zip(map(id, values), values)).items()}
     models = [
-        '{\n      "label": ' + json.dumps(label) + ',\n      "prior": ' + texts[id(p)] + "\n    }"
+        '{\n      "label": ' + encode_basestring_ascii(label)
+        + ',\n      "prior": ' + texts[id(p)] + "\n    }"
         for label, p in zip(ms.labels, ms.prior.probs)
     ]
     rows = [_json_list(list(map(texts.__getitem__, map(id, row))), 2) for row in om.likelihood]
     return (
-        '{\n  "name": ' + json.dumps(s.name)
+        '{\n  "name": ' + encode_basestring_ascii(s.name)
         + ',\n  "models": ' + _json_list(models, 1)
-        + ',\n  "observations": ' + _json_list([json.dumps(x) for x in om.observation_labels], 1)
+        + ',\n  "observations": '
+        + _json_list(list(map(encode_basestring_ascii, om.observation_labels)), 1)
         + ',\n  "likelihood": ' + _json_list(rows, 1)
-        + ',\n  "metadata": ' + _json_at(dict(s.metadata), 1)
+        + ',\n  "metadata": ' + _metadata_json(dict(s.metadata))
         + "\n}\n"
     )
 

@@ -452,6 +452,10 @@ class TestParserFuzz:
             text.encode("utf-8")
 
 
+# every key type json.dumps accepts: a non-text key takes the encoder's path
+metadata_keys = st.text(max_size=12) | st.integers() | st.booleans() | st.none() | st.floats()
+
+
 @st.composite
 def printable_scenarios(draw):
     """Scenarios with any labels, name and metadata, exact or float cells."""
@@ -471,26 +475,64 @@ def printable_scenarios(draw):
         ModelSpace(Distribution(names[:n_models], dist(n_models))),
         ObservationModel(names[n_models:], names[:n_models],
                          [[columns[j][i] for j in range(n_models)] for i in range(n_obs)]),
-        draw(st.dictionaries(st.text(max_size=12), json_values, max_size=4)),
+        draw(st.dictionaries(metadata_keys, json_values, max_size=4)),
     )
+
+
+def dumped_text(scenario):
+    """``json.dumps(document, indent=2)`` of ``scenario``'s file, with a newline."""
+    ms, om = scenario.model_space, scenario.observation_model
+
+    def cell(p):
+        return f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else p
+
+    doc = {
+        "name": scenario.name,
+        "models": [{"label": m, "prior": cell(p)} for m, p in zip(ms.labels, ms.prior.probs)],
+        "observations": list(om.observation_labels),
+        "likelihood": [[cell(p) for p in row] for row in om.likelihood],
+        "metadata": scenario.metadata,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def with_metadata(metadata):
+    return Scenario("meta", ModelSpace(Distribution(["A"], [1])),
+                    ObservationModel(["x"], ["A"], [[1]]), metadata)
 
 
 class TestCanonicalText:
     @given(printable_scenarios())
     def test_text_is_json_dumps_with_indent(self, scenario):
-        ms, om = scenario.model_space, scenario.observation_model
+        assert scenario_to_json_text(scenario) == dumped_text(scenario)
 
-        def cell(p):
-            return f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else p
+    @pytest.mark.parametrize("metadata", [
+        {},
+        {"flag": True, "count": 1, "off": False, "zero": 0},
+        {"negative zero": -0.0, "float": 1.5, "tiny": 5e-324, "big": -(10 ** 30)},
+        {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
+        {"none": None, "": ""},
+        {"d\u00e9j\u00e0": "\u00fc \u2603 \U0001f600", "\u2603": "x\udfff"},
+        {"control": "\x00\x1f\t\n\r\x7f\"\\/", "\x01\n": "\u2028"},
+        {"variant": "custom-16", "door_count": 16, "contestant_pick": "A", "host_policy": "forgetful"},
+    ])
+    def test_flat_metadata_is_json_dumps_with_indent(self, metadata):
+        scenario = with_metadata(metadata)
+        assert scenario_to_json_text(scenario) == dumped_text(scenario)
 
-        doc = {
-            "name": scenario.name,
-            "models": [{"label": m, "prior": cell(p)} for m, p in zip(ms.labels, ms.prior.probs)],
-            "observations": list(om.observation_labels),
-            "likelihood": [[cell(p) for p in row] for row in om.likelihood],
-            "metadata": scenario.metadata,
-        }
-        assert scenario_to_json_text(scenario) == json.dumps(doc, indent=2) + "\n"
+    @pytest.mark.parametrize("metadata", [
+        {"digits": 10 ** 4400},
+        {"set": {1, 2}},
+        {"ok": 1, "nested": [10 ** 4400]},
+        {7: {1, 2}},
+    ])
+    def test_unencodable_metadata_raises_as_json_dumps_does(self, metadata):
+        scenario = with_metadata(metadata)
+        with pytest.raises(Exception) as expected:
+            dumped_text(scenario)
+        with pytest.raises(Exception) as raised:
+            scenario_to_json_text(scenario)
+        assert raised.type is expected.type
 
     def test_all_distinct_values_round_trip(self, tmp_path):
         # every cell its own Fraction object, as random scenarios build them
@@ -527,3 +569,39 @@ class TestCanonicalText:
 
     def test_save_to_a_device(self):
         save_scenario(mhp_scenario(MhpConfig()), os.devnull)
+
+
+def scenario_with(field, bad):
+    """A valid scenario but for ``field``, set to ``bad``."""
+    models = ["A", bad] if field == "model" else ["A", "B"]
+    observations = ["x", bad] if field == "observation" else ["x", "y"]
+    return Scenario(
+        bad if field == "name" else "ok",
+        ModelSpace(Distribution(models, ["1/2", "1/2"])),
+        ObservationModel(observations, models, [["1/2", 1], ["1/2", 0]]),
+    )
+
+
+class TestSaveRefusesWhatLoadRefuses:
+    FIELDS = {"name": "name", "model": r"models\[1\]\.label", "observation": r"observations\[1\]"}
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("bad, problem", [
+        ("A\ud800", "not encodable as UTF-8"),
+        ("\udc80\ud800", "not encodable as UTF-8"),
+        (7, "expected a string, got int"),
+        (None, "expected a string, got NoneType"),
+    ], ids=["surrogate", "reversed-pair", "int", "none"])
+    def test_the_file_keeps_its_bytes(self, tmp_path, field, bad, problem):
+        path = tmp_path / "kept.json"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(ScenarioFormatError, match=self.FIELDS[field] + ": " + problem):
+            save_scenario(scenario_with(field, bad), path)
+        assert path.read_bytes() == b"old bytes"
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_surrogate_pair_saves_and_loads(self, tmp_path, field):
+        # escaped as \ud83d\ude00, which json.loads joins back into one character
+        scenario = scenario_with(field, "A\U0001f600")
+        save_scenario(scenario, tmp_path / "pair.json")
+        assert load_scenario(tmp_path / "pair.json") == scenario

@@ -7,6 +7,8 @@ bit for bit, so CLI output does not depend on which route computed a
 number.
 """
 
+import json
+import json.encoder
 import math
 import random
 import tracemalloc
@@ -411,6 +413,20 @@ def test_saving_formats_each_distinct_value_once(monkeypatch, tmp_path, capsys):
     assert (loaded.model_space, loaded.observation_model) == (
         game.model_space, game.observation_model
     )
+
+
+def test_saving_flat_metadata_runs_no_python_encoder(monkeypatch, tmp_path):
+    # json.dumps(indent=2) builds json's pure-Python encoder; labels go
+    # through the C escaper, and only the door_count int through json.dumps
+    encoders = call_counter(monkeypatch, json.encoder, "_make_iterencode")
+    dumps = call_counter(monkeypatch, json, "dumps")
+    save_scenario(mhp_scenario(MhpConfig(door_count=16, host_policy=HostPolicy.FORGETFUL)),
+                  tmp_path / "custom-16.json")
+    assert (encoders[0], dumps[0]) == (0, 1)
+    exact = Scenario("exact", ModelSpace(Distribution(["A", "B"], ["1/3", "2/3"])),
+                     ObservationModel(["x", "y"], ["A", "B"], [["1/4", "1/2"], ["3/4", "1/2"]]))
+    save_scenario(exact, tmp_path / "exact.json")
+    assert (encoders[0], dumps[0]) == (0, 1)
 
 
 def test_model_validates_each_distinct_value_once(monkeypatch):
