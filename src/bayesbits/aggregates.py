@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import Bits, Distribution, _log2_quotient, entropy
-from .engine import Marginal, marginals, update
+from .engine import Marginal, marginals, transfer_report
 from .scenario import ModelSpace, ObservationModel
 
 __all__ = [
@@ -39,7 +39,7 @@ def kl_expected_tic(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
     ``-inf``, so refuted models drop out of the sum. The raw sum may dip
     a hair below 0 from float noise; the CLI displays it clamped at 0.
     """
-    return kl_from_update(update(ms, om, x))
+    return kl_from_update(transfer_report(ms, om, x))
 
 
 def kl_from_update(u: Marginal) -> Bits:
@@ -53,7 +53,7 @@ def kl_from_update(u: Marginal) -> Bits:
 
 def kl_classical(ms: ModelSpace, om: ObservationModel, x: str) -> Bits:
     """KL(posterior || prior) summed directly over posterior log-odds."""
-    return kl_classical_and_entropy(update(ms, om, x))[0]
+    return kl_classical_and_entropy(transfer_report(ms, om, x))[0]
 
 
 def kl_classical_and_entropy(u: Marginal) -> tuple[Bits, Bits]:

@@ -179,19 +179,6 @@ def probability_repr(p: Probability) -> str:
     return repr(p)
 
 
-def _float(p: Probability) -> float:
-    """``float(p)``, bit for bit.
-
-    For a Fraction this is the int true division that
-    ``numbers.Rational.__float__`` runs, without its call overhead: the
-    exact kernels take one float per cell. Raises OverflowError like
-    ``float(p)`` when the value exceeds the float range.
-    """
-    if isinstance(p, Fraction):
-        return p.numerator / p.denominator
-    return p
-
-
 def _log2_positive(p: Probability) -> float:
     """log2 of a rational or float known to be > 0.
 
@@ -307,7 +294,7 @@ class Distribution(Record):
     @classmethod
     def uniform(cls, labels: Sequence[str]) -> "Distribution":
         n = len(labels)
-        return cls(labels, [Fraction(1, n)] * n)
+        return cls(labels, [Fraction(1, n)] * n if n else [])  # no labels: _check raises
 
 
 def entropy(d: Distribution) -> Bits:
@@ -320,5 +307,5 @@ def entropy(d: Distribution) -> Bits:
     total = 0.0
     for p in d.probs:
         if p != 0:
-            total += _float(p) * _info(p)
+            total += float(p) * _info(p)
     return total

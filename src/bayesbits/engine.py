@@ -131,7 +131,7 @@ def tic(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Bits:
     the model is refuted outright (likelihood 0 for an observation that
     happened).
     """
-    return update(ms, om, x).tics[om._theta_index(theta)]
+    return transfer_report(ms, om, x).tics[om._theta_index(theta)]
 
 
 def classify_tic(t: Bits) -> SignClass:
@@ -155,7 +155,7 @@ def posterior_info(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> 
     ``prior_info - tic``, the information-space form of the Bayes update.
     ``+inf`` means the posterior probability is 0.
     """
-    return update(ms, om, x).posterior_infos[om._theta_index(theta)]
+    return transfer_report(ms, om, x).posterior_infos[om._theta_index(theta)]
 
 
 def posterior_prob_info_form(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> float:
@@ -302,20 +302,6 @@ class Marginal(NamedTuple):
             raise UnknownLabelError(f"no entry for model {theta!r}")
         return self.entries[self.models.index(theta)]
 
-    def local_transfer_entropy(self, j: int) -> Bits:
-        """Log-odds update ``log2(P(theta|x) / P(theta))`` of model ``j``.
-
-        Computed from the probability-space posterior, so it is an
-        independent route to the same number as the TIC. Undefined for a
-        model with zero prior. One entry of :meth:`log_odds_updates`.
-        """
-        bits = self.log_odds_updates()[j]
-        if bits is None:
-            raise UndefinedLogError(
-                f"log-odds update of {self.models[j]!r} undefined: prior probability is 0"
-            )
-        return bits
-
     def log_odds_updates(self) -> list[Bits | None]:
         """Each model's log-odds update ``log2(P(theta | x) / P(theta))``, None where the prior is 0.
 
@@ -384,12 +370,13 @@ def _marginal(
                     scaled_row, pt)
 
 
-def update(ms: ModelSpace, om: ObservationModel, x: str) -> Marginal:
-    """Apply observation ``x`` to every model at once.
+def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> Marginal:
+    """Apply observation ``x`` to every model at once: its :class:`Marginal`.
 
     The per-label functions (:func:`tic`, :func:`posterior_info`, ...)
-    read their values from this record; :func:`transfer_report` returns it.
-    Raises ``ImpossibleObservationError`` when ``P(x)`` is 0.
+    read their values from this record, and its ``entries`` are the
+    transfer report, one row per model. Raises
+    ``ImpossibleObservationError`` when ``P(x)`` is 0.
     """
     _check_pairing(ms, om)
     m = _marginal(_prior_terms(ms), x, om.likelihood[om._x_index(x)], {})
@@ -412,21 +399,14 @@ def marginals(ms: ModelSpace, om: ObservationModel) -> Iterator[Marginal | None]
     return (_marginal(pt, x, row, cache) for x, row in zip(om.observation_labels, om.likelihood))
 
 
-def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> Marginal:
-    """Full information-transfer decomposition of observation ``x``: its :class:`Marginal`.
-
-    The record's ``entries`` hold one row per model: both surprisal
-    sources, the TIC, its sign class, and the posterior computed via the
-    information-space route.
-    """
-    return update(ms, om, x)
-
-
 def local_transfer_entropy(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Bits:
     """Log-odds update ``log2(P(theta|x) / P(theta))`` of a single model.
 
     Computed from the probability-space posterior, so it is an
     independent route to the same number as :func:`tic`. Undefined for a
-    model with zero prior.
+    model with zero prior. One entry of :meth:`Marginal.log_odds_updates`.
     """
-    return update(ms, om, x).local_transfer_entropy(om._theta_index(theta))
+    bits = transfer_report(ms, om, x).log_odds_updates()[om._theta_index(theta)]
+    if bits is None:
+        raise UndefinedLogError(f"log-odds update of {theta!r} undefined: prior probability is 0")
+    return bits

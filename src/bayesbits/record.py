@@ -7,6 +7,9 @@ instead. Such a type lists its fields in ``_fields`` and
 ``__slots__`` and sets them once, in its own ``__init__``, with
 :meth:`Record._set`. It then has a ``Name(field=value, ...)`` repr,
 equality and hashing over its fields, and no assignment afterwards.
+A slot outside ``_fields`` holds what ``__init__`` derives from them
+(``ObservationModel.is_exact``): repr, equality and hashing skip it, and
+a copy or pickle, rebuilt through ``__init__``, derives it again.
 
 Both kinds are cheap to define, which matters because every CLI process
 defines them before it does any work (see "Start-up" in the README).

@@ -46,19 +46,19 @@ def build_report(scenario: Scenario, observation: str, totals: bool = True) -> R
     and drops it; the printed observation's is kept for its report columns.
     """
     from .aggregates import kl_from_update, mi_from_kls
-    from .engine import marginals, update
+    from .engine import marginals, transfer_report
 
     ms, om = scenario.model_space, scenario.observation_model
     if not totals:
-        return ReportDocument(scenario.name, update(ms, om, observation), None, None)
+        return ReportDocument(scenario.name, transfer_report(ms, om, observation), None, None)
     index, printed, kls = om._x_index(observation), None, []
     for i, m in enumerate(marginals(ms, om)):
         if m is not None:
             kls.append((m.evidence_float, kl_from_update(m)))
         if i == index:
             printed = m
-    if printed is None:  # P(x) is 0, so update raises ImpossibleObservationError
-        update(ms, om, observation)
+    if printed is None:  # P(x) is 0, so transfer_report raises ImpossibleObservationError
+        transfer_report(ms, om, observation)
     kl, mi = kl_from_update(printed), mi_from_kls(kls)
     return ReportDocument(scenario.name, printed, max(0.0, kl), max(0.0, mi))
 
@@ -197,9 +197,9 @@ def _both_paths(quantity: str, via_tic: float, classical: float, precision: int)
 def kl_text(scenario: Scenario, observation: str, precision: int) -> str:
     """KL(posterior || prior) of ``observation`` by both paths, and their difference."""
     from .aggregates import kl_classical_and_entropy, kl_from_update
-    from .engine import update
+    from .engine import transfer_report
 
-    u = update(scenario.model_space, scenario.observation_model, observation)
+    u = transfer_report(scenario.model_space, scenario.observation_model, observation)
     head = f"scenario: {scenario.name}\nobservation: {observation}\n"
     return head + _both_paths("kl", kl_from_update(u), kl_classical_and_entropy(u)[0], precision)
 

@@ -22,7 +22,7 @@ import operator
 import os
 import stat
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -72,10 +72,13 @@ class ObservationModel(Record):
     all rationals, within the float tolerance otherwise).
     """
 
-    __slots__ = _fields = ("observation_labels", "model_labels", "likelihood")
+    _fields = ("observation_labels", "model_labels", "likelihood")
+    # whether every cell is a Fraction, decided once per distinct value, not per cell
+    __slots__ = (*_fields, "is_exact")
     observation_labels: tuple[str, ...]
     model_labels: tuple[str, ...]
     likelihood: tuple[tuple[Probability, ...], ...]
+    is_exact: bool
 
     def __init__(
         self,
@@ -97,12 +100,12 @@ class ObservationModel(Record):
             observation_labels=tuple(observation_labels),
             model_labels=tuple(model_labels),
             likelihood=tuple(rows),
+            is_exact=all(isinstance(p, Fraction) for p in values),
         )
-        # one type test per distinct value, not per cell
-        self._check(exact=all(isinstance(p, Fraction) for p in values))
+        self._check()
 
-    def _check(self, exact: bool) -> None:
-        """Shape and column sums; ``exact`` when every cell is a Fraction."""
+    def _check(self) -> None:
+        """Shape and column sums, exact when every cell is a Fraction."""
         if not self.observation_labels or not self.model_labels:
             raise InvariantViolation("observation model needs >= 1 observation and >= 1 model")
         if len(set(self.observation_labels)) != len(self.observation_labels):
@@ -121,16 +124,11 @@ class ObservationModel(Record):
                     f"{len(self.model_labels)} models"
                 )
         for theta, column in zip(self.model_labels, zip(*self.likelihood)):
-            total = _exact_sum_unless_one(column) if exact else _sum_unless_one(column)
+            total = _exact_sum_unless_one(column) if self.is_exact else _sum_unless_one(column)
             if total is not None:
                 raise InvariantViolation(
                     f"likelihood column for model {theta!r} sums to {total}, expected 1"
                 )
-
-    @property
-    def is_exact(self) -> bool:
-        # map, not a generator expression: no Python frame resumed per cell
-        return all(map(isinstance, chain.from_iterable(self.likelihood), repeat(Fraction)))
 
     def _x_index(self, x: str) -> int:
         try:
@@ -171,11 +169,14 @@ class Scenario(Record):
                 f"prior is over models {list(model_space.labels)} but likelihood "
                 f"columns are {list(observation_model.model_labels)}"
             )
+        metadata = {} if metadata is None else metadata
+        if not isinstance(metadata, dict):  # a load refuses it, so a save must not write it
+            raise InvariantViolation(f"metadata must be a dict, got {type(metadata).__name__}")
         self._set(
             name=name,
             model_space=model_space,
             observation_model=observation_model,
-            metadata={} if metadata is None else metadata,
+            metadata=metadata,
         )
 
     @property
@@ -456,7 +457,7 @@ def scenario_to_json_text(s: Scenario) -> str:
         + ',\n  "observations": '
         + _json_list(list(map(encode_basestring_ascii, om.observation_labels)), 1)
         + ',\n  "likelihood": ' + _json_list(rows, 1)
-        + ',\n  "metadata": ' + _metadata_json(dict(s.metadata))
+        + ',\n  "metadata": ' + _metadata_json(s.metadata)
         + "\n}\n"
     )
 

@@ -23,7 +23,6 @@ from bayesbits import (
     tic,
     transfer_report,
 )
-from bayesbits.engine import update
 from bayesbits.verify import bits_deviation
 from random_agreement_sweep import random_scenario
 
@@ -133,7 +132,7 @@ def test_criterion_6_refuted_model_flow(traditional):
         ms, om = traditional.model_space, traditional.observation_model
         assert tic(ms, om, "Monty_B", "B") == -math.inf
         assert posterior_prob_info_form(ms, om, "Monty_B", "B") == 0.0
-        u = update(ms, om, "Monty_B")
+        u = transfer_report(ms, om, "Monty_B")
         b = u.models.index("B")
         assert u.tics[b] == -math.inf
         assert u.posteriors[b] == 0

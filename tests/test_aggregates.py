@@ -19,7 +19,7 @@ from bayesbits import (
     transfer_report,
 )
 from bayesbits import cli
-from bayesbits.engine import marginals, update
+from bayesbits.engine import marginals
 from bayesbits.report import build_report
 from random_agreement_sweep import random_scenario
 
@@ -73,7 +73,7 @@ class TestKl:
 
     def test_refuted_model_contributes_exactly_zero(self, traditional):
         ms, om = parts(traditional)
-        u = update(ms, om, "Monty_B")
+        u = transfer_report(ms, om, "Monty_B")
         b = u.models.index("B")
         assert u.posteriors[b] == 0
         assert u.tics[b] == -math.inf

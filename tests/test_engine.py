@@ -18,7 +18,6 @@ from bayesbits.engine import (
     SignClass,
     classify_tic,
     posterior_info,
-    update,
 )
 from bayesbits.errors import (
     DomainError,
@@ -268,14 +267,15 @@ class TestPosterior:
         for scenario in (traditional, biased, forgetful):
             ms, om = parts(scenario)
             for x in om.observation_labels:
-                u = update(ms, om, x)
+                u = transfer_report(ms, om, x)
                 for theta, via_bayes in zip(om.model_labels, u.posteriors):
                     via_info = posterior_prob_info_form(ms, om, x, theta)
                     assert via_info == pytest.approx(float(via_bayes), abs=1e-9)
 
     def test_traditional_switch_doubles(self, traditional):
         ms, om = parts(traditional)
-        assert update(ms, om, "Monty_B").posteriors == (Fraction(1, 3), Fraction(0), Fraction(2, 3))
+        posteriors = transfer_report(ms, om, "Monty_B").posteriors
+        assert posteriors == (Fraction(1, 3), Fraction(0), Fraction(2, 3))
 
     def test_refuted_model_lands_at_zero(self, traditional):
         ms, om = parts(traditional)
@@ -331,14 +331,14 @@ class TestBayesFactor:
 
     def test_log_equals_tic_difference(self, biased):
         ms, om = parts(biased)
-        u = update(ms, om, "Monty_C")
+        u = transfer_report(ms, om, "Monty_C")
         a, b = u.models.index("A"), u.models.index("B")
         assert u.likelihood_infos[a] - u.likelihood_infos[b] == 1.0  # P(x|B) / P(x|A) = 2
         assert abs(1.0 - (u.tics[b] - u.tics[a])) <= 1e-12
 
     def test_refuted_denominator_is_infinite_log(self, traditional):
         ms, om = parts(traditional)
-        u = update(ms, om, "Monty_B")
+        u = transfer_report(ms, om, "Monty_B")
         b, c = u.models.index("B"), u.models.index("C")
         assert u.likelihood_infos[b] - u.likelihood_infos[c] == math.inf
         assert u.tics[c] - u.tics[b] == math.inf

@@ -106,7 +106,7 @@ class TestEnumerateJoint:
     def test_checks_the_table_it_reads(self, monkeypatch, rows, message):
         # A Scenario refuses such columns, so these skip its check: the
         # oracle's own sums, kept while it reads the rows, must catch them.
-        monkeypatch.setattr(ObservationModel, "_check", lambda self, exact: None)
+        monkeypatch.setattr(ObservationModel, "_check", lambda self: None)
         prior = Distribution(["M0", "M1"], ["1/2", "1/2"])
         om = ObservationModel(["x", "y"], prior.labels, rows)
         scenario = Scenario("unchecked", ModelSpace(prior), om)

@@ -26,7 +26,7 @@ from bayesbits import (
 )
 from bayesbits.aggregates import kl_classical_and_entropy, kl_from_update
 from bayesbits.core import entropy, info_content, prob_from_info
-from bayesbits.engine import marginals, posterior_info, update
+from bayesbits.engine import marginals, posterior_info
 from bayesbits.errors import InvariantViolation
 from bayesbits.oracle import scenario_metrics
 from bayesbits.report import build_report
@@ -176,7 +176,7 @@ class TestUpdateProperties:
         ms, om = scenario.model_space, scenario.observation_model
         _, xs = possible_observations(scenario)
         for x in xs:
-            u = update(ms, om, x)
+            u = transfer_report(ms, om, x)
             lik_infos = u.likelihood_infos
             for j, theta in enumerate(om.model_labels):
                 assert same_bits(lik_infos[j], info_content(likelihood(om, x, theta)))
@@ -299,10 +299,10 @@ def check_integer_kernels(scenario) -> Counter:
                 assert m.tic_bits[ms.labels[j]] is None
                 continue
             if post == 0:
-                assert u.local_transfer_entropy(j) == m.tic_bits[ms.labels[j]] == -math.inf
+                assert u.log_odds_updates()[j] == m.tic_bits[ms.labels[j]] == -math.inf
                 continue
             ratio = post / p
-            assert same_bits(u.local_transfer_entropy(j), log2_reference(ratio, paths))
+            assert same_bits(u.log_odds_updates()[j], log2_reference(ratio, paths))
             oracle_tic = math.log2(ratio.numerator) - math.log2(ratio.denominator)
             assert same_bits(m.tic_bits[ms.labels[j]], oracle_tic)
             post_info = info_reference(post, paths)

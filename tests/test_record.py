@@ -1,0 +1,102 @@
+"""Copying and pickling the Record types: an equal object, read the same way.
+
+``Record.__reduce__`` rebuilds through ``__init__``, so a copy validates
+its fields again and recomputes anything the type derives from them,
+such as ``ObservationModel.is_exact``, which is a slot but not a field.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from bayesbits import (
+    Distribution,
+    HostPolicy,
+    MhpConfig,
+    ModelSpace,
+    ObservationModel,
+    Scenario,
+    enumerate_joint,
+    mhp_scenario,
+)
+
+LABELS = ("A", "B")
+CELLS = {
+    "exact": [[Fraction(1, 3), Fraction(1)], [Fraction(2, 3), Fraction(0)]],
+    "float": [[0.25, 1.0], [0.75, 0.0]],
+    "mixed": [[Fraction(1, 3), 1.0], [Fraction(2, 3), 0.0]],
+    "int-and-string": [["1/3", 1], ["2/3", 0]],
+}
+PRIORS = {
+    "exact": [Fraction(1, 4), Fraction(3, 4)],
+    "float": [0.25, 0.75],
+    "mixed": [Fraction(1, 4), 0.75],
+    "int-and-string": ["1/4", "3/4"],
+}
+
+
+def observation_model(kind):
+    return ObservationModel(["x", "y"], LABELS, CELLS[kind])
+
+
+def scenario(kind):
+    return Scenario(kind, ModelSpace(Distribution(LABELS, PRIORS[kind])), observation_model(kind))
+
+
+RECORDS = {
+    **{f"distribution-{kind}": lambda kind=kind: Distribution(LABELS, PRIORS[kind])
+       for kind in PRIORS},
+    "model-space": lambda: ModelSpace(Distribution(LABELS, PRIORS["exact"])),
+    **{f"observation-model-{kind}": lambda kind=kind: observation_model(kind) for kind in CELLS},
+    **{f"scenario-{kind}": lambda kind=kind: scenario(kind) for kind in CELLS},
+    "mhp-config": lambda: MhpConfig(door_count=5, contestant_pick="C",
+                                    host_policy=HostPolicy.FORGETFUL),
+    "mhp-scenario": lambda: mhp_scenario(MhpConfig(door_count=6)),
+    "joint-table": lambda: enumerate_joint(scenario("exact")),
+    "joint-table-mhp": lambda: enumerate_joint(mhp_scenario(MhpConfig(door_count=6))),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+}
+
+
+def hash_or_type_error(record):
+    try:
+        return hash(record)
+    except TypeError:  # a field holds a dict: a Scenario's metadata, the table's pairs
+        return TypeError
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_copy_is_equal_and_reads_the_same(name, how):
+    record = RECORDS[name]()
+    again = COPIES[how](record)
+    assert type(again) is type(record)
+    assert again == record
+    assert repr(again) == repr(record)
+    assert hash_or_type_error(again) == hash_or_type_error(record)
+    assert getattr(again, "is_exact", None) == getattr(record, "is_exact", None)
+
+
+@pytest.mark.parametrize("kind, exact", [
+    ("exact", True), ("float", False), ("mixed", False), ("int-and-string", True),
+])
+def test_a_copied_likelihood_keeps_its_exactness(kind, exact):
+    om = observation_model(kind)
+    assert om.is_exact is exact
+    for how in COPIES.values():
+        again = how(om)
+        assert again.is_exact is exact
+        assert again.likelihood == om.likelihood
+        assert [type(p) for row in again.likelihood for p in row] == [
+            type(p) for row in om.likelihood for p in row
+        ]
+    # the exactness is not a field: not in the repr, not in what a copy passes to __init__
+    assert "is_exact" not in repr(om)
+    assert om.__reduce__()[1] == (om.observation_labels, om.model_labels, om.likelihood)
+

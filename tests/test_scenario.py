@@ -20,7 +20,7 @@ from bayesbits import (
     mhp_scenario,
     save_scenario,
 )
-from bayesbits.engine import update
+from bayesbits.engine import transfer_report
 from bayesbits.errors import (
     BayesBitsError,
     DomainError,
@@ -99,7 +99,7 @@ class TestStandardGenerator:
         scenario = mhp_scenario(MhpConfig(door_count=4))
         ms, om = scenario.model_space, scenario.observation_model
         assert evidence(ms, om, "Monty_B") == Fraction(1, 3)
-        assert update(ms, om, "Monty_B").posteriors == (
+        assert transfer_report(ms, om, "Monty_B").posteriors == (
             Fraction(1, 4), Fraction(0), Fraction(3, 8), Fraction(3, 8)
         )
 
@@ -109,7 +109,8 @@ class TestStandardGenerator:
         scenario = mhp_scenario(MhpConfig(door_count=doors))
         ms, om = scenario.model_space, scenario.observation_model
         opened = om.observation_labels[0]
-        assert update(ms, om, opened).posteriors[ms.labels.index("A")] == Fraction(1, doors)
+        posteriors = transfer_report(ms, om, opened).posteriors
+        assert posteriors[ms.labels.index("A")] == Fraction(1, doors)
 
     def test_non_default_pick(self):
         scenario = mhp_scenario(MhpConfig(contestant_pick="B"))
@@ -152,7 +153,8 @@ class TestForgetfulGenerator:
 
     def test_posteriors_after_goat_reveal(self, forgetful):
         ms, om = forgetful.model_space, forgetful.observation_model
-        assert update(ms, om, "Monty_B").posteriors == (Fraction(1, 2), Fraction(0), Fraction(1, 2))
+        posteriors = transfer_report(ms, om, "Monty_B").posteriors
+        assert posteriors == (Fraction(1, 2), Fraction(0), Fraction(1, 2))
 
 
 class TestScenarioType:
@@ -164,6 +166,14 @@ class TestScenarioType:
         other = ModelSpace(prior=Distribution(("X", "Y", "Z"), [Fraction(1, 3)] * 3))
         with pytest.raises(InvariantViolation):
             Scenario(name="bad", model_space=other, observation_model=om)
+
+    @pytest.mark.parametrize("metadata, kind", [
+        ([1], "list"), ("abc", "str"), ([("k", "v")], "list"), ((), "tuple"),
+    ], ids=["list", "str", "pairs", "tuple"])
+    def test_metadata_must_be_a_dict(self, traditional, metadata, kind):
+        # a load refuses metadata that is not an object, so a Scenario does too
+        with pytest.raises(InvariantViolation, match=f"metadata must be a dict, got {kind}"):
+            Scenario("bad", traditional.model_space, traditional.observation_model, metadata)
 
     def test_is_exact_false_with_float_prior(self):
         from bayesbits import ModelSpace, ObservationModel
