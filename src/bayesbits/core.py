@@ -1,11 +1,11 @@
 """Arithmetic between probabilities and information contents.
 
 A probability is either an exact rational (``fractions.Fraction``) or a
-binary64 float. Exact values survive sums and products unchanged, which
-keeps hand-authored fixtures like 7/12 exact all the way to the single
-log that converts them to bits. Information contents are always floats:
-logarithms of rationals are irrational, so nothing is gained by wrapping
-them.
+binary64 float, which is an exact dyadic rational too. Sums and products
+work on their integer pairs, which keeps hand-authored fixtures like
+7/12 exact all the way to the single log that converts them to bits.
+Information contents are always floats: logarithms of rationals are
+irrational, so nothing is gained by wrapping them.
 
 Conventions, fixed once for the whole package:
 
@@ -17,9 +17,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -112,15 +110,6 @@ def as_probability(value: Probability | int | str) -> Probability:
     return value
 
 
-def _sum_in_order(values: Iterable[Probability]) -> Probability:
-    """``sum(values)``, added strictly left to right.
-
-    CPython 3.12 made ``sum`` of floats compensated, so its last bit
-    depends on the interpreter; this is the 3.10 and 3.11 result on all.
-    """
-    return functools.reduce(operator.add, values, 0)
-
-
 def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """Numerators of the ``(numerator, denominator)`` pairs over their least common denominator.
 
@@ -131,36 +120,31 @@ def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def _common_denominator(ps: Sequence[Probability]) -> tuple[list[int], int] | None:
-    """Numerators of ``ps`` over their least common denominator.
+def _common_denominator(ps: Sequence[Probability]) -> tuple[list[int], int]:
+    """Numerators of ``ps``, Fractions or floats, over their least common denominator.
 
-    None unless every value is a Fraction. Exact kernels sum and compare
-    these integers and build one Fraction per result, instead of going
-    through Fraction arithmetic for every ``+`` and ``*``.
+    The kernels sum and compare these integers and build one Fraction or
+    float per result, instead of going through Fraction arithmetic for
+    every ``+`` and ``*``.
     """
-    if not all(isinstance(p, Fraction) for p in ps):
-        return None
     return _over_lcm([p.as_integer_ratio() for p in ps])
-
-
-def _exact_sum_unless_one(ps: Iterable[Fraction]) -> str | None:
-    """:func:`_sum_unless_one` of values that are all Fractions."""
-    nums, den = _over_lcm([p.as_integer_ratio() for p in ps])
-    total = sum(nums)
-    return None if total == den else probability_repr(Fraction(total, den))
 
 
 def _sum_unless_one(ps: Sequence[Probability]) -> str | None:
     """The sum of ``ps`` as text when it is not 1, else None.
 
-    All-Fraction values must sum to exactly 1, checked on their integer
-    numerators over one common denominator; values with any float must
-    sum to 1 within :data:`FLOAT_SUM_TOL`.
+    The sum is exact, of integer numerators over one common denominator.
+    All-Fraction values must sum to exactly 1; values with any float must
+    sum to within :data:`FLOAT_SUM_TOL` of 1, compared exactly, and are
+    named by the sum's correctly rounded float.
     """
+    nums, den = _common_denominator(ps)
+    total = sum(nums)
+    if total == den:
+        return None
     if all(isinstance(p, Fraction) for p in ps):
-        return _exact_sum_unless_one(ps)
-    total = float(_sum_in_order(ps))
-    return None if abs(total - 1.0) <= FLOAT_SUM_TOL else repr(total)
+        return probability_repr(Fraction(total, den))
+    return None if Fraction(abs(total - den), den) <= FLOAT_SUM_TOL else repr(total / den)
 
 
 def probability_repr(p: Probability) -> str:
@@ -196,8 +180,7 @@ def _log2_quotient(num: int, den: int) -> float:
     """:func:`_log2_positive` of ``Fraction(num, den)``, from ints ``num, den > 0``.
 
     The pair need not be reduced: int true division rounds correctly. Only
-    the integer logs, taken out of the float range, reduce it first. A
-    float ``num`` over ``den = 1`` gives ``math.log2(num)``.
+    the integer logs, taken out of the float range, reduce it first.
     """
     try:
         x = num / den

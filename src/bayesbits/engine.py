@@ -19,7 +19,9 @@ as ``posterior_info = prior_info - tic``. One observation's work is one
 :class:`Marginal`: the evidence, the TICs and the posteriors of Bayes'
 rule in probability space, which KL, MI and ``verify`` read, and the
 report columns (sign classes, posterior bits, the transfer report's
-rows) that it computes from them on demand. The exact-rational oracle in
+rows) that it computes from them on demand. Every probability, a float
+too, enters as its exact integer pair, so each sum and sign is exact.
+The exact-rational oracle in
 :mod:`bayesbits.oracle` checks both routes. The input types,
 ``ModelSpace`` and ``ObservationModel``, live in :mod:`bayesbits.scenario`.
 """
@@ -37,10 +39,8 @@ from .core import (
     Probability,
     _common_denominator,
     _info,
-    _log2_positive,
     _log2_quotient,
     _over_lcm,
-    _sum_in_order,
     prob_from_info,
 )
 from .errors import (
@@ -54,7 +54,6 @@ from .scenario import ModelSpace, ObservationModel
 __all__ = [
     "ModelTransfer",
     "SignClass",
-    "classify_tic",
     "evidence",
     "local_transfer_entropy",
     "posterior_info",
@@ -81,46 +80,43 @@ def _check_pairing(ms: ModelSpace, om: ObservationModel) -> None:
 
 
 def _joint_row(
-    prior: tuple[Probability, ...],
-    scaled_prior: tuple[Sequence[int], int] | None,
-    row: tuple[Probability, ...],
-    scaled_row: tuple[list[int], int] | None,
-) -> tuple[Probability, int, list, int, list[float]]:
+    scaled_prior: tuple[Sequence[int], int], scaled_row: tuple[list[int], int]
+) -> tuple[int, int, list[int], list[float]]:
     """Marginalise one likelihood row: ``P(x)`` and each ``P(theta | x)``.
 
     The one place a likelihood row is marginalised against the prior.
-    ``scaled_prior`` and ``scaled_row`` are the values over one common
-    denominator, each None unless all are Fractions. With both, the joints
-    are integers; otherwise they are worked in the values' own arithmetic,
-    over 1. Returns ``P(x)`` as a numerator over a denominator, and the
-    posteriors, the joints over ``P(x)``'s numerator, as numerators over
-    one denominator and as floats; these are empty when ``P(x)`` is 0.
+    ``scaled_prior`` and ``scaled_row`` are the values' numerators over one
+    common denominator each, so the joints are integers. Returns ``P(x)``'s
+    numerator (the joints' total) and denominator, and the posteriors, the
+    joints over that total, as integers and as correctly rounded floats;
+    these are empty when ``P(x)`` is 0.
     """
-    if scaled_prior is None or scaled_row is None:
-        joints = [lik * p for lik, p in zip(row, prior)]
-        ev = _sum_in_order(joints)
-        posteriors = [] if ev == 0 else [joint / ev for joint in joints]
-        return ev, 1, posteriors, 1, posteriors
     prior_nums, prior_den = scaled_prior
     row_nums, row_den = scaled_row
     joints = list(map(operator.mul, row_nums, prior_nums))
     total = sum(joints)
     if total == 0:
         joints = []
-    return total, prior_den * row_den, joints, total, [joint / total for joint in joints]
+    return total, prior_den * row_den, joints, [joint / total for joint in joints]
+
+
+def _holds_float(*columns: Sequence[Probability]) -> bool:
+    """Whether any value is a float: results worked from it are shown as floats."""
+    return not all(isinstance(p, Fraction) for column in columns for p in column)
 
 
 def evidence(ms: ModelSpace, om: ObservationModel, x: str) -> Probability:
     """Marginal probability of observation ``x`` under the prior mixture.
 
-    Always computed by marginalizing the likelihood against the prior;
-    exact when both are rational. Never supplied externally, so the
-    evidence can never disagree with the prior and likelihood.
+    Always computed by marginalizing the likelihood against the prior,
+    exactly: a Fraction, or its correctly rounded float when the prior or
+    the row holds a float. Never supplied externally, so the evidence can
+    never disagree with the prior and likelihood.
     """
     _check_pairing(ms, om)
     probs, row = ms.prior.probs, om.likelihood[om._x_index(x)]
-    num, den, *_ = _joint_row(probs, _common_denominator(probs), row, _common_denominator(row))
-    return Fraction(num, den) if isinstance(num, int) else num
+    num, den, *_ = _joint_row(_common_denominator(probs), _common_denominator(row))
+    return num / den if _holds_float(probs, row) else Fraction(num, den)
 
 
 def tic(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Bits:
@@ -132,21 +128,6 @@ def tic(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Bits:
     happened).
     """
     return transfer_report(ms, om, x).tics[om._theta_index(theta)]
-
-
-def classify_tic(t: Bits) -> SignClass:
-    """Sign classification of a TIC value with a neutral band around zero."""
-    # Band around zero inside which a TIC counts as neutral; float-form
-    # scenarios cannot hit 0 exactly. Exact rows need no band: their sign
-    # comes from comparing P(x | theta) with P(x) exactly.
-    TIC_NEUTRAL_TOL = 1e-12
-    if math.isnan(t):
-        raise InvariantViolation("TIC value must not be NaN")
-    if t > TIC_NEUTRAL_TOL:
-        return SignClass.INFORMS
-    if t < -TIC_NEUTRAL_TOL:
-        return SignClass.MISLEADS
-    return SignClass.NEUTRAL
 
 
 def posterior_info(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Bits:
@@ -183,9 +164,9 @@ class ModelTransfer(NamedTuple):
 
 
 # What every observation reuses of the prior, worked out once per command:
-# the model space, the prior's values over one common denominator (None
-# unless all are Fractions), and their infos.
-_PriorTerms = tuple[ModelSpace, tuple[list[int], int] | None, tuple[Bits, ...]]
+# the model space, the prior's values over one common denominator, and
+# their infos.
+_PriorTerms = tuple[ModelSpace, tuple[list[int], int], tuple[Bits, ...]]
 
 
 def _prior_terms(ms: ModelSpace) -> _PriorTerms:
@@ -200,27 +181,27 @@ class Marginal(NamedTuple):
     its fields; ``solve`` prints its report columns, which are computed
     on each access, whole (``columns``) or a row per model (``entries``).
     ``P(x)`` is held as a float (``evidence_float``) and in bits, and
-    ``evidence`` is the exact Fraction on exact rows. Per-model
-    lists line up with ``models``. ``tics`` and ``posterior_infos`` cover
-    models with prior 0 too (``posterior_info`` is then ``+inf``); their
-    ``signs`` entry is None. Bayes' rule in probability space gives
-    posterior ``j`` as ``posterior_nums[j] / posterior_den``: unreduced
-    integers on exact rows, the float over 1 on float rows, with
+    ``evidence`` is it as shown. Per-model lists line up with ``models``.
+    ``tics`` and ``posterior_infos`` cover models with prior 0 too
+    (``posterior_info`` is then ``+inf``); their ``signs`` entry is None.
+    Bayes' rule in probability space gives posterior ``j`` as
+    ``posterior_nums[j] / posterior_den``, unreduced integers, with
     ``posterior_floats`` their correctly rounded floats. ``scaled_row``
-    holds the likelihood row's numerators over one denominator, None
-    unless the row is exact. The prior's columns are read from ``prior``,
-    shared by every observation of a command.
+    holds the likelihood row's numerators over one denominator, and
+    ``row`` the values as given. The prior's columns are read from
+    ``prior``, shared by every observation of a command.
     """
 
     observation: str
     evidence_float: float
     evidence_info: Bits
     tics: list[Bits]
-    posterior_nums: list[int] | list[float]
+    posterior_nums: list[int]
     posterior_den: int
     posterior_floats: list[float]
     likelihood_infos: list[Bits]
-    scaled_row: tuple[list[int], int] | None
+    scaled_row: tuple[list[int], int]
+    row: tuple[Probability, ...]
     prior: _PriorTerms
 
     @property
@@ -233,15 +214,15 @@ class Marginal(NamedTuple):
 
     @property
     def evidence(self) -> Probability:
-        """``P(x)``: a Fraction on exact rows, the float otherwise."""
-        if self.scaled_row is None:
+        """``P(x)``: a Fraction, or its float when the prior or the row holds a float."""
+        if _holds_float(self.prior[0].prior.probs, self.row):
             return self.evidence_float
         return Fraction(self.posterior_den, self.prior[1][1] * self.scaled_row[1])
 
     @property
     def posteriors(self) -> tuple[Probability, ...]:
-        """``P(theta | x)`` per model: Fractions on exact rows, floats otherwise."""
-        if self.scaled_row is None:
+        """``P(theta | x)`` per model: Fractions, or their floats as ``evidence`` is a float."""
+        if _holds_float(self.prior[0].prior.probs, self.row):
             return tuple(self.posterior_floats)
         return tuple([Fraction(num, self.posterior_den) for num in self.posterior_nums])
 
@@ -254,13 +235,9 @@ class Marginal(NamedTuple):
     def signs(self) -> list[SignClass | None]:
         """Each model's sign class, None where the prior is 0.
 
-        Exact rows compare ``P(x | theta)`` with ``P(x)`` exactly; float
-        rows classify the TIC with :func:`classify_tic`'s neutral band.
+        ``P(x | theta)`` is compared with ``P(x)`` exactly.
         """
         prior_infos = self.prior[2]
-        if self.scaled_row is None:
-            return [None if prior_i == math.inf else classify_tic(t)  # inf: prior 0
-                    for prior_i, t in zip(prior_infos, self.tics)]
         row_nums, prior_den = self.scaled_row[0], self.prior[1][1]
         total = self.posterior_den
         # (P(x | theta) - P(x)) * prior_den * row_den: its sign, without rounding
@@ -305,17 +282,13 @@ class Marginal(NamedTuple):
     def log_odds_updates(self) -> list[Bits | None]:
         """Each model's log-odds update ``log2(P(theta | x) / P(theta))``, None where the prior is 0.
 
-        On exact rows the ratio equals ``P(x | theta) / P(x)``: the model's
-        numerator in the scaled row times the prior's denominator, over the
-        joints' total, with no Fraction division and no pair read. Its float
+        The ratio equals ``P(x | theta) / P(x)``: the model's numerator in
+        the scaled row times the prior's denominator, over the joints'
+        total, with no Fraction division and no pair read. Its float
         depends on the rational alone, so each distinct numerator in the row
         takes one log.
         """
-        ms, scaled_prior, prior_infos = self.prior
-        if self.scaled_row is None:
-            return [None if prior_i == math.inf else -math.inf if num == 0
-                    else _log2_positive(num / p)
-                    for num, p, prior_i in zip(self.posterior_nums, ms.prior.probs, prior_infos)]
+        _, scaled_prior, prior_infos = self.prior
         scale, total = scaled_prior[1], self.posterior_den
         logs: dict[int, Bits] = {}  # a row numerator -> its log-odds update
         row: list[Bits | None] = []
@@ -338,9 +311,9 @@ def _marginal(
     """Marginalise observation ``x``; None when its evidence is 0.
 
     ``cache`` maps the ``id`` of each likelihood value object seen so far
-    to its ``_info`` and its integer pair (None for a float), so a value
-    object shared by many cells and rows takes one log and one pair read
-    per command; the caller keeps the objects alive while it is in use.
+    to its ``_info`` and its integer pair, so a value object shared by
+    many cells and rows takes one log and one pair read per command; the
+    caller keeps the objects alive while it is in use.
     """
     cells = list(map(cache.get, map(id, row)))
     if None in cells:  # value objects this command has not seen yet
@@ -348,26 +321,21 @@ def _marginal(
             if cells[j] is None:
                 cell = cache.get(id(lik))
                 if cell is None:
-                    pair = lik.as_integer_ratio() if isinstance(lik, Fraction) else None
-                    cache[id(lik)] = cell = (_info(lik), pair)
+                    cache[id(lik)] = cell = (_info(lik), lik.as_integer_ratio())
                 cells[j] = cell
     # two passes, not zip(*cells), which makes one iterator object per cell
     lik_infos, pairs = [info for info, _ in cells], [pair for _, pair in cells]
-    ms, scaled_prior, _ = pt
-    scaled_row = None if scaled_prior is None or None in pairs else _over_lcm(pairs)
-    num, den, post_nums, post_den, post_floats = _joint_row(
-        ms.prior.probs, scaled_prior, row, scaled_row
-    )
-    if not post_nums:
+    scaled_row = _over_lcm(pairs)
+    num, den, joints, post_floats = _joint_row(pt[1], scaled_row)
+    if not joints:
         return None
-    # P(x) from its unreduced parts: int true division rounds correctly.
-    # A float evidence can round a step above 1 (a prior summing to
-    # 1 + 2**-52, within FLOAT_SUM_TOL); it is certain, so 0 bits.
+    # P(x) from its unreduced parts: int true division rounds correctly. A float
+    # prior within FLOAT_SUM_TOL of 1 can make it exceed 1: certain, so 0 bits.
     lg = 0.0 if num >= den else _log2_quotient(num, den)
     ev_info = -lg if lg else 0.0
     tics = [ev_info - lik_i for lik_i in lik_infos]
-    return Marginal(x, num / den, ev_info, tics, post_nums, post_den, post_floats, lik_infos,
-                    scaled_row, pt)
+    return Marginal(x, num / den, ev_info, tics, joints, num, post_floats, lik_infos,
+                    scaled_row, row, pt)
 
 
 def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> Marginal:

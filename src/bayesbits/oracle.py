@@ -67,6 +67,7 @@ class JointOutcomeTable(Record):
 
     __slots__ = _fields = ("model_labels", "observation_labels", "prior", "_likelihoods")
     _hidden = ("_likelihoods",)
+    __hash__ = None  # _likelihoods is a dict
     model_labels: tuple[str, ...]
     observation_labels: tuple[str, ...]
     prior: tuple[Fraction, ...]

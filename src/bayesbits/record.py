@@ -6,7 +6,10 @@ which keeps its cell index out of the repr, subclass :class:`Record`
 instead. Such a type lists its fields in ``_fields`` and
 ``__slots__`` and sets them once, in its own ``__init__``, with
 :meth:`Record._set`. It then has a ``Name(field=value, ...)`` repr,
-equality and hashing over its fields, and no assignment afterwards.
+equality and hashing over its fields, and no assignment afterwards. A
+type with a field that holds a dict (``Scenario``, the oracle's
+``JointOutcomeTable``) sets ``__hash__ = None`` instead: like a dict it
+is unhashable, and ``hash()`` raises a ``TypeError`` that names the type.
 A slot outside ``_fields`` holds what ``__init__`` derives from them
 (``ObservationModel.is_exact``): repr, equality and hashing skip it, and
 a copy or pickle, rebuilt through ``__init__``, derives it again.

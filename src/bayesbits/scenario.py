@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .core import Distribution, Probability, as_probability, probability_repr
-from .core import _exact_sum_unless_one, _sum_unless_one
+from .core import _sum_unless_one
 from .errors import DomainError, InvariantViolation, ScenarioFormatError, UnknownLabelError
 from .record import Record
 
@@ -105,7 +105,7 @@ class ObservationModel(Record):
         self._check()
 
     def _check(self) -> None:
-        """Shape and column sums, exact when every cell is a Fraction."""
+        """Shape and column sums, each summed exactly."""
         if not self.observation_labels or not self.model_labels:
             raise InvariantViolation("observation model needs >= 1 observation and >= 1 model")
         if len(set(self.observation_labels)) != len(self.observation_labels):
@@ -124,7 +124,7 @@ class ObservationModel(Record):
                     f"{len(self.model_labels)} models"
                 )
         for theta, column in zip(self.model_labels, zip(*self.likelihood)):
-            total = _exact_sum_unless_one(column) if self.is_exact else _sum_unless_one(column)
+            total = _sum_unless_one(column)
             if total is not None:
                 raise InvariantViolation(
                     f"likelihood column for model {theta!r} sums to {total}, expected 1"
@@ -152,6 +152,7 @@ class Scenario(Record):
     """A named model space plus observation model, with free annotations."""
 
     __slots__ = _fields = ("name", "model_space", "observation_model", "metadata")
+    __hash__ = None  # metadata is a dict
     name: str
     model_space: ModelSpace
     observation_model: ObservationModel

@@ -98,12 +98,14 @@ class TestKl:
                 assert math.isfinite(kl_expected_tic(ms, om, x))
 
     def test_clamped_floors_at_zero(self, tmp_path, capsys):
-        # An uninformative float channel: KL and MI round a hair below 0,
-        # and the CLI displays both clamped at 0.
+        # A float channel uninformative up to one float step: C's likelihood
+        # of x is 2**-56 below 0.1. KL and MI round a hair below 0 on both
+        # paths, and the CLI displays them clamped at 0.
         ms = ModelSpace(prior=Distribution(("A", "B", "C"), (0.2, 0.4, 0.4)))
-        om = ObservationModel(("x", "y"), ms.labels, [[0.4] * 3, [0.6] * 3])
+        om = ObservationModel(("x", "y"), ms.labels, [[0.1, 0.1, 0.1 - 2**-56], [0.9] * 3])
         scenario = Scenario("uninformative", ms, om)
         assert kl_expected_tic(ms, om, "x") < 0 and mutual_information(ms, om) < 0
+        assert kl_classical(ms, om, "x") < 0 and mutual_information_classical(ms, om) < 0
         doc = build_report(scenario, "x")
         assert (doc.kl_bits, doc.mi_bits) == (0.0, 0.0)
         path = str(tmp_path / "uninformative.json")

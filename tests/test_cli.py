@@ -405,10 +405,10 @@ class TestLimits:
             assert capsys.readouterr().err.startswith("error: ")
 
     def test_float_evidence_a_rounding_step_above_one(self, tmp_path, capsys):
-        # The prior sums to 1.0000000000000002 (within FLOAT_SUM_TOL), so the
+        # The prior sums to 1 + 2**-56 (within FLOAT_SUM_TOL), so the
         # evidence of a certain observation does too: it carries 0 bits.
         prior = [1 / 3, 1 / 24, 7 / 24, 7 / 24, 1 / 24]
-        assert sum(prior) > 1
+        assert sum(map(Fraction, prior)) == 1 + Fraction(1, 2**56)
         path = _write(tmp_path, "above-one", prior, ["x"], [[1.0] * 5])
         assert cli.main(["solve", path, "--observe", "x"]) == 0
         assert "(0.000000 bits)" in capsys.readouterr().out
@@ -717,8 +717,8 @@ class TestFloatSumsInOrder:
     """Float output does not depend on how the interpreter's ``sum`` adds floats.
 
     CPython 3.12 made ``sum`` of floats compensated. The engine and core
-    add floats left to right, the 3.10 and 3.11 result, so putting the
-    compensated sum in place of the builtin changes no output.
+    add every value exactly, as integers over one common denominator, so
+    putting the compensated sum in place of the builtin changes no output.
     """
 
     def outputs(self, paths, capsys):
@@ -752,4 +752,5 @@ class TestFloatSumsInOrder:
         self.compensate(monkeypatch)
         with pytest.raises(InvariantViolation) as exc:
             Distribution("abcde", [0.14816, 0.0924887916370198, 0.156, 0.1513998825348317, 0.0648385])
-        assert str(exc.value) == "probabilities sum to 0.6128871741718516, expected 1"
+        # the exact sum, correctly rounded
+        assert str(exc.value) == "probabilities sum to 0.6128871741718515, expected 1"

@@ -16,7 +16,6 @@ from bayesbits import (
 from bayesbits.core import info_content
 from bayesbits.engine import (
     SignClass,
-    classify_tic,
     posterior_info,
 )
 from bayesbits.errors import (
@@ -191,28 +190,8 @@ class TestTic:
                 assert not math.isnan(tic(ms, om, x, theta))
 
 
-class TestClassifyTic:
-    def test_three_way(self):
-        assert classify_tic(0.5) is SignClass.INFORMS
-        assert classify_tic(-0.5) is SignClass.MISLEADS
-        assert classify_tic(0.0) is SignClass.NEUTRAL
-
-    def test_neutral_band(self):
-        assert classify_tic(5e-13) is SignClass.NEUTRAL
-        assert classify_tic(-5e-13) is SignClass.NEUTRAL
-        assert classify_tic(5e-12) is SignClass.INFORMS
-
-    def test_infinite(self):
-        assert classify_tic(math.inf) is SignClass.INFORMS
-        assert classify_tic(-math.inf) is SignClass.MISLEADS
-
-    def test_nan_rejected(self):
-        with pytest.raises(InvariantViolation):
-            classify_tic(float("nan"))
-
-
 class TestExactSign:
-    """Exact inputs get their sign class from an exact comparison, not the TIC band."""
+    """Every sign class comes from comparing P(x | theta) with P(x) exactly, floats included."""
 
     EPS = Fraction(1, 10**14)
 
@@ -229,17 +208,19 @@ class TestExactSign:
         ms, om = self.near_neutral(exact=True)
         report = transfer_report(ms, om, "x")
         assert report.evidence == Fraction(1, 2)
-        # |TIC| is ~2.9e-14 bits, inside the float neutral band
-        assert report.entry_for("A").tic > 0
-        assert classify_tic(report.entry_for("A").tic) is SignClass.NEUTRAL
+        # |TIC| is ~2.9e-14 bits
+        assert 0 < report.entry_for("A").tic < 1e-12
         assert report.entry_for("A").sign_class is SignClass.INFORMS
         assert report.entry_for("B").sign_class is SignClass.MISLEADS
 
-    def test_float_tiny_tic_stays_neutral(self):
+    def test_float_tiny_tic_is_signed(self):
+        # each float is compared exactly, as the dyadic rational it is
         ms, om = self.near_neutral(exact=False)
         report = transfer_report(ms, om, "x")
-        assert report.entry_for("A").sign_class is SignClass.NEUTRAL
-        assert report.entry_for("B").sign_class is SignClass.NEUTRAL
+        assert isinstance(report.evidence, float)
+        assert 0 < report.entry_for("A").tic < 1e-12
+        assert report.entry_for("A").sign_class is SignClass.INFORMS
+        assert report.entry_for("B").sign_class is SignClass.MISLEADS
 
     def test_exact_equality_is_neutral(self, traditional):
         # P(Monty_B | A) = 1/2 = P(Monty_B)

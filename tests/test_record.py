@@ -71,6 +71,15 @@ def hash_or_type_error(record):
         return TypeError
 
 
+@pytest.mark.parametrize("name", ["scenario-exact", "scenario-float", "mhp-scenario",
+                                  "joint-table", "joint-table-mhp"])
+def test_a_record_holding_a_dict_is_unhashable_by_its_own_name(name):
+    record = RECORDS[name]()
+    with pytest.raises(TypeError) as exc:
+        hash(record)
+    assert str(exc.value) == f"unhashable type: '{type(record).__name__}'"
+
+
 @pytest.mark.parametrize("how", COPIES)
 @pytest.mark.parametrize("name", RECORDS)
 def test_a_copy_is_equal_and_reads_the_same(name, how):

@@ -39,7 +39,6 @@ from bayesbits import scenario as scenario_io
 from bayesbits.core import _log2_positive, info_content
 from bayesbits.engine import (
     SignClass,
-    classify_tic,
     marginals,
     posterior_info,
 )
@@ -61,17 +60,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def log_odds_reference(u, j: int) -> float:
     """``log2(posterior / prior)`` of the reduced ratio: the integer-part kernel must give its bits."""
-    post = u.posteriors[j]
-    return -math.inf if post == 0 else _log2_positive(post / u.entries[j].prior_prob)
+    post = Fraction(u.posterior_nums[j], u.posterior_den)
+    return -math.inf if post == 0 else _log2_positive(post / Fraction(u.entries[j].prior_prob))
 
 
-def expected_sign(lik, ev, t):
-    """Textbook sign class: exact comparison for Fractions, the TIC band for floats."""
-    if isinstance(lik, Fraction) and isinstance(ev, Fraction):
-        if lik == ev:
-            return SignClass.NEUTRAL
-        return SignClass.INFORMS if lik > ev else SignClass.MISLEADS
-    return classify_tic(t)
+def expected_sign(lik, ev: Fraction):
+    """Textbook sign class: ``P(x | theta)``, a float as its exact value, against the exact ``P(x)``."""
+    if Fraction(lik) == ev:
+        return SignClass.NEUTRAL
+    return SignClass.INFORMS if Fraction(lik) > ev else SignClass.MISLEADS
 
 
 def check_against_formulas(scenario) -> int:
@@ -83,8 +80,11 @@ def check_against_formulas(scenario) -> int:
     exact = scenario.is_exact
     impossible = 0
     for x, row, shared in zip(om.observation_labels, om.likelihood, marginals(ms, om)):
-        ev = sum(lik * p for lik, p in zip(row, ms.prior.probs))
-        assert evidence(ms, om, x) == ev and isinstance(ev, Fraction) == exact
+        # floats enter as the dyadic rationals they are; a float row shows
+        # the exact value's correctly rounded float
+        ev = sum(Fraction(lik) * Fraction(p) for lik, p in zip(row, ms.prior.probs))
+        shown = ev if exact else float(ev)
+        assert evidence(ms, om, x) == shown and isinstance(evidence(ms, om, x), Fraction) == exact
         assert same_bits(float(evidence(ms, om, x)), float(ev))
         if ev == 0:
             impossible += 1
@@ -95,20 +95,20 @@ def check_against_formulas(scenario) -> int:
             continue
         u = transfer_report(ms, om, x)
         assert u == shared
-        assert u.evidence == ev
+        assert u.evidence == shown
         assert u.entries == tuple([u.entry_for(theta) for theta in ms.labels])
         assert same_bits(u.evidence_info, info_content(ev))
         assert all(same_bits(e.evidence_info, u.evidence_info) for e in u.entries)
         for j, theta in enumerate(ms.labels):
             lik, prior_p = row[j], ms.prior.probs[j]
-            post = u.posteriors[j]
+            post, exact_post = u.posteriors[j], Fraction(lik) * Fraction(prior_p) / ev
             assert isinstance(post, Fraction) == exact
-            assert post == lik * prior_p / ev
-            assert same_bits(float(post), float(lik * prior_p / ev))
+            assert post == (exact_post if exact else float(exact_post))
+            assert same_bits(float(post), float(exact_post))
             t = tic(ms, om, x, theta)
             assert same_bits(t, u.tics[j])
             assert same_bits(t, info_content(ev) - info_content(lik))
-            assert u.signs[j] == (None if prior_p == 0 else expected_sign(lik, ev, t))
+            assert u.signs[j] == (None if prior_p == 0 else expected_sign(lik, ev))
             post_i = posterior_info(ms, om, x, theta)
             assert same_bits(post_i, u.posterior_infos[j])
             assert same_bits(post_i, info_content(prior_p) - t)
@@ -147,7 +147,8 @@ def test_update_matches_formulas_on_wide_denominators(denominators):
 
 
 def test_mixed_exact_prior_float_likelihood_takes_float_path():
-    # An exact prior with a float row is worked in float arithmetic, as before.
+    # An exact prior with a float row: worked exactly, like an exact row,
+    # and its evidence and posteriors shown as floats.
     rng = random.Random(7)
     for _ in range(100):
         base = random_scenario(rng, max_models=5, max_observations=5)
@@ -559,13 +560,13 @@ def test_log_odds_row_matches_each_model():
 
 
 def test_float_evidence_above_one_carries_zero_bits():
-    # A float prior summing to 1.0000000000000002 is accepted within
-    # FLOAT_SUM_TOL; a certain observation's evidence rounds to that sum.
-    prior = Distribution([f"M{i}" for i in range(5)], [1 / 3, 1 / 24, 7 / 24, 7 / 24, 1 / 24])
-    om = ObservationModel(["x"], prior.labels, [[1.0] * 5])
+    # A float prior summing to 1 + 2**-52 is accepted within FLOAT_SUM_TOL;
+    # a certain observation's evidence is that sum.
+    prior = Distribution([f"M{i}" for i in range(4)], [1 / 4, 1 / 4, 1 / 4, 1 / 4 + 2**-52])
+    om = ObservationModel(["x"], prior.labels, [[1.0] * 4])
     u = transfer_report(ModelSpace(prior), om, "x")
-    assert u.evidence > 1
+    assert u.evidence == 1 + 2**-52
     assert u.evidence_info == 0.0
-    assert [e.evidence_info for e in u.entries] == [0.0] * 5
-    assert u.tics == [0.0] * 5
+    assert [e.evidence_info for e in u.entries] == [0.0] * 4
+    assert u.tics == [0.0] * 4
     assert u.posterior_infos == list(u.prior_infos)

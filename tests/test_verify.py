@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from bayesbits import Distribution, HostPolicy, MhpConfig, mhp_scenario
 from bayesbits import cli, engine
-from bayesbits.scenario import door_labels, save_scenario
+from bayesbits.scenario import ModelSpace, ObservationModel, Scenario, door_labels, save_scenario
 from bayesbits.verify import VERIFY_TOL, bits_deviation, max_deviation, verify_scenario
 
 
@@ -113,6 +113,18 @@ def test_verify_holds_one_batch_of_observations_at_a_time():
         tracemalloc.stop()
     assert (max_dev <= VERIFY_TOL, checks) == (True, 153596)
     assert peak < 3 * 2**20
+
+
+def test_verify_compares_an_observation_wider_than_a_batch():
+    # 4097 models: one observation holds more cells than a batch of about
+    # 4096, and is still compared whole. 3 comparisons for the observation,
+    # 2 per posterior, 1 per TIC and 2 for the MIs: 12,296.
+    labels = [f"M{i}" for i in range(4097)]
+    scenario = Scenario("wide", ModelSpace(Distribution.uniform(labels)),
+                        ObservationModel(["x"], labels, [[Fraction(1)] * len(labels)]))
+    max_dev, checks = verify_scenario(scenario)
+    assert checks == 12296
+    assert max_dev <= 1e-18
 
 
 # an 8-door forgetful game in which door D8 has prior 0 (the golden custom8 game)
