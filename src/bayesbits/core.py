@@ -163,24 +163,13 @@ def probability_repr(p: Probability) -> str:
     return repr(p)
 
 
-def _log2_positive(p: Probability) -> float:
-    """log2 of a rational or float known to be > 0.
-
-    For rationals whose float image would underflow to 0 or overflow
-    (a ratio such as posterior / prior can exceed the float range), fall
-    back to integer logs so adversarial denominators still give a finite
-    answer.
-    """
-    if isinstance(p, Fraction):
-        return _log2_quotient(p.numerator, p.denominator)
-    return math.log2(p)
-
-
 def _log2_quotient(num: int, den: int) -> float:
-    """:func:`_log2_positive` of ``Fraction(num, den)``, from ints ``num, den > 0``.
+    """log2 of ``Fraction(num, den)``, from ints ``num, den > 0``.
 
-    The pair need not be reduced: int true division rounds correctly. Only
-    the integer logs, taken out of the float range, reduce it first.
+    The pair need not be reduced: int true division rounds correctly. For
+    a ratio whose float image would underflow to 0 or overflow (posterior
+    / prior can exceed the float range), integer logs of the reduced pair
+    still give a finite answer.
     """
     try:
         x = num / den
@@ -207,7 +196,8 @@ def _info(p: Probability) -> Bits:
     """:func:`info_content` of a value :func:`as_probability` already accepted."""
     if p == 0:
         return math.inf
-    lg = _log2_positive(p)
+    # float first: isinstance(p, Fraction) is an ABC check, slow for a float
+    lg = math.log2(p) if isinstance(p, float) else _log2_quotient(p.numerator, p.denominator)
     return 0.0 if lg == 0.0 else -lg
 
 

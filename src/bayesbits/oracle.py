@@ -1,11 +1,14 @@
 """Brute-force probability-space oracle over exact rationals.
 
 This module re-derives evidence, posteriors, surprisal transfers, and
-divergences by enumerating the full joint outcome table with
-``fractions.Fraction`` arithmetic, taking a single logarithm per
-reported quantity at the very end. It deliberately shares none of the
-information-space arithmetic used elsewhere in the package, so agreement
-between the two paths is meaningful evidence of correctness.
+divergences by multiplying out the full joint outcome table,
+P(model) * P(observation | model), in exact integer arithmetic, taking
+a single logarithm per reported quantity at the very end. Every quantity
+comes from one reader of the scenario, :func:`scenario_metrics`, and
+:func:`enumerate_joint` keeps what it gives. The module deliberately
+shares none of the information-space arithmetic used elsewhere in the
+package, so agreement between the two paths is meaningful evidence of
+correctness.
 
 Only exact scenarios can be enumerated; float inputs are refused rather
 than silently rounded.
@@ -25,11 +28,9 @@ from .errors import (
     InvariantViolation,
     UnknownLabelError,
 )
-from .record import Record
 from .scenario import Scenario
 
 __all__ = [
-    "JointOutcomeTable",
     "OracleMetrics",
     "enumerate_joint",
     "oracle_metrics",
@@ -42,11 +43,6 @@ __all__ = [
 _Prior = tuple[list[int], list[int]]
 
 
-def _prior_parts(probs: Iterable[Fraction]) -> _Prior:
-    pairs = [p.as_integer_ratio() for p in probs]
-    return [n for n, _ in pairs], [d for _, d in pairs]
-
-
 def _joints(prior: _Prior, liks: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """One observation's joint cells ``P(theta) * P(x | theta)``, in model
     order, as numerators over their least common denominator, so that they
@@ -56,53 +52,6 @@ def _joints(prior: _Prior, liks: Sequence[tuple[int, int]]) -> tuple[list[int], 
     return [n * (den // d) for n, d in cells], den
 
 
-class JointOutcomeTable(Record):
-    """Exhaustive P(model, observation) enumeration, exact throughout.
-
-    The table keeps each observation's likelihoods as reduced integer
-    pairs, one pair per distinct value object, shared by every cell that
-    holds it. :meth:`joint` and :meth:`evidence` multiply out the cells
-    and build Fractions on each call.
-    """
-
-    __slots__ = _fields = ("model_labels", "observation_labels", "prior", "_likelihoods")
-    _hidden = ("_likelihoods",)
-    __hash__ = None  # _likelihoods is a dict
-    model_labels: tuple[str, ...]
-    observation_labels: tuple[str, ...]
-    prior: tuple[Fraction, ...]
-    # observation -> the likelihood pair of each model, in model order
-    _likelihoods: dict[str, list[tuple[int, int]]]
-
-    def __init__(
-        self,
-        model_labels: tuple[str, ...],
-        observation_labels: tuple[str, ...],
-        prior: tuple[Fraction, ...],
-        _likelihoods: dict[str, list[tuple[int, int]]],
-    ) -> None:
-        self._set(
-            model_labels=model_labels,
-            observation_labels=observation_labels,
-            prior=prior,
-            _likelihoods=_likelihoods,
-        )
-
-    def joint(self, model: str, observation: str) -> Fraction:
-        if model not in self.model_labels or observation not in self._likelihoods:
-            raise UnknownLabelError(f"no joint cell for ({model!r}, {observation!r})")
-        j = self.model_labels.index(model)
-        p_num, p_den = self.prior[j].as_integer_ratio()
-        l_num, l_den = self._likelihoods[observation][j]
-        return Fraction(p_num * l_num, p_den * l_den)
-
-    def evidence(self, observation: str) -> Fraction:
-        if observation not in self.observation_labels:
-            raise UnknownLabelError(f"unknown observation {observation!r}")
-        joints, den = _joints(_prior_parts(self.prior), self._likelihoods[observation])
-        return Fraction(sum(joints), den)
-
-
 def _exact_prior(scenario: Scenario) -> _Prior:
     """The scenario's prior as integers; ``ExactnessError`` unless the scenario is exact."""
     if not scenario.is_exact:
@@ -110,7 +59,8 @@ def _exact_prior(scenario: Scenario) -> _Prior:
             f"scenario {scenario.name!r} contains float probabilities; "
             "the oracle requires exact rationals"
         )
-    return _prior_parts(scenario.model_space.prior.probs)
+    pairs = [p.as_integer_ratio() for p in scenario.model_space.prior.probs]
+    return [n for n, _ in pairs], [d for _, d in pairs]
 
 
 # One observation as the oracle reads it: its label, each model's
@@ -162,23 +112,6 @@ def _rows(scenario: Scenario, prior: _Prior) -> Iterator[_Row]:
             )
 
 
-def enumerate_joint(scenario: Scenario) -> JointOutcomeTable:
-    """Multiply out P(model) * P(observation | model) for every cell.
-
-    Refuses float scenarios with ``ExactnessError``. Verifies that the
-    table is a genuine joint distribution: cells total exactly 1 and the
-    per-model marginals reproduce the prior exactly.
-    """
-    likelihoods = {x: liks for x, liks, _, _ in _rows(scenario, _exact_prior(scenario))}
-    om = scenario.observation_model
-    return JointOutcomeTable(
-        model_labels=tuple(om.model_labels),
-        observation_labels=tuple(om.observation_labels),
-        prior=scenario.model_space.prior.probs,
-        _likelihoods=likelihoods,
-    )
-
-
 class OracleMetrics(NamedTuple):
     """Everything the oracle can say about one observation.
 
@@ -200,29 +133,6 @@ class OracleMetrics(NamedTuple):
     def posterior(self) -> dict[str, Fraction]:
         den = self.posterior_den
         return {theta: Fraction(num, den) for theta, num in zip(self.models, self.posterior_nums)}
-
-
-def oracle_metrics(table: JointOutcomeTable, observation: str) -> OracleMetrics:
-    """Evidence, posteriors, per-model bit transfers, and KL for one observation.
-
-    Every probability stays exact, as integers, until the one log2 call
-    that turns a ratio into bits. Models with zero prior get ``None``
-    (their surprisal shift is undefined), and refuted models get -inf.
-    """
-    if observation not in table.observation_labels:
-        raise UnknownLabelError(f"unknown observation {observation!r}")
-    metrics = _table_metrics(table, observation, _prior_parts(table.prior))
-    if metrics is None:
-        raise ImpossibleObservationError(
-            f"observation {observation!r} has zero probability under the prior"
-        )
-    return metrics
-
-
-def _table_metrics(table: JointOutcomeTable, x: str, prior: _Prior) -> OracleMetrics | None:
-    """:func:`_metrics` of observation ``x`` of the table."""
-    liks = table._likelihoods[x]
-    return _metrics(table.model_labels, prior[0], (x, liks, *_joints(prior, liks)))
 
 
 def _metrics(models: tuple[str, ...], prior_nums: list[int], row: _Row) -> OracleMetrics | None:
@@ -283,10 +193,10 @@ def _metrics(models: tuple[str, ...], prior_nums: list[int], row: _Row) -> Oracl
 def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
     """:func:`oracle_metrics` of every observation of the scenario, in order, one at a time.
 
-    No table is built: each observation's metrics come from its
-    likelihood row as it is read, and are None where its evidence is 0.
-    The checks of :func:`enumerate_joint` run once the last observation
-    has been given, so read to the end. A float scenario raises
+    Each observation's metrics come from its likelihood row as it is
+    read, and are None where its evidence is 0. Once the last observation
+    has been given, the rows are checked as a joint distribution (see
+    :func:`_rows`), so read to the end. A float scenario raises
     ``ExactnessError`` at the call.
     """
     prior = _exact_prior(scenario)
@@ -294,11 +204,41 @@ def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
     return (_metrics(models, prior[0], row) for row in _rows(scenario, prior))
 
 
-def oracle_mi(table: JointOutcomeTable) -> float:
+def enumerate_joint(scenario: Scenario) -> dict[str, OracleMetrics | None]:
+    """:func:`oracle_metrics` of every observation, keyed by label in the scenario's order.
+
+    The value is None where the observation's evidence is 0. The whole
+    scenario is read, so the joint-distribution checks of
+    :func:`scenario_metrics` have run when this returns. The table keeps
+    every observation's metrics; a large game is better streamed through
+    :func:`scenario_metrics`, which holds one observation at a time.
+    """
+    labels = scenario.observation_model.observation_labels
+    # strict: the stream is read to its end, where it checks the joint table
+    return dict(zip(labels, scenario_metrics(scenario), strict=True))
+
+
+def oracle_metrics(table: dict[str, OracleMetrics | None], observation: str) -> OracleMetrics:
+    """Evidence, posteriors, per-model bit transfers, and KL for one observation.
+
+    A lookup in the table :func:`enumerate_joint` gives. Every probability
+    stays exact, as integers, until the one log2 call that turns a ratio
+    into bits. Models with zero prior get ``None`` (their surprisal shift
+    is undefined), and refuted models get -inf.
+    """
+    if observation not in table:
+        raise UnknownLabelError(f"unknown observation {observation!r}")
+    metrics = table[observation]
+    if metrics is None:
+        raise ImpossibleObservationError(
+            f"observation {observation!r} has zero probability under the prior"
+        )
+    return metrics
+
+
+def oracle_mi(table: dict[str, OracleMetrics | None]) -> float:
     """Mutual information in bits: evidence-weighted KL over observations."""
-    prior = _prior_parts(table.prior)  # once per table, not per cell
-    metrics = (_table_metrics(table, x, prior) for x in table.observation_labels)
-    return oracle_mi_from_terms((m.evidence, m.kl_bits) for m in metrics if m is not None)
+    return oracle_mi_from_terms((m.evidence, m.kl_bits) for m in table.values() if m is not None)
 
 
 def oracle_mi_from_terms(terms: Iterable[tuple[Fraction, float]]) -> float:

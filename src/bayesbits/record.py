@@ -1,15 +1,14 @@
 """Base class of the package's immutable types that are not tuples.
 
 Plain result records are ``typing.NamedTuple`` classes. The input
-types, which validate their arguments, and the oracle's joint table,
-which keeps its cell index out of the repr, subclass :class:`Record`
+types, which validate their arguments, subclass :class:`Record`
 instead. Such a type lists its fields in ``_fields`` and
 ``__slots__`` and sets them once, in its own ``__init__``, with
 :meth:`Record._set`. It then has a ``Name(field=value, ...)`` repr,
 equality and hashing over its fields, and no assignment afterwards. A
-type with a field that holds a dict (``Scenario``, the oracle's
-``JointOutcomeTable``) sets ``__hash__ = None`` instead: like a dict it
-is unhashable, and ``hash()`` raises a ``TypeError`` that names the type.
+type with a field that holds a dict (``Scenario``, for its metadata)
+sets ``__hash__ = None`` instead: like a dict it is unhashable, and
+``hash()`` raises a ``TypeError`` that names the type.
 A slot outside ``_fields`` holds what ``__init__`` derives from them
 (``ObservationModel.is_exact``): repr, equality and hashing skip it, and
 a copy or pickle, rebuilt through ``__init__``, derives it again.
@@ -28,8 +27,6 @@ __all__ = ["Record"]
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    # fields compared and hashed but left out of the repr
-    _hidden: tuple[str, ...] = ()
 
     def _set(self, **fields: Any) -> None:
         for name, value in fields.items():
@@ -53,9 +50,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join(
-            [f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._hidden]
-        )
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self) -> tuple[Any, ...]:

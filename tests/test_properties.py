@@ -79,7 +79,7 @@ def rational_scenarios(draw):
 
 def possible_observations(scenario):
     table = enumerate_joint(scenario)
-    return table, [x for x in table.observation_labels if table.evidence(x) > 0]
+    return table, [x for x, m in table.items() if m is not None]
 
 
 class TestConversionProperties:

@@ -18,7 +18,6 @@ from bayesbits import (
     ModelSpace,
     ObservationModel,
     Scenario,
-    enumerate_joint,
     mhp_scenario,
 )
 
@@ -54,8 +53,6 @@ RECORDS = {
     "mhp-config": lambda: MhpConfig(door_count=5, contestant_pick="C",
                                     host_policy=HostPolicy.FORGETFUL),
     "mhp-scenario": lambda: mhp_scenario(MhpConfig(door_count=6)),
-    "joint-table": lambda: enumerate_joint(scenario("exact")),
-    "joint-table-mhp": lambda: enumerate_joint(mhp_scenario(MhpConfig(door_count=6))),
 }
 COPIES = {
     "copy": copy.copy,
@@ -67,12 +64,11 @@ COPIES = {
 def hash_or_type_error(record):
     try:
         return hash(record)
-    except TypeError:  # a field holds a dict: a Scenario's metadata, the table's pairs
+    except TypeError:  # a field holds a dict: a Scenario's metadata
         return TypeError
 
 
-@pytest.mark.parametrize("name", ["scenario-exact", "scenario-float", "mhp-scenario",
-                                  "joint-table", "joint-table-mhp"])
+@pytest.mark.parametrize("name", ["scenario-exact", "scenario-float", "mhp-scenario"])
 def test_a_record_holding_a_dict_is_unhashable_by_its_own_name(name):
     record = RECORDS[name]()
     with pytest.raises(TypeError) as exc:

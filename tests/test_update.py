@@ -36,7 +36,7 @@ from bayesbits import (
 )
 from bayesbits import aggregates, cli, core, engine, oracle, verify
 from bayesbits import scenario as scenario_io
-from bayesbits.core import _log2_positive, info_content
+from bayesbits.core import _log2_quotient, info_content
 from bayesbits.engine import (
     SignClass,
     marginals,
@@ -61,7 +61,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def log_odds_reference(u, j: int) -> float:
     """``log2(posterior / prior)`` of the reduced ratio: the integer-part kernel must give its bits."""
     post = Fraction(u.posterior_nums[j], u.posterior_den)
-    return -math.inf if post == 0 else _log2_positive(post / Fraction(u.entries[j].prior_prob))
+    if post == 0:
+        return -math.inf
+    return _log2_quotient(*(post / Fraction(u.entries[j].prior_prob)).as_integer_ratio())
 
 
 def expected_sign(lik, ev: Fraction):
@@ -491,15 +493,19 @@ def test_engine_reads_each_pair_once_per_command(monkeypatch):
 
 
 def test_oracle_reads_each_prior_pair_once_per_table(monkeypatch):
-    # 12 priors and 22 observations: one pair per prior and one per
-    # evidence, not one per cell (264)
+    # 12 priors, 2 likelihood value objects and 22 observations: the table
+    # reads one pair per prior, per value object and per evidence, not one
+    # per cell (264), and its MI reads none
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
-    table = oracle.enumerate_joint(scenario)
+    om = scenario.observation_model
     pairs = call_counter(monkeypatch, Fraction, "as_integer_ratio")
-    oracle.oracle_mi(table)  # the metrics of every observation
-    n_models, n_obs = len(table.model_labels), len(table.observation_labels)
+    table = oracle.enumerate_joint(scenario)
+    n_models, n_obs = len(om.model_labels), len(table)
     assert (n_models, n_obs) == (12, 22)
-    assert 0 < pairs[0] <= n_models + n_obs
+    assert 0 < pairs[0] <= n_models + 2 + n_obs
+    pairs[0] = 0
+    oracle.oracle_mi(table)
+    assert pairs[0] == 0
 
 
 def test_oracle_reads_each_likelihood_pair_once(monkeypatch):
@@ -514,9 +520,10 @@ def test_oracle_reads_each_likelihood_pair_once(monkeypatch):
         return numerator(self)
 
     monkeypatch.setattr(Fraction, "numerator", property(counting))
-    oracle.enumerate_joint(scenario)
+    n_obs = len(oracle.enumerate_joint(scenario))
     assert reads[0] == 0
-    assert 0 < pairs[0] <= 16 + 2
+    # one pair per prior, per value object and per observation's evidence
+    assert 0 < pairs[0] <= 16 + 2 + n_obs
 
 
 def check_log_odds_rows(scenario) -> int:
