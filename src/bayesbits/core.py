@@ -135,15 +135,18 @@ def _sum_unless_one(ps: Sequence[Probability]) -> str | None:
 
     The sum is exact, of integer numerators over one common denominator.
     All-Fraction values must sum to exactly 1; values with any float must
-    sum to within :data:`FLOAT_SUM_TOL` of 1, compared exactly, and are
-    named by the sum's correctly rounded float.
+    sum to within :data:`FLOAT_SUM_TOL` of 1, compared exactly. A float
+    sum, or an exact one too long to print, is named by its rounded float.
     """
     nums, den = _common_denominator(ps)
     total = sum(nums)
     if total == den:
         return None
     if all(isinstance(p, Fraction) for p in ps):
-        return probability_repr(Fraction(total, den))
+        try:
+            return probability_repr(Fraction(total, den))
+        except DomainError:  # too long to print: name it by its correctly rounded float
+            return f"{total / den!r} (rounded)"
     return None if Fraction(abs(total - den), den) <= FLOAT_SUM_TOL else repr(total / den)
 
 
@@ -258,11 +261,6 @@ class Distribution(Record):
         total = _sum_unless_one(self.probs)
         if total is not None:
             raise InvariantViolation(f"probabilities sum to {total}, expected 1")
-
-    @property
-    def is_exact(self) -> bool:
-        """True when every probability is an exact rational."""
-        return all(isinstance(p, Fraction) for p in self.probs)
 
     @classmethod
     def uniform(cls, labels: Sequence[str]) -> "Distribution":

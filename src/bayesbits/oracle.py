@@ -11,7 +11,7 @@ package, so agreement between the two paths is meaningful evidence of
 correctness.
 
 Only exact scenarios can be enumerated; float inputs are refused rather
-than silently rounded.
+than silently rounded, and the refusal names the first float read.
 """
 
 from __future__ import annotations
@@ -52,14 +52,21 @@ def _joints(prior: _Prior, liks: Sequence[tuple[int, int]]) -> tuple[list[int], 
     return [n * (den // d) for n, d in cells], den
 
 
+def _refuse_float(scenario: Scenario, place: str) -> ExactnessError:
+    """The error for the first float the oracle meets; ``place`` names it and its value."""
+    return ExactnessError(
+        f"scenario {scenario.name!r} contains float probabilities; "
+        f"the oracle requires exact rationals ({place})"
+    )
+
+
 def _exact_prior(scenario: Scenario) -> _Prior:
-    """The scenario's prior as integers; ``ExactnessError`` unless the scenario is exact."""
-    if not scenario.is_exact:
-        raise ExactnessError(
-            f"scenario {scenario.name!r} contains float probabilities; "
-            "the oracle requires exact rationals"
-        )
-    pairs = [p.as_integer_ratio() for p in scenario.model_space.prior.probs]
+    """The scenario's prior as integers; ``ExactnessError`` at its first float."""
+    prior = scenario.model_space.prior
+    for theta, p in zip(prior.labels, prior.probs):
+        if isinstance(p, float):
+            raise _refuse_float(scenario, f"the prior of {theta!r} is {p!r}")
+    pairs = [p.as_integer_ratio() for p in prior.probs]
     return [n for n, _ in pairs], [d for _, d in pairs]
 
 
@@ -74,7 +81,8 @@ def _rows(scenario: Scenario, prior: _Prior) -> Iterator[_Row]:
 
     Each likelihood value object's pair is read once, found by its id (the
     scenario keeps every object alive), and every cell holding the object
-    shares it. Meanwhile each model's joint cells are summed as integers
+    shares it; a float value raises ``ExactnessError`` there, when its
+    row is read. Meanwhile each model's joint cells are summed as integers
     over the least common denominator of the rows so far. After the last
     observation the table is checked as a joint distribution: its cells
     total exactly 1 and each model's marginal equals its prior exactly.
@@ -90,6 +98,9 @@ def _rows(scenario: Scenario, prior: _Prior) -> Iterator[_Row]:
                 if liks[j] is None:
                     pair = pairs.get(ids[j])
                     if pair is None:
+                        if isinstance(lik, float):
+                            theta = om.model_labels[j]
+                            raise _refuse_float(scenario, f"P({x!r} | {theta!r}) is {lik!r}")
                         pairs[ids[j]] = pair = lik.as_integer_ratio()
                     liks[j] = pair
         joints, den = _joints(prior, liks)
@@ -196,8 +207,9 @@ def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
     Each observation's metrics come from its likelihood row as it is
     read, and are None where its evidence is 0. Once the last observation
     has been given, the rows are checked as a joint distribution (see
-    :func:`_rows`), so read to the end. A float scenario raises
-    ``ExactnessError`` at the call.
+    :func:`_rows`), so read to the end. A float prior raises
+    ``ExactnessError`` at the call, and a float likelihood when its row
+    is read.
     """
     prior = _exact_prior(scenario)
     models = tuple(scenario.observation_model.model_labels)

@@ -9,9 +9,6 @@ equality and hashing over its fields, and no assignment afterwards. A
 type with a field that holds a dict (``Scenario``, for its metadata)
 sets ``__hash__ = None`` instead: like a dict it is unhashable, and
 ``hash()`` raises a ``TypeError`` that names the type.
-A slot outside ``_fields`` holds what ``__init__`` derives from them
-(``ObservationModel.is_exact``): repr, equality and hashing skip it, and
-a copy or pickle, rebuilt through ``__init__``, derives it again.
 
 Both kinds are cheap to define, which matters because every CLI process
 defines them before it does any work (see "Start-up" in the README).

@@ -72,13 +72,10 @@ class ObservationModel(Record):
     all rationals, within the float tolerance otherwise).
     """
 
-    _fields = ("observation_labels", "model_labels", "likelihood")
-    # whether every cell is a Fraction, decided once per distinct value, not per cell
-    __slots__ = (*_fields, "is_exact")
+    __slots__ = _fields = ("observation_labels", "model_labels", "likelihood")
     observation_labels: tuple[str, ...]
     model_labels: tuple[str, ...]
     likelihood: tuple[tuple[Probability, ...], ...]
-    is_exact: bool
 
     def __init__(
         self,
@@ -100,7 +97,6 @@ class ObservationModel(Record):
             observation_labels=tuple(observation_labels),
             model_labels=tuple(model_labels),
             likelihood=tuple(rows),
-            is_exact=all(isinstance(p, Fraction) for p in values),
         )
         self._check()
 
@@ -179,10 +175,6 @@ class Scenario(Record):
             observation_model=observation_model,
             metadata=metadata,
         )
-
-    @property
-    def is_exact(self) -> bool:
-        return self.model_space.prior.is_exact and self.observation_model.is_exact
 
 
 class HostPolicy(enum.Enum):

@@ -19,24 +19,17 @@ from .errors import DomainError
 from .oracle import oracle_mi_from_terms, scenario_metrics
 from .scenario import Scenario
 
-__all__ = ["VERIFY_TOL", "bits_deviation", "verify_scenario"]
+__all__ = ["VERIFY_TOL", "verify_scenario"]
 
 # Largest engine-vs-oracle gap, in bits, that still counts as agreement.
 VERIFY_TOL = 1e-9
 
 
-def bits_deviation(a: float | None, b: float | None) -> float:
-    """Absolute gap between two bit values; equal infinities count as 0.
-
-    None against None is 0 and None against a value is ``inf``, as is a
-    NaN on either side. :func:`max_deviation` of one pair.
-    """
-    return max_deviation((a,), (b,))
-
-
 def max_deviation(a: Iterable[float | None], b: Iterable[float | None]) -> float:
-    """Largest :func:`bits_deviation` between paired values of two columns; 0 when empty.
+    """Largest gap between paired bit values of two columns; 0 when empty.
 
+    Equal values and equal infinities are 0 apart, and so is None against
+    None. None against a value is ``inf``, as is a NaN on either side.
     The test is written out once, here, and run without a call per pair.
     """
     return max(

@@ -13,6 +13,22 @@ def same_bits(a: float, b: float) -> bool:
     return a.hex() == b.hex()
 
 
+def probability_types(record) -> list[type]:
+    """The type of each probability a Scenario, ModelSpace, Distribution or ObservationModel holds.
+
+    The prior's come first, then the likelihood's, row by row. Any other record holds none.
+    """
+    if isinstance(record, Scenario):
+        return probability_types(record.model_space) + probability_types(record.observation_model)
+    if isinstance(record, ModelSpace):
+        record = record.prior
+    if isinstance(record, Distribution):
+        return list(map(type, record.probs))
+    if isinstance(record, ObservationModel):
+        return [type(p) for row in record.likelihood for p in row]
+    return []
+
+
 def likelihood(om: ObservationModel, x: str, theta: str):
     """``P(x | theta)``: the cell of observation ``x`` and model ``theta``."""
     return om.likelihood[om.observation_labels.index(x)][om.model_labels.index(theta)]

@@ -23,7 +23,7 @@ from bayesbits import (
     tic,
     transfer_report,
 )
-from bayesbits.verify import bits_deviation
+from bayesbits.verify import max_deviation
 from random_agreement_sweep import random_scenario
 
 LOG2_3 = 1.584962500721156
@@ -107,12 +107,12 @@ def test_criterion_5_randomized_property_sweep():
                 assert kl_expected_tic(ms, om, x) >= -1e-9
                 report = transfer_report(ms, om, x)
                 for entry in report.entries:
-                    assert bits_deviation(
-                        entry.posterior_prob, float(metrics.posterior[entry.model])
+                    assert max_deviation(
+                        (entry.posterior_prob,), (float(metrics.posterior[entry.model]),)
                     ) <= 1e-9
                     if entry.tic is not None:
                         lte = local_transfer_entropy(ms, om, x, entry.model)
-                        assert bits_deviation(lte, entry.tic) <= 1e-9
+                        assert max_deviation((lte,), (entry.tic,)) <= 1e-9
                 if len(om.model_labels) >= 2:
                     t1, t2 = rng.sample(om.model_labels, 2)
                     lik_info1 = report.likelihood_infos[report.models.index(t1)]

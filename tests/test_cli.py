@@ -20,7 +20,12 @@ from bayesbits.report import CSV_HEADER, _csv, _json, _text, build_report
 from bayesbits.report import render_csv, render_json, render_table
 from bayesbits.scenario import MAX_DOORS
 
-from helpers import random_float_scenario, wide_36_bit, wide_rational_scenario
+from helpers import (
+    probability_types,
+    random_float_scenario,
+    wide_36_bit,
+    wide_rational_scenario,
+)
 from random_agreement_sweep import random_scenario
 
 
@@ -87,8 +92,7 @@ class TestMhp:
         assert cli.main(["mhp", "biased"]) == 0
         path = tmp_path / "round.json"
         path.write_text(capsys.readouterr().out)
-        scenario = load_scenario(path)
-        assert scenario.is_exact
+        assert set(probability_types(load_scenario(path))) == {Fraction}
 
     def test_custom_doors_flag(self, capsys):
         assert cli.main(["mhp", "custom-N", "--doors", "5", "--pick", "A"]) == 0
@@ -306,7 +310,19 @@ class TestVerify:
 
     def test_float_scenario_exit_2(self, scenario_files, capsys):
         assert cli.main(["verify", scenario_files["floaty"]]) == 2
-        assert "oracle requires exact rationals" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "oracle requires exact rationals" in err
+        assert "(the prior of 'H1' is 0.5)" in err
+
+    def test_float_only_in_the_last_row_exit_2(self, tmp_path, capsys):
+        # all exact but one cell of the last row: the oracle meets it as it reads that row
+        rows = [["1/2", "1/2"], ["1/2", 0.5]]
+        path = _write(tmp_path, "late-float", ["1/2", "1/2"], ["x", "y"], rows)
+        assert cli.main(["verify", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "the oracle requires exact rationals (P('y' | 'M1') is 0.5)" in err
 
     def test_no_observations_exit_2(self, tmp_path, capsys):
         path = _write(tmp_path, "empty", ["1"], [], [])
@@ -399,10 +415,22 @@ class TestLimits:
 
     def test_unprintable_prior_sum_exit_2(self, tmp_path, capsys):
         # The prior does not sum to 1, and its sum has too many digits to name.
+        # It is named by its correctly rounded float, which underflows to 0.0.
         path = _write(tmp_path, "bad-sum", [f"1/{3**4000}", f"1/{7**4000}"], ["x"], [[1, 1]])
         for argv in (["solve", path, "--observe", "x"], ["mi", path], ["verify", path]):
             assert cli.main(argv) == 2
-            assert capsys.readouterr().err.startswith("error: ")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "probabilities sum to 0.0 (rounded), expected 1" in err
+
+    def test_unprintable_likelihood_sum_exit_2(self, tmp_path, capsys):
+        # M0's column sums to 1 + 3**-4000 - 7**-4000: not 1, though its float is 1.0
+        column = [f"1/{3**4000}", f"{7**4000 - 1}/{7**4000}"]
+        path = _write(tmp_path, "bad-column", ["1"], ["x", "y"], [[p] for p in column])
+        assert cli.main(["mi", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "likelihood column for model 'M0' sums to 1.0 (rounded), expected 1" in err
 
     def test_float_evidence_a_rounding_step_above_one(self, tmp_path, capsys):
         # The prior sums to 1 + 2**-56 (within FLOAT_SUM_TOL), so the

@@ -17,7 +17,7 @@ from bayesbits.core import (
     probability_repr,
 )
 from bayesbits.errors import DomainError, InvariantViolation
-from helpers import same_bits
+from helpers import probability_types, same_bits
 
 LOG2_3 = 1.584962500721156
 
@@ -154,7 +154,7 @@ class TestDistribution:
 
     def test_float_sum_within_tolerance(self):
         d = Distribution(("a", "b", "c"), (0.1, 0.2, 0.7 + 1e-12))
-        assert not d.is_exact
+        assert probability_types(d) == [float] * 3
 
     def test_float_sum_beyond_tolerance_rejected_not_renormalized(self):
         with pytest.raises(InvariantViolation):
@@ -175,7 +175,7 @@ class TestDistribution:
     def test_uniform(self):
         d = Distribution.uniform(("x", "y", "z"))
         assert d.probs == (Fraction(1, 3),) * 3
-        assert d.is_exact
+        assert probability_types(d) == [Fraction] * 3
 
     def test_uniform_over_no_labels(self):
         # the library's own error, as for Distribution((), ()), not ZeroDivisionError
@@ -184,11 +184,11 @@ class TestDistribution:
 
     def test_string_entries_become_exact(self):
         d = Distribution(("a", "b"), ("1/3", "2/3"))
-        assert d.is_exact
+        assert probability_types(d) == [Fraction, Fraction]
 
     def test_mixed_exact_and_float_is_inexact(self):
         d = Distribution(("a", "b"), (Fraction(1, 2), 0.5))
-        assert not d.is_exact
+        assert probability_types(d) == [Fraction, float]
 
 
 class TestEntropy:

@@ -26,6 +26,7 @@ from bayesbits.errors import (
     UnknownLabelError,
 )
 from bayesbits.scenario import ModelSpace, ObservationModel
+from helpers import probability_types
 
 LOG2_3 = 1.584962500721156
 
@@ -51,7 +52,7 @@ class TestObservationModel:
             model_labels=("A",),
             likelihood=[[0.3], [0.7 + 1e-12]],
         )
-        assert not om.is_exact
+        assert probability_types(om) == [float, float]
 
     def test_float_column_beyond_tolerance(self):
         with pytest.raises(InvariantViolation):

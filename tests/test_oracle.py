@@ -1,7 +1,9 @@
 """Exact-rational joint enumeration and its derived metrics."""
 
 import ast
+import cProfile
 import math
+import pstats
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +29,9 @@ from bayesbits.errors import (
     ImpossibleObservationError,
     InvariantViolation,
 )
+from bayesbits import oracle
 from bayesbits.oracle import oracle_mi_from_terms, scenario_metrics
-from bayesbits.verify import bits_deviation
+from bayesbits.verify import max_deviation
 from helpers import same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
 from random_agreement_sweep import random_scenario
 
@@ -81,6 +84,24 @@ class TestEnumerateJoint:
         with pytest.raises(ExactnessError) as exc:
             enumerate_joint(s)
         assert "exact rationals" in str(exc.value)
+        assert str(exc.value).endswith("(the prior of 'A' is 0.5)")
+
+    def test_names_a_float_only_in_the_last_row(self):
+        # the prior and the first row are exact, so the refusal comes as the last row is read
+        prior = Distribution(("A", "B"), ("1/2", "1/2"))
+        om = ObservationModel(("x", "y"), ("A", "B"), [["1/2", "1/2"], ["1/2", 0.5]])
+        s = Scenario("late-float", ModelSpace(prior), om)
+        metrics = scenario_metrics(s)
+        assert next(metrics).evidence == Fraction(1, 2)
+        with pytest.raises(ExactnessError) as exc:
+            next(metrics)
+        with pytest.raises(ExactnessError) as again:
+            enumerate_joint(s)
+        for error in (exc.value, again.value):
+            assert str(error) == (
+                "scenario 'late-float' contains float probabilities; "
+                "the oracle requires exact rationals (P('y' | 'B') is 0.5)"
+            )
 
     def test_unknown_lookups(self, traditional):
         table = enumerate_joint(traditional)
@@ -220,16 +241,14 @@ class TestEngineAgreement:
             for x in om.observation_labels:
                 m = oracle_metrics(table, x)
                 for theta in om.model_labels:
-                    assert bits_deviation(
-                        posterior_prob_info_form(ms, om, x, theta),
-                        float(m.posterior[theta]),
+                    assert max_deviation(
+                        (posterior_prob_info_form(ms, om, x, theta),),
+                        (float(m.posterior[theta]),),
                     ) <= 1e-9
                     if m.tic_bits[theta] is not None:
-                        assert bits_deviation(tic(ms, om, x, theta), m.tic_bits[theta]) <= 1e-9
-                assert bits_deviation(kl_expected_tic(ms, om, x), m.kl_bits) <= 1e-9
-            assert bits_deviation(
-                mutual_information(ms, om), oracle_mi(table)
-            ) <= 1e-9
+                        assert max_deviation((tic(ms, om, x, theta),), (m.tic_bits[theta],)) <= 1e-9
+                assert max_deviation((kl_expected_tic(ms, om, x),), (m.kl_bits,)) <= 1e-9
+            assert max_deviation((mutual_information(ms, om),), (oracle_mi(table),)) <= 1e-9
 
     def test_random_scenarios(self):
         rng = random.Random(20250819)
@@ -242,9 +261,9 @@ class TestEngineAgreement:
                     continue
                 m = oracle_metrics(table, x)
                 for theta in om.model_labels:
-                    assert bits_deviation(
-                        posterior_prob_info_form(ms, om, x, theta),
-                        float(m.posterior[theta]),
+                    assert max_deviation(
+                        (posterior_prob_info_form(ms, om, x, theta),),
+                        (float(m.posterior[theta]),),
                     ) <= 1e-9
 
 
@@ -300,6 +319,32 @@ class TestKernels:
                 mi += float(evidence) * kl
             assert same_bits(oracle_mi(table), oracle_mi_from_terms(terms))
             assert same_bits(oracle_mi(table), mi)
+
+
+def test_oracle_runs_only_its_own_code(biased):
+    # The oracle reads the scenario's fields and values and decides for
+    # itself what it can read: no function of the input types, the
+    # arithmetic or the engine runs, even to refuse a float.
+    floaty = Scenario(
+        "floaty",
+        biased.model_space,
+        ObservationModel(("x", "y"), biased.model_space.labels, [["1/2"] * 3, [0.5] * 3]),
+    )
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        table = enumerate_joint(biased)
+        oracle_mi(table)
+        oracle_metrics(table, "Monty_B")
+        with pytest.raises(ExactnessError):
+            enumerate_joint(floaty)
+    finally:
+        profile.disable()
+    package = Path(oracle.__file__).resolve().parent
+    ran = {Path(path).name for path, _, _ in pstats.Stats(profile).stats
+           if Path(path).resolve().parent == package}
+    assert "oracle.py" in ran
+    assert ran <= {"oracle.py", "errors.py"}
 
 
 def test_oracle_imports_no_engine_code():

@@ -31,7 +31,7 @@ from bayesbits.errors import InvariantViolation
 from bayesbits.oracle import scenario_metrics
 from bayesbits.report import build_report
 from bayesbits.scenario import load_scenario, scenario_from_json_text, scenario_to_json_text
-from bayesbits.verify import bits_deviation
+from bayesbits.verify import max_deviation
 from helpers import likelihood, same_bits, wide_36_bit, wide_coprime, wide_rational_scenario
 
 weight_lists = st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(
@@ -139,9 +139,9 @@ class TestUpdateProperties:
         for x in xs:
             metrics = oracle_metrics(table, x)
             for theta in om.model_labels:
-                gap = bits_deviation(
-                    posterior_prob_info_form(ms, om, x, theta),
-                    float(metrics.posterior[theta]),
+                gap = max_deviation(
+                    (posterior_prob_info_form(ms, om, x, theta),),
+                    (float(metrics.posterior[theta]),),
                 )
                 assert gap <= 1e-9
 
@@ -165,8 +165,8 @@ class TestUpdateProperties:
             for theta, prior_p in zip(om.model_labels, ms.prior.probs):
                 if prior_p == 0:
                     continue
-                assert bits_deviation(
-                    local_transfer_entropy(ms, om, x, theta), tic(ms, om, x, theta)
+                assert max_deviation(
+                    (local_transfer_entropy(ms, om, x, theta),), (tic(ms, om, x, theta),)
                 ) <= 1e-9
 
     @given(rational_scenarios())

@@ -1,8 +1,8 @@
 """Copying and pickling the Record types: an equal object, read the same way.
 
 ``Record.__reduce__`` rebuilds through ``__init__``, so a copy validates
-its fields again and recomputes anything the type derives from them,
-such as ``ObservationModel.is_exact``, which is a slot but not a field.
+its fields again. A copy also keeps each probability's type, which
+equality does not see: ``Fraction(1, 4) == 0.25``.
 """
 
 import copy
@@ -20,6 +20,7 @@ from bayesbits import (
     Scenario,
     mhp_scenario,
 )
+from helpers import probability_types
 
 LABELS = ("A", "B")
 CELLS = {
@@ -85,23 +86,5 @@ def test_a_copy_is_equal_and_reads_the_same(name, how):
     assert again == record
     assert repr(again) == repr(record)
     assert hash_or_type_error(again) == hash_or_type_error(record)
-    assert getattr(again, "is_exact", None) == getattr(record, "is_exact", None)
-
-
-@pytest.mark.parametrize("kind, exact", [
-    ("exact", True), ("float", False), ("mixed", False), ("int-and-string", True),
-])
-def test_a_copied_likelihood_keeps_its_exactness(kind, exact):
-    om = observation_model(kind)
-    assert om.is_exact is exact
-    for how in COPIES.values():
-        again = how(om)
-        assert again.is_exact is exact
-        assert again.likelihood == om.likelihood
-        assert [type(p) for row in again.likelihood for p in row] == [
-            type(p) for row in om.likelihood for p in row
-        ]
-    # the exactness is not a field: not in the repr, not in what a copy passes to __init__
-    assert "is_exact" not in repr(om)
-    assert om.__reduce__()[1] == (om.observation_labels, om.model_labels, om.likelihood)
+    assert probability_types(again) == probability_types(record)
 

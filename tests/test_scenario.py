@@ -36,7 +36,7 @@ from bayesbits.scenario import (
     scenario_to_json_text,
 )
 from bayesbits.scenario import MAX_DOORS
-from helpers import likelihood
+from helpers import likelihood, probability_types
 
 
 class TestDoorLabels:
@@ -92,8 +92,8 @@ class TestStandardGenerator:
         assert likelihood(om, "Monty_C", "B") == Fraction(1)
 
     def test_all_exact(self, traditional, biased):
-        assert traditional.is_exact
-        assert biased.is_exact
+        assert set(probability_types(traditional)) == {Fraction}
+        assert set(probability_types(biased)) == {Fraction}
 
     def test_four_door_posteriors(self):
         scenario = mhp_scenario(MhpConfig(door_count=4))
@@ -185,7 +185,7 @@ class TestScenarioType:
                 ("x",), ("A", "B"), [[Fraction(1), Fraction(1)]]
             ),
         )
-        assert not s.is_exact
+        assert probability_types(s) == [float, float, Fraction, Fraction]
 
 
 class TestFileFormat:
@@ -194,7 +194,7 @@ class TestFileFormat:
         save_scenario(biased, path)
         again = load_scenario(path)
         assert again == biased
-        assert again.is_exact
+        assert set(probability_types(again)) == {Fraction}
 
     def test_roundtrip_forgetful(self, tmp_path, forgetful):
         path = tmp_path / "forget.json"
@@ -218,7 +218,7 @@ class TestFileFormat:
         }
         """
         s = scenario_from_json_text(text)
-        assert not s.model_space.prior.is_exact
+        assert probability_types(s.model_space) == [float, float]
         assert likelihood(s.observation_model, "x", "A") == Fraction(1)
 
     def test_unknown_top_level_key(self):
@@ -362,7 +362,7 @@ class TestRepeatedStrings:
             [["1/4", "2/8", "0.25", 0.25], ["3/4", "6/8", "0.75", 0.75]],
         )
         s = scenario_from_json_text(text)
-        assert not s.is_exact
+        assert float in probability_types(s)
         lik = s.observation_model.likelihood
         for values, exact in (
             (s.model_space.prior.probs, Fraction(1, 4)),

@@ -47,6 +47,7 @@ from bayesbits.report import build_report, render_csv, render_json, render_table
 from bayesbits.verify import verify_scenario
 
 from helpers import (
+    probability_types,
     random_float_scenario,
     same_bits,
     wide_36_bit,
@@ -79,7 +80,7 @@ def check_against_formulas(scenario) -> int:
     Returns the number of observations with zero evidence.
     """
     ms, om = scenario.model_space, scenario.observation_model
-    exact = scenario.is_exact
+    exact = set(probability_types(scenario)) == {Fraction}
     impossible = 0
     for x, row, shared in zip(om.observation_labels, om.likelihood, marginals(ms, om)):
         # floats enter as the dyadic rationals they are; a float row shows
@@ -144,7 +145,7 @@ def test_update_matches_formulas_on_wide_denominators(denominators):
     rng = random.Random(20261018)
     for _ in range(150):
         scenario = wide_rational_scenario(rng, denominators)
-        assert scenario.is_exact
+        assert set(probability_types(scenario)) == {Fraction}
         check_against_formulas(scenario)
 
 
@@ -161,7 +162,8 @@ def test_mixed_exact_prior_float_likelihood_takes_float_path():
             model_space=base.model_space,
             observation_model=ObservationModel(om.observation_labels, om.model_labels, floats),
         )
-        assert scenario.model_space.prior.is_exact and not scenario.is_exact
+        assert set(probability_types(scenario.model_space)) == {Fraction}
+        assert set(probability_types(scenario.observation_model)) == {float}
         check_against_formulas(scenario)
 
 
