@@ -23,15 +23,20 @@ the working tree, and judged by the first of these that catches it:
 
 A mutant that none of them catches survives. The probe prints one line
 per mutant that ``verify`` misses, with its judge, and a table of counts
-per module. It runs without flags,
-takes some minutes, and is not part of the test suite:
+per module. ``--modules`` picks the modules to mutate (all four by
+default), and ``--json PATH`` also writes the counts per module and
+judge, and the site of each mutant that ``verify`` misses, to ``PATH``.
+A full run takes some minutes, and is not part of the test suite:
 
     python3 scripts/mutation_probe.py
+    python3 scripts/mutation_probe.py --modules oracle --json oracle-mutants.json
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import json
 import os
 import shutil
 import subprocess
@@ -148,7 +153,14 @@ def judge(tree: Path) -> str | None:
     return None
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--modules", nargs="+", choices=MODULES, default=list(MODULES),
+                        help="modules to mutate (default: all)")
+    parser.add_argument("--json", metavar="PATH", type=Path,
+                        help="also write the counts and the sites verify misses here")
+    args = parser.parse_args(argv)
+    modules = [m for m in MODULES if m in args.modules]
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -160,13 +172,14 @@ def main() -> int:
                 shutil.copy2(path, tree / name)
         package = tree / "src" / "bayesbits"
         sources = {m: (ROOT / "src" / "bayesbits" / f"{m}.py").read_text("utf-8")
-                   for m in MODULES}
+                   for m in modules}
         for module, source in sources.items():  # unparsed, as every mutant is
             (package / f"{module}.py").write_text(ast.unparse(ast.parse(source)), "utf-8")
         if judge(tree) is not None:
             print("the unmutated copy fails a judge; no mutant was judged", file=sys.stderr)
             return 1
-        counts = {m: dict.fromkeys((*JUDGES, "survived"), 0) for m in MODULES}
+        counts = {m: dict.fromkeys((*JUDGES, "survived"), 0) for m in modules}
+        missed = []  # each mutant that verify misses: its site and its judge
         for module, source in sources.items():
             sites = _sites(ast.parse(source))
             for k, (node, _, what) in enumerate(sites):
@@ -174,6 +187,8 @@ def main() -> int:
                 caught = judge(tree)
                 counts[module][caught or "survived"] += 1
                 if caught != JUDGES[0]:
+                    missed.append({"module": module, "line": node.lineno, "mutation": what,
+                                   "judge": caught or "survived"})
                     print(f"{caught or 'survived'}: {module}.py line {node.lineno}: {what}",
                           flush=True)
             (package / f"{module}.py").write_text(ast.unparse(ast.parse(source)), "utf-8")
@@ -188,6 +203,9 @@ def main() -> int:
     print("|" + "|".join("---" for _ in header) + "|")
     for row in rows:
         print("| " + " | ".join(row) + " |")
+    if args.json:
+        document = {"mutants": mutants, "counts": counts, "missed_by_verify": missed}
+        args.json.write_text(json.dumps(document, indent=2) + "\n", "utf-8")
     return 0
 
 

@@ -10,8 +10,10 @@ shares none of the information-space arithmetic used elsewhere in the
 package, so agreement between the two paths is meaningful evidence of
 correctness.
 
-Only exact scenarios can be enumerated; float inputs are refused rather
-than silently rounded, and the refusal names the first float read.
+Only exact scenarios can be enumerated: float inputs are refused rather
+than silently rounded. :func:`scenario_metrics` reads every value, and
+refuses a float, naming the first, at the call; then it streams one
+observation at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     ExactnessError,
@@ -43,67 +45,59 @@ __all__ = [
 _Prior = tuple[list[int], list[int]]
 
 
-def _joints(prior: _Prior, liks: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """One observation's joint cells ``P(theta) * P(x | theta)``, in model
-    order, as numerators over their least common denominator, so that they
-    sum as integers: no gcd per cell."""
-    cells = [(p_num * l_num, p_den * l_den) for p_num, p_den, (l_num, l_den) in zip(*prior, liks)]
-    den = math.lcm(*{d for _, d in cells})
-    return [n * (den // d) for n, d in cells], den
+def _read(scenario: Scenario) -> tuple[_Prior, dict[int, tuple[int, int]]]:
+    """The oracle's one reader of values: the prior's integer pairs, and
+    each distinct likelihood value object's pair, keyed by its id.
 
-
-def _refuse_float(scenario: Scenario, place: str) -> ExactnessError:
-    """The error for the first float the oracle meets; ``place`` names it and its value."""
-    return ExactnessError(
-        f"scenario {scenario.name!r} contains float probabilities; "
-        f"the oracle requires exact rationals ({place})"
-    )
-
-
-def _exact_prior(scenario: Scenario) -> _Prior:
-    """The scenario's prior as integers; ``ExactnessError`` at its first float."""
-    prior = scenario.model_space.prior
-    for theta, p in zip(prior.labels, prior.probs):
-        if isinstance(p, float):
-            raise _refuse_float(scenario, f"the prior of {theta!r} is {p!r}")
-    pairs = [p.as_integer_ratio() for p in prior.probs]
-    return [n for n, _ in pairs], [d for _, d in pairs]
+    Each object's pair is read once, however many cells hold it (the
+    scenario keeps every object alive, so no id is reused). Before any
+    pair is read, the first float, in the prior and then in the
+    likelihood in row-major order, raises ``ExactnessError`` naming its
+    place; the place is searched for by identity only then.
+    """
+    prior, om = scenario.model_space.prior, scenario.observation_model
+    # each distinct value object by its id, in the row-major order of its first cell
+    values = {id(p): p for row in om.likelihood for p in row}
+    first = next(filter(float.__instancecheck__, chain(prior.probs, values.values())), None)
+    if first is not None:
+        place = next((f"the prior of {theta!r}" for theta, p in zip(prior.labels, prior.probs)
+                      if p is first), None)
+        if place is None:
+            x, row = next(r for r in zip(om.observation_labels, om.likelihood)
+                          if id(first) in map(id, r[1]))
+            place = f"P({x!r} | {om.model_labels[list(map(id, row)).index(id(first))]!r})"
+        raise ExactnessError(
+            f"scenario {scenario.name!r} contains float probabilities; "
+            f"the oracle requires exact rationals ({place} is {first!r})"
+        )
+    prior_pairs = [p.as_integer_ratio() for p in prior.probs]
+    pairs = {key: p.as_integer_ratio() for key, p in values.items()}
+    return ([n for n, _ in prior_pairs], [d for _, d in prior_pairs]), pairs
 
 
 # One observation as the oracle reads it: its label, each model's
-# likelihood as a reduced integer pair, and the joint cells as numerators
-# over their common denominator (see _joints)
+# likelihood as a reduced integer pair, and the joint cells
+# P(theta) * P(x | theta), in model order, as numerators over their least
+# common denominator, so that they sum as integers: no gcd per cell
 _Row = tuple[str, list[tuple[int, int]], list[int], int]
 
 
-def _rows(scenario: Scenario, prior: _Prior) -> Iterator[_Row]:
+def _rows(scenario: Scenario, prior: _Prior, pairs: dict[int, tuple[int, int]]) -> Iterator[_Row]:
     """Each observation of the scenario as the oracle reads it, in order.
 
-    Each likelihood value object's pair is read once, found by its id (the
-    scenario keeps every object alive), and every cell holding the object
-    shares it; a float value raises ``ExactnessError`` there, when its
-    row is read. Meanwhile each model's joint cells are summed as integers
-    over the least common denominator of the rows so far. After the last
-    observation the table is checked as a joint distribution: its cells
-    total exactly 1 and each model's marginal equals its prior exactly.
+    ``prior`` and ``pairs`` are what :func:`_read` gives. Each model's
+    joint cells are summed as integers over the least common denominator
+    of the rows so far. After the last observation the table is checked
+    as a joint distribution: its cells total exactly 1 and each model's
+    marginal equals its prior exactly.
     """
     om = scenario.observation_model
-    pairs: dict[int, tuple[int, int]] = {}
     sums, sums_den = [0] * len(prior[0]), 1  # each model's cells so far, over sums_den
     for x, row in zip(om.observation_labels, om.likelihood):
-        ids = list(map(id, row))
-        liks = list(map(pairs.get, ids))
-        if None in liks:  # value objects not seen yet
-            for j, lik in enumerate(row):
-                if liks[j] is None:
-                    pair = pairs.get(ids[j])
-                    if pair is None:
-                        if isinstance(lik, float):
-                            theta = om.model_labels[j]
-                            raise _refuse_float(scenario, f"P({x!r} | {theta!r}) is {lik!r}")
-                        pairs[ids[j]] = pair = lik.as_integer_ratio()
-                    liks[j] = pair
-        joints, den = _joints(prior, liks)
+        liks = list(map(pairs.__getitem__, map(id, row)))
+        cells = [(p_num * l_num, p_den * l_den) for p_num, p_den, (l_num, l_den) in zip(*prior, liks)]
+        den = math.lcm(*{d for _, d in cells})
+        joints = [n * (den // d) for n, d in cells]
         if sums_den % den:
             factor = math.lcm(sums_den, den) // sums_den
             sums, sums_den = [s * factor for s in sums], sums_den * factor
@@ -204,16 +198,16 @@ def _metrics(models: tuple[str, ...], prior_nums: list[int], row: _Row) -> Oracl
 def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
     """:func:`oracle_metrics` of every observation of the scenario, in order, one at a time.
 
-    Each observation's metrics come from its likelihood row as it is
-    read, and are None where its evidence is 0. Once the last observation
-    has been given, the rows are checked as a joint distribution (see
-    :func:`_rows`), so read to the end. A float prior raises
-    ``ExactnessError`` at the call, and a float likelihood when its row
-    is read.
+    Every value is read, and a float refused with ``ExactnessError``, at
+    the call (see :func:`_read`), before anything is given. Then each
+    observation's metrics come from its likelihood row, one row at a time,
+    and are None where its evidence is 0. Once the last observation has
+    been given, the rows are checked as a joint distribution (see
+    :func:`_rows`), so read to the end.
     """
-    prior = _exact_prior(scenario)
+    prior, pairs = _read(scenario)
     models = tuple(scenario.observation_model.model_labels)
-    return (_metrics(models, prior[0], row) for row in _rows(scenario, prior))
+    return (_metrics(models, prior[0], row) for row in _rows(scenario, prior, pairs))
 
 
 def enumerate_joint(scenario: Scenario) -> dict[str, OracleMetrics | None]:

@@ -42,6 +42,9 @@ def joint(table, theta, x):
     return Fraction(0) if m is None else m.posterior[theta] * m.evidence
 
 
+HALF = 0.5  # one float object, for a scenario that holds it in two cells
+
+
 class TestEnumerateJoint:
     def test_cells_total_one(self, traditional):
         table = enumerate_joint(traditional)
@@ -73,32 +76,40 @@ class TestEnumerateJoint:
         assert table["Monty_C"].evidence == Fraction(7, 12)
         assert table["Monty_B"].evidence == Fraction(5, 12)
 
-    def test_rejects_floats(self):
+    @pytest.mark.parametrize(
+        "prior, rows, place",
+        [
+            ((0.5, 0.5), [["1", "1"]], "the prior of 'A' is 0.5"),
+            # the prior is read before the likelihood
+            ((0.5, 0.5), [[0.25, "1/4"], [0.75, "3/4"]], "the prior of 'A' is 0.5"),
+            # one float object in two cells: its first cell in row-major order
+            (("1/2", "1/2"), [["1/2", HALF], [HALF, "1/2"]], "P('x' | 'B') is 0.5"),
+            # a different float object in each row: the earlier row's
+            (("1/2", "1/2"), [["1/4", 0.25], [0.75, "3/4"]], "P('x' | 'B') is 0.25"),
+        ],
+        ids=["prior", "prior-first", "shared-object", "earlier-row"],
+    )
+    def test_rejects_floats(self, prior, rows, place):
         s = Scenario(
             name="floaty",
-            model_space=ModelSpace(prior=Distribution(("A", "B"), (0.5, 0.5))),
-            observation_model=ObservationModel(
-                ("x",), ("A", "B"), [[Fraction(1), Fraction(1)]]
-            ),
+            model_space=ModelSpace(prior=Distribution(("A", "B"), prior)),
+            observation_model=ObservationModel(("x", "y")[: len(rows)], ("A", "B"), rows),
         )
         with pytest.raises(ExactnessError) as exc:
             enumerate_joint(s)
         assert "exact rationals" in str(exc.value)
-        assert str(exc.value).endswith("(the prior of 'A' is 0.5)")
+        assert str(exc.value).endswith(f"({place})")
 
     def test_names_a_float_only_in_the_last_row(self):
-        # the prior and the first row are exact, so the refusal comes as the last row is read
+        # the prior and the first row are exact: the float in the last row
+        # is still refused at the call, before any observation is given
         prior = Distribution(("A", "B"), ("1/2", "1/2"))
         om = ObservationModel(("x", "y"), ("A", "B"), [["1/2", "1/2"], ["1/2", 0.5]])
         s = Scenario("late-float", ModelSpace(prior), om)
-        metrics = scenario_metrics(s)
-        assert next(metrics).evidence == Fraction(1, 2)
-        with pytest.raises(ExactnessError) as exc:
-            next(metrics)
-        with pytest.raises(ExactnessError) as again:
-            enumerate_joint(s)
-        for error in (exc.value, again.value):
-            assert str(error) == (
+        for read in (scenario_metrics, enumerate_joint):
+            with pytest.raises(ExactnessError) as exc:
+                read(s)
+            assert str(exc.value) == (
                 "scenario 'late-float' contains float probabilities; "
                 "the oracle requires exact rationals (P('y' | 'B') is 0.5)"
             )

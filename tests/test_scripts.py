@@ -3,6 +3,7 @@
 import pytest
 
 import monty_hall_report
+import mutation_probe
 import random_agreement_sweep
 
 
@@ -29,3 +30,12 @@ def test_sweep_of_one_smallest_scenario_passes(capsys):
     argv = ["--count", "1", "--max-models", "1", "--max-observations", "1"]
     assert random_agreement_sweep.main(argv) == 0
     assert "scenarios: 1\n" in capsys.readouterr().out
+
+
+def test_probe_refuses_an_unknown_module(capsys):
+    with pytest.raises(SystemExit) as exc:
+        mutation_probe.main(["--modules", "oracle", "cli"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "argument --modules: invalid choice: 'cli'" in err

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from bayesbits import Distribution, HostPolicy, MhpConfig, mhp_scenario
 from bayesbits import cli, engine
+from bayesbits.errors import ExactnessError
 from bayesbits.scenario import ModelSpace, ObservationModel, Scenario, door_labels, save_scenario
 from bayesbits.verify import VERIFY_TOL, max_deviation, verify_scenario
 
@@ -96,6 +97,25 @@ def test_verify_makes_no_call_per_cell():
     assert calls["local_transfer_entropy"] == 0
     assert calls["log_odds_updates"] == 22
     assert verify_scenario(scenario) == (pytest.approx(0.0, abs=VERIFY_TOL), 860)
+
+
+def test_verify_refuses_a_late_float_before_the_engine_runs(monkeypatch):
+    # Exact but for the last row's last cell: the oracle reads every value
+    # when verify starts, so the engine marginalises no observation.
+    scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
+    om = scenario.observation_model
+    rows = [*om.likelihood[:-1], [*om.likelihood[-1][:-1], 1 / 11]]
+    late = Scenario("late-float", scenario.model_space,
+                    ObservationModel(om.observation_labels, om.model_labels, rows))
+    marginal, calls = engine._marginal, []
+    monkeypatch.setattr(engine, "_marginal", lambda *args: calls.append(args) or marginal(*args))
+    with pytest.raises(ExactnessError) as exc:
+        verify_scenario(late)
+    assert calls == []
+    assert str(exc.value) == (
+        "scenario 'late-float' contains float probabilities; the oracle requires "
+        "exact rationals (P('Monty_D12_car' | 'D12') is 0.09090909090909091)"
+    )
 
 
 def test_verify_holds_one_batch_of_observations_at_a_time():
