@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             print()
             print(render_table(build_report(scenario, x), args.precision), end="")
-        max_dev, checks = verify_scenario(scenario)
+        max_dev, checks, _ = verify_scenario(scenario)
         print()
         print(
             f"oracle agreement: {checks} comparisons, "

@@ -1,7 +1,8 @@
-"""Single-site mutation probe of the engine, the reductions, the core and the oracle.
+"""Single-site mutation probe of the engine, the reductions, the core, the oracle and the check.
 
 Each mutant changes one operator or constant in one of ``engine``,
-``aggregates``, ``core`` and ``oracle``, made with stdlib ``ast``:
+``aggregates``, ``core``, ``oracle`` and ``verify``, made with stdlib
+``ast``:
 
 * ``+`` and ``-`` swap, ``*`` and ``//`` swap, ``/`` becomes ``*``
   (augmented assignments too);
@@ -16,14 +17,14 @@ Every mutant is written into a temporary copy of the repository (its
 the working tree, and judged by the first of these that catches it:
 
 1. ``verify``: ``verify_scenario`` on the verify-table corpus and on the
-   exact golden scenarios reports a deviation above ``VERIFY_TOL``, or
-   raises;
+   golden scenarios reports a deviation above its tolerance, or raises.
+   It does not judge a mutant of ``verify`` itself;
 2. goldens: ``tests/test_golden.py --check`` fails;
 3. tier-1: ``pytest -x`` over ``tests/`` fails.
 
 A mutant that none of them catches survives. The probe prints one line
 per mutant that ``verify`` misses, with its judge, and a table of counts
-per module. ``--modules`` picks the modules to mutate (all four by
+per module. ``--modules`` picks the modules to mutate (all five by
 default), and ``--json PATH`` also writes the counts per module and
 judge, and the site of each mutant that ``verify`` misses, to ``PATH``.
 A full run takes some minutes, and is not part of the test suite:
@@ -45,7 +46,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("engine", "aggregates", "core", "oracle")
+MODULES = ("engine", "aggregates", "core", "oracle", "verify")
 COPIED = ("src", "tests", "scripts", "perfbench", "README.md", "pyproject.toml")
 JUDGES = ("verify", "goldens only", "tier-1 only")
 
@@ -56,8 +57,8 @@ _COMPARES = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast
              ast.In: ast.NotIn, ast.NotIn: ast.In}
 _BOOLOPS = {ast.And: ast.Or, ast.Or: ast.And}
 
-# verify on every exact case of the verify table and of the goldens; exit
-# 1 when verify flags a case, 2 when the cases cannot be built
+# verify on every case of the verify table and of the goldens; exit 1 when
+# verify flags a case, 2 when the cases cannot be built
 _VERIFY_JUDGE = """
 import sys, tempfile
 from pathlib import Path
@@ -65,16 +66,17 @@ sys.path[:0] = ["src", "scripts", "tests"]
 try:
     import test_golden, test_verify_table
     from bayesbits import load_scenario
-    from bayesbits.verify import VERIFY_TOL, verify_scenario
+    from bayesbits.verify import verify_scenario
     cases = list(test_verify_table.scenarios().values())
     with tempfile.TemporaryDirectory() as tmp:
         paths = test_golden.scenario_paths(Path(tmp))
-        cases += [load_scenario(p) for n, p in paths.items() if n not in test_golden.FLOAT]
+        cases += [load_scenario(p) for p in paths.values()]
 except BaseException:
     sys.exit(2)
 for scenario in cases:
     try:
-        if not verify_scenario(scenario)[0] <= VERIFY_TOL:
+        max_dev, _, tol = verify_scenario(scenario)
+        if not max_dev <= tol:
             sys.exit(1)
     except Exception:
         sys.exit(1)
@@ -140,10 +142,13 @@ def _exit_code(cwd: Path, argv: list[str], timeout: int) -> int:
         return 1
 
 
-def judge(tree: Path) -> str | None:
-    """The first judge that catches the code in ``tree``, or None."""
+def judge(tree: Path, module: str | None = None) -> str | None:
+    """The first judge that catches the code in ``tree``, in which ``module`` is mutated, or None.
+
+    ``verify`` does not judge its own mutants: the check would judge itself.
+    """
     python = sys.executable
-    if _exit_code(tree, [python, "-c", _VERIFY_JUDGE], 300) == 1:
+    if module != "verify" and _exit_code(tree, [python, "-c", _VERIFY_JUDGE], 300) == 1:
         return JUDGES[0]
     if _exit_code(tree, [python, "tests/test_golden.py", "--check"], 300):
         return JUDGES[1]
@@ -184,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             sites = _sites(ast.parse(source))
             for k, (node, _, what) in enumerate(sites):
                 (package / f"{module}.py").write_text(mutant_source(source, k), "utf-8")
-                caught = judge(tree)
+                caught = judge(tree, module)
                 counts[module][caught or "survived"] += 1
                 if caught != JUDGES[0]:
                     missed.append({"module": module, "line": node.lineno, "mutation": what,

@@ -70,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     total_checks = 0
     for i in range(args.count):
         scenario = random_scenario(rng, args.max_models, args.max_observations)
-        max_dev, checks = verify_scenario(scenario)
+        max_dev, checks, _ = verify_scenario(scenario)
         total_checks += checks
         if max_dev > worst:
             worst = max_dev

@@ -51,7 +51,3 @@ class UndefinedLogError(BayesBitsError):
 
 class ScenarioFormatError(BayesBitsError, ValueError):
     """A scenario file failed to parse; the message carries diagnostics."""
-
-
-class ExactnessError(BayesBitsError, TypeError):
-    """An exact-rational computation received float probabilities."""

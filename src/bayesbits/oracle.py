@@ -3,17 +3,13 @@
 This module re-derives evidence, posteriors, surprisal transfers, and
 divergences by multiplying out the full joint outcome table,
 P(model) * P(observation | model), in exact integer arithmetic, taking
-a single logarithm per reported quantity at the very end. Every quantity
-comes from one reader of the scenario, :func:`scenario_metrics`, and
-:func:`enumerate_joint` keeps what it gives. The module deliberately
-shares none of the information-space arithmetic used elsewhere in the
-package, so agreement between the two paths is meaningful evidence of
-correctness.
-
-Only exact scenarios can be enumerated: float inputs are refused rather
-than silently rounded. :func:`scenario_metrics` reads every value, and
-refuses a float, naming the first, at the call; then it streams one
-observation at a time.
+a single logarithm per reported quantity at the very end. A float is
+read as its exact dyadic value. Every quantity comes from one reader of
+the scenario, :func:`scenario_metrics`, which streams one observation at
+a time, and :func:`enumerate_joint` keeps what it gives. The module
+deliberately shares none of the information-space arithmetic used
+elsewhere in the package, so agreement between the two paths is
+meaningful evidence of correctness.
 """
 
 from __future__ import annotations
@@ -24,12 +20,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import (
-    ExactnessError,
-    ImpossibleObservationError,
-    InvariantViolation,
-    UnknownLabelError,
-)
+from .errors import ImpossibleObservationError, InvariantViolation, UnknownLabelError
 from .scenario import Scenario
 
 __all__ = [
@@ -41,38 +32,29 @@ __all__ = [
     "scenario_metrics",
 ]
 
-# An exact prior as its numerators and its denominators, in model order
-_Prior = tuple[list[int], list[int]]
+# What _read gives: the prior's numerators and its denominators, in model
+# order, each distinct likelihood value object's pair by its id, and
+# whether every value was exact (no float)
+_Reading = tuple[tuple[list[int], list[int]], dict[int, tuple[int, int]], bool]
+
+# core.FLOAT_SUM_TOL, written out: how far off 1 a sum with a float may sit
+_FLOAT_SUM_TOL = 1e-9
 
 
-def _read(scenario: Scenario) -> tuple[_Prior, dict[int, tuple[int, int]]]:
-    """The oracle's one reader of values: the prior's integer pairs, and
-    each distinct likelihood value object's pair, keyed by its id.
+def _read(scenario: Scenario) -> _Reading:
+    """The oracle's one reader of values: the prior's integer pairs, each
+    distinct likelihood value object's pair, keyed by its id, and whether
+    every value was exact.
 
-    Each object's pair is read once, however many cells hold it (the
-    scenario keeps every object alive, so no id is reused). Before any
-    pair is read, the first float, in the prior and then in the
-    likelihood in row-major order, raises ``ExactnessError`` naming its
-    place; the place is searched for by identity only then.
+    A float's pair is its exact dyadic value. Each object's pair is read
+    once, however many cells hold it (the scenario keeps every object
+    alive, so no id is reused).
     """
     prior, om = scenario.model_space.prior, scenario.observation_model
-    # each distinct value object by its id, in the row-major order of its first cell
     values = {id(p): p for row in om.likelihood for p in row}
-    first = next(filter(float.__instancecheck__, chain(prior.probs, values.values())), None)
-    if first is not None:
-        place = next((f"the prior of {theta!r}" for theta, p in zip(prior.labels, prior.probs)
-                      if p is first), None)
-        if place is None:
-            x, row = next(r for r in zip(om.observation_labels, om.likelihood)
-                          if id(first) in map(id, r[1]))
-            place = f"P({x!r} | {om.model_labels[list(map(id, row)).index(id(first))]!r})"
-        raise ExactnessError(
-            f"scenario {scenario.name!r} contains float probabilities; "
-            f"the oracle requires exact rationals ({place} is {first!r})"
-        )
-    prior_pairs = [p.as_integer_ratio() for p in prior.probs]
-    pairs = {key: p.as_integer_ratio() for key, p in values.items()}
-    return ([n for n, _ in prior_pairs], [d for _, d in prior_pairs]), pairs
+    exact = not any(map(float.__instancecheck__, chain(prior.probs, values.values())))
+    nums, dens = map(list, zip(*[p.as_integer_ratio() for p in prior.probs]))
+    return (nums, dens), {key: p.as_integer_ratio() for key, p in values.items()}, exact
 
 
 # One observation as the oracle reads it: its label, each model's
@@ -82,15 +64,19 @@ def _read(scenario: Scenario) -> tuple[_Prior, dict[int, tuple[int, int]]]:
 _Row = tuple[str, list[tuple[int, int]], list[int], int]
 
 
-def _rows(scenario: Scenario, prior: _Prior, pairs: dict[int, tuple[int, int]]) -> Iterator[_Row]:
+def _rows(scenario: Scenario, reading: _Reading) -> Iterator[_Row]:
     """Each observation of the scenario as the oracle reads it, in order.
 
-    ``prior`` and ``pairs`` are what :func:`_read` gives. Each model's
-    joint cells are summed as integers over the least common denominator
-    of the rows so far. After the last observation the table is checked
-    as a joint distribution: its cells total exactly 1 and each model's
-    marginal equals its prior exactly.
+    ``reading`` is what :func:`_read` gives. Each model's joint cells are
+    summed as integers over the least common denominator of the rows so
+    far. After the last observation the table is checked exactly, as the
+    input types check the values. Exact cells total 1, each model's
+    marginal is its prior. With a float, the prior sums to 1 within
+    ``_FLOAT_SUM_TOL``, and each marginal is within that times its prior;
+    the total, which may then sit off by twice that plus its square, is
+    not checked.
     """
+    prior, pairs, exact = reading
     om = scenario.observation_model
     sums, sums_den = [0] * len(prior[0]), 1  # each model's cells so far, over sums_den
     for x, row in zip(om.observation_labels, om.likelihood):
@@ -104,13 +90,23 @@ def _rows(scenario: Scenario, prior: _Prior, pairs: dict[int, tuple[int, int]]) 
         scaled = joints if den == sums_den else map(operator.mul, joints, repeat(sums_den // den))
         sums = list(map(operator.add, sums, scaled))
         yield x, liks, joints, den
-    if (total := sum(sums)) != sums_den:
-        raise InvariantViolation(
-            f"joint table sums to {Fraction(total, sums_den)}, expected exactly 1"
-        )
+    if exact:
+        tol_num, tol_den = 0, 1
+        if (total := sum(sums)) != sums_den:
+            raise InvariantViolation(
+                f"joint table sums to {Fraction(total, sums_den)}, expected exactly 1"
+            )
+    else:
+        tol_num, tol_den = _FLOAT_SUM_TOL.as_integer_ratio()
+        prior_den = math.lcm(*prior[1])
+        total = sum([n * (prior_den // d) for n, d in zip(*prior)])
+        if abs(total - prior_den) * tol_den > tol_num * prior_den:
+            raise InvariantViolation(
+                f"prior sums to {total / prior_den!r}, expected 1 within {_FLOAT_SUM_TOL}"
+            )
     probs = scenario.model_space.prior.probs
     for theta, num, p_num, p_den, p in zip(om.model_labels, sums, *prior, probs):
-        if num * p_den != sums_den * p_num:
+        if abs(num * p_den - sums_den * p_num) * tol_den > tol_num * sums_den * p_num:
             marginal = Fraction(num, sums_den)
             raise InvariantViolation(
                 f"joint marginal for model {theta!r} is {marginal}, expected the prior {p}"
@@ -183,31 +179,24 @@ def _metrics(models: tuple[str, ...], prior_nums: list[int], row: _Row) -> Oracl
             bits_of[pair] = bits = math.log2(ratio_num) - math.log2(ratio_den)
         tics.append(bits)
         kl += post * bits
-    return OracleMetrics(
-        observation=observation,
-        models=models,
-        evidence=evidence,
-        posterior_nums=tuple(joints),
-        posterior_den=total,
-        posterior_floats=tuple(floats),
-        tic_bits=dict(zip(models, tics)),
-        kl_bits=kl,
-    )
+    return OracleMetrics(observation, models, evidence, tuple(joints), total, tuple(floats),
+                         dict(zip(models, tics)), kl)
 
 
-def scenario_metrics(scenario: Scenario) -> Iterator[OracleMetrics | None]:
+def scenario_metrics(scenario: Scenario, reading: _Reading | None = None
+                     ) -> Iterator[OracleMetrics | None]:
     """:func:`oracle_metrics` of every observation of the scenario, in order, one at a time.
 
-    Every value is read, and a float refused with ``ExactnessError``, at
-    the call (see :func:`_read`), before anything is given. Then each
-    observation's metrics come from its likelihood row, one row at a time,
-    and are None where its evidence is 0. Once the last observation has
-    been given, the rows are checked as a joint distribution (see
-    :func:`_rows`), so read to the end.
+    Every value is read at the call (see :func:`_read`), before anything
+    is given, unless ``reading`` is what :func:`_read` gave for the
+    scenario already. Then each observation's metrics come from its
+    likelihood row, one row at a time, and are None where its evidence is
+    0. Once the last observation has been given, the rows are checked as
+    a joint distribution (see :func:`_rows`), so read to the end.
     """
-    prior, pairs = _read(scenario)
+    reading = reading or _read(scenario)
     models = tuple(scenario.observation_model.model_labels)
-    return (_metrics(models, prior[0], row) for row in _rows(scenario, prior, pairs))
+    return (_metrics(models, reading[0][0], row) for row in _rows(scenario, reading))
 
 
 def enumerate_joint(scenario: Scenario) -> dict[str, OracleMetrics | None]:

@@ -216,13 +216,13 @@ def verify_text(scenario: Scenario) -> tuple[str, bool]:
     """The summary of checking ``scenario`` against the oracle, and whether it passed."""
     from . import verify
 
-    max_dev, checks = verify.verify_scenario(scenario)
-    ok = max_dev <= verify.VERIFY_TOL
+    max_dev, checks, tol = verify.verify_scenario(scenario)
+    ok = max_dev <= tol
     lines = [
         f"scenario: {scenario.name}",
         f"comparisons: {checks}",
         f"max_deviation_bits: {_csv(max_dev)}",
-        f"tolerance_bits: {repr(verify.VERIFY_TOL)}",
+        f"tolerance_bits: {repr(tol)}",
         f"status: {'PASS' if ok else 'FAIL'}",
     ]
     return "\n".join(lines) + "\n", ok

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -79,11 +80,15 @@ def wide_rational_scenario(rng: random.Random, denominators, max_size: int = 6) 
 
 
 def random_float_distribution(rng: random.Random, size: int) -> list[float]:
-    """Float weights over their float total, about 15% of them 0; sums 1 within rounding."""
+    """Float weights over their float total, about 15% of them 0; sums 1 within rounding.
+
+    The total is ``math.fsum``'s, correctly rounded, so the values are the
+    same on every Python; ``sum`` of floats is compensated from CPython 3.12 on.
+    """
     weights = [0.0 if rng.random() < 0.15 else rng.random() for _ in range(size)]
     if sum(weights) == 0:
         weights[0] = 1.0
-    total = sum(weights)
+    total = math.fsum(weights)
     return [w / total for w in weights]
 
 
@@ -103,3 +108,28 @@ def random_float_scenario(rng: random.Random, max_size: int = 8) -> Scenario:
             likelihood=[[columns[j][i] for j in range(n_models)] for i in range(n_obs)],
         ),
     )
+
+
+def float_edge_scenario(name: str) -> Scenario:
+    """A float scenario at an edge of what the input types accept, by name.
+
+    * ``columns-off``: eight models at 1/8, each of whose likelihoods sum to
+      1 - 9e-10. The classical MI, whose prior entropy takes those sums as
+      1, sits 2.7e-9 bits from the exact MI;
+    * ``prior-over``: a prior summing to 1 + 9e-10, and one certain
+      observation, whose evidence is then above 1. The engine counts it as
+      0 bits, so its TICs, KL and MI sit 1.3e-9 bits from the exact ones;
+    * ``prior-one``: a float prior that sums to exactly 1;
+    * ``at-bound``: a prior and columns that each sum to 1 plus exactly
+      the float 1e-9, so the joint cells total that excess twice plus its
+      square.
+    """
+    prior, rows = {
+        "columns-off": ([0.125] * 8, [[0.5] * 8, [0.5 - 9e-10] * 8]),
+        "prior-over": ([0.5, 0.5 + 9e-10], [[1.0, 1.0]]),
+        "prior-one": ([0.375, 0.625], [[0.1, 0.7], [0.9, 0.3]]),
+        "at-bound": ([1.0, 1e-9], [[1.0, 1.0], [1e-9, 1e-9]]),
+    }[name]
+    labels = [f"M{i}" for i in range(len(prior))]
+    return Scenario(name, ModelSpace(Distribution(labels, prior)),
+                    ObservationModel([f"x{i}" for i in range(len(rows))], labels, rows))

@@ -308,21 +308,25 @@ class TestVerify:
         assert "status: PASS" in out
         assert "max_deviation_bits:" in out
 
-    def test_float_scenario_exit_2(self, scenario_files, capsys):
-        assert cli.main(["verify", scenario_files["floaty"]]) == 2
-        err = capsys.readouterr().err
-        assert "oracle requires exact rationals" in err
-        assert "(the prior of 'H1' is 0.5)" in err
+    def test_float_scenario_passes(self, scenario_files, capsys):
+        # a float over two models: the tolerance is 1e-9 + 1e-9 * (2 + log2 2) bits
+        assert cli.main(["verify", scenario_files["floaty"]]) == 0
+        out, err = capsys.readouterr()
+        assert out == (
+            "scenario: Float scenario\ncomparisons: 20\n"
+            "max_deviation_bits: 1.1102230246251565e-16\ntolerance_bits: 4e-09\nstatus: PASS\n"
+        )
+        assert err == ""
 
-    def test_float_only_in_the_last_row_exit_2(self, tmp_path, capsys):
-        # all exact but one cell of the last row: the oracle meets it as it reads that row
+    def test_float_only_in_the_last_row_passes(self, tmp_path, capsys):
+        # all exact but one cell of the last row: the oracle reads it with
+        # every other value, and the tolerance widens for it
         rows = [["1/2", "1/2"], ["1/2", 0.5]]
         path = _write(tmp_path, "late-float", ["1/2", "1/2"], ["x", "y"], rows)
-        assert cli.main(["verify", path]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "the oracle requires exact rationals (P('y' | 'M1') is 0.5)" in err
+        assert cli.main(["verify", path]) == 0
+        out = capsys.readouterr().out
+        assert "comparisons: 20\nmax_deviation_bits: 0.0\ntolerance_bits: 4e-09\n" in out
+        assert out.endswith("status: PASS\n")
 
     def test_no_observations_exit_2(self, tmp_path, capsys):
         path = _write(tmp_path, "empty", ["1"], [], [])

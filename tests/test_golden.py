@@ -56,7 +56,6 @@ SCENARIOS = {
     ],
 }
 COMMITTED = ("floaty", "floatsum", "edge", "repeats", "labels")
-FLOAT = ("floaty", "floatsum")
 
 # case name -> (scenario, argv after the scenario path is put in place of
 # "{path}", expected exit code)
@@ -79,8 +78,7 @@ for _name, _obs in (
             )
         CASES[f"{_name}-kl-{_x}"] = (_name, ["kl", "{path}", "--observe", _x], 0)
     CASES[f"{_name}-mi"] = (_name, ["mi", "{path}"], 0)
-    if _name not in FLOAT:
-        CASES[f"{_name}-verify"] = (_name, ["verify", "{path}"], 0)
+    CASES[f"{_name}-verify"] = (_name, ["verify", "{path}"], 0)
 CASES["custom8-solve-Monty_D8_car-table"] = (
     "custom8", ["solve", "{path}", "--observe", "Monty_D8_car"], 3
 )

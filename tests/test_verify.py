@@ -11,6 +11,7 @@ posterior information content has no probability.
 import cProfile
 import math
 import pstats
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -21,9 +22,12 @@ from hypothesis import strategies as st
 
 from bayesbits import Distribution, HostPolicy, MhpConfig, mhp_scenario
 from bayesbits import cli, engine
-from bayesbits.errors import ExactnessError
+from bayesbits.core import FLOAT_SUM_TOL
 from bayesbits.scenario import ModelSpace, ObservationModel, Scenario, door_labels, save_scenario
 from bayesbits.verify import VERIFY_TOL, max_deviation, verify_scenario
+from helpers import float_edge_scenario, random_float_scenario
+
+FLOAT_SEED = 20261020  # the random float scenarios' seed
 
 
 def reference_deviation(a, b) -> float:
@@ -96,26 +100,53 @@ def test_verify_makes_no_call_per_cell():
     assert calls["max_deviation"] == 7  # six columns in the one batch, then the two MIs
     assert calls["local_transfer_entropy"] == 0
     assert calls["log_odds_updates"] == 22
-    assert verify_scenario(scenario) == (pytest.approx(0.0, abs=VERIFY_TOL), 860)
+    assert verify_scenario(scenario) == (pytest.approx(0.0, abs=VERIFY_TOL), 860, VERIFY_TOL)
 
 
-def test_verify_refuses_a_late_float_before_the_engine_runs(monkeypatch):
+def test_verify_learns_of_a_late_float_from_the_oracles_one_read():
     # Exact but for the last row's last cell: the oracle reads every value
-    # when verify starts, so the engine marginalises no observation.
+    # once, before its first row, and tells verify that the scenario holds
+    # a float, so the tolerance widens with no second pass over the cells.
     scenario = mhp_scenario(MhpConfig(door_count=12, host_policy=HostPolicy.FORGETFUL))
     om = scenario.observation_model
     rows = [*om.likelihood[:-1], [*om.likelihood[-1][:-1], 1 / 11]]
     late = Scenario("late-float", scenario.model_space,
                     ObservationModel(om.observation_labels, om.model_labels, rows))
-    marginal, calls = engine._marginal, []
-    monkeypatch.setattr(engine, "_marginal", lambda *args: calls.append(args) or marginal(*args))
-    with pytest.raises(ExactnessError) as exc:
-        verify_scenario(late)
-    assert calls == []
-    assert str(exc.value) == (
-        "scenario 'late-float' contains float probabilities; the oracle requires "
-        "exact rationals (P('Monty_D12_car' | 'D12') is 0.09090909090909091)"
-    )
+    calls = calls_by_name(verify_scenario, late)
+    assert (calls["_read"], calls["_marginal"], calls["_metrics"]) == (1, 22, 22)
+    max_dev, checks, tol = verify_scenario(late)
+    assert (max_dev <= VERIFY_TOL, checks) == (True, 860)
+    assert tol == VERIFY_TOL + FLOAT_SUM_TOL * (2 + math.log2(12))
+
+
+@pytest.mark.parametrize("name", ["columns-off", "prior-over", "prior-one", "at-bound"])
+def test_a_float_edge_passes_and_a_planted_fault_fails(monkeypatch, tmp_path, capsys, name):
+    # Where a float scenario's sums sit off 1, the engine's conventions move
+    # it from the exact values by more than VERIFY_TOL, and within the
+    # widened tolerance. A fault planted in the engine still fails (exit 4).
+    scenario = float_edge_scenario(name)
+    max_dev, checks, tol = verify_scenario(scenario)
+    assert tol == VERIFY_TOL + FLOAT_SUM_TOL * (2 + math.log2(len(scenario.model_space.labels)))
+    assert max_dev <= tol and (max_dev > VERIFY_TOL) == (name != "prior-one")
+    path = tmp_path / f"{name}.json"
+    save_scenario(scenario, path)
+    assert cli.main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"comparisons: {checks}\nmax_deviation_bits: {max_dev!r}\ntolerance_bits: {tol!r}\n" in out
+    assert out.endswith("status: PASS\n")
+    u = next(engine.marginals(scenario.model_space, scenario.observation_model))
+    patch_marginals(monkeypatch, scenario, "posterior_infos", 0, 0, u.posterior_infos[0] + 1)
+    assert cli.main(["verify", str(path)]) == 4
+    assert capsys.readouterr().out.endswith("status: FAIL\n")
+
+
+def test_random_float_scenarios_agree_to_rounding():
+    # Both paths read the same exact dyadic values, so on floats whose sums
+    # sit within rounding of 1 they agree far inside any tolerance.
+    rng = random.Random(FLOAT_SEED)
+    results = [verify_scenario(random_float_scenario(rng)) for _ in range(1000)]
+    assert all(max_dev <= tol for max_dev, _, tol in results)
+    assert max(max_dev for max_dev, _, _ in results) <= 1e-13
 
 
 def test_verify_holds_one_batch_of_observations_at_a_time():
@@ -125,7 +156,7 @@ def test_verify_holds_one_batch_of_observations_at_a_time():
     scenario = mhp_scenario(MhpConfig(door_count=160, host_policy=HostPolicy.FORGETFUL))
     tracemalloc.start()
     try:
-        max_dev, checks = verify_scenario(scenario)
+        max_dev, checks, _ = verify_scenario(scenario)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -140,7 +171,7 @@ def test_verify_compares_an_observation_wider_than_a_batch():
     labels = [f"M{i}" for i in range(4097)]
     scenario = Scenario("wide", ModelSpace(Distribution.uniform(labels)),
                         ObservationModel(["x"], labels, [[Fraction(1)] * len(labels)]))
-    max_dev, checks = verify_scenario(scenario)
+    max_dev, checks, _ = verify_scenario(scenario)
     assert checks == 12296
     assert max_dev <= 1e-18
 
@@ -200,7 +231,7 @@ def test_a_faulty_tic_cell_deviates_by_inf(monkeypatch, game, value):
     checks = verify_scenario(game)[1]
     i, j = refuted_cell(game)
     patch_marginals(monkeypatch, game, "tics", i, j, value)
-    assert verify_scenario(game) == (math.inf, checks)
+    assert verify_scenario(game) == (math.inf, checks, VERIFY_TOL)
 
 
 @pytest.mark.parametrize("value", [math.nan, 0.5, None], ids=["nan", "finite", "none"])
@@ -217,7 +248,7 @@ def test_a_faulty_log_odds_cell_deviates_by_inf(monkeypatch, game, value):
         return cells
 
     monkeypatch.setattr(engine.Marginal, "log_odds_updates", faulty)
-    assert verify_scenario(game) == (math.inf, checks)
+    assert verify_scenario(game) == (math.inf, checks, VERIFY_TOL)
 
 
 def test_a_faulty_posterior_cell_is_reported(monkeypatch, game):
@@ -228,7 +259,7 @@ def test_a_faulty_posterior_cell_is_reported(monkeypatch, game):
     u = tuple(engine.marginals(game.model_space, game.observation_model))[0]
     j = next(j for j, num in enumerate(u.posterior_nums) if num != 0)
     patch_marginals(monkeypatch, game, "posterior_infos", 0, j, u.posterior_infos[j] + 1)
-    dev, faulty_checks = verify_scenario(game)
+    dev, faulty_checks, _ = verify_scenario(game)
     assert faulty_checks == checks
     assert dev == pytest.approx(u.posterior_floats[j] / 2, rel=1e-9)
 
@@ -239,7 +270,7 @@ def test_a_broken_posterior_cell_deviates_by_inf(monkeypatch, tmp_path, capsys, 
     # the refusal as deviation inf and fails, rather than exiting 2
     checks = verify_scenario(game)[1]
     patch_marginals(monkeypatch, game, "posterior_infos", 0, 0, value)
-    assert verify_scenario(game) == (math.inf, checks)
+    assert verify_scenario(game) == (math.inf, checks, VERIFY_TOL)
     path = tmp_path / "game.json"
     save_scenario(game, path)
     assert cli.main(["verify", str(path)]) == 4

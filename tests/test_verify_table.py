@@ -1,4 +1,4 @@
-"""``verify``'s result, pinned bit for bit on a fixed corpus of exact scenarios.
+"""``verify``'s result, pinned bit for bit on a fixed corpus of scenarios.
 
 Each case's line in ``tests/golden/verify-table.txt`` holds its name, the
 comparison count and ``repr`` of the maximum deviation in bits that
@@ -13,7 +13,12 @@ comparison count and ``repr`` of the maximum deviation in bits that
   of the benchmark's wide priors;
 * ``near-one``: a prior of ``1 - 2**-60`` and ``2**-60``, whose values
   and posteriors lie within 2**-53 of 1, where ``core._log2_quotient``
-  takes its ``log1p`` branch.
+  takes its ``log1p`` branch;
+* 8 float scenarios of ``tests/helpers.py``'s ``random_float_scenario``
+  (2 to 8 models and observations, about 15% zeros);
+* the float edges ``columns-off`` and ``prior-over`` of
+  ``float_edge_scenario``, whose sums sit 9e-10 off 1 and move the
+  engine from the exact values by more than ``VERIFY_TOL``.
 
 A rewrite of the engine, the oracle or the check must reproduce every
 line. The cases need no pytest to run. To compare them on any
@@ -42,6 +47,8 @@ TABLE = TESTS / "golden" / "verify-table.txt"
 SWEEP_SEED = 20260819  # random_agreement_sweep.py's default
 SWEEP_CASES = 64
 PRIOR_SEED = 20261019
+FLOAT_SEED = 20261020
+FLOAT_CASES = 8
 GAMES = [(n, policy) for n in (14, 16) for policy in ("standard", "forgetful")]
 
 
@@ -50,6 +57,7 @@ def scenarios() -> dict:
     from bayesbits import (Distribution, HostPolicy, MhpConfig, ModelSpace, ObservationModel,
                            Scenario, mhp_scenario)
     from bayesbits.scenario import door_labels
+    from helpers import float_edge_scenario, random_float_scenario
     from random_agreement_sweep import random_scenario
 
     rng = random.Random(SWEEP_SEED)
@@ -65,6 +73,9 @@ def scenarios() -> dict:
                                  ObservationModel(["x0", "x1"], ["A", "B"],
                                                   [[Fraction(1, 2), Fraction(1, 3)],
                                                    [Fraction(1, 2), Fraction(2, 3)]]))
+    rng = random.Random(FLOAT_SEED)
+    cases.update((f"float-{i}", random_float_scenario(rng)) for i in range(FLOAT_CASES))
+    cases.update((name, float_edge_scenario(name)) for name in ("columns-off", "prior-over"))
     return cases
 
 
@@ -72,7 +83,7 @@ def verify_line(name: str, scenario) -> str:
     """The table line of one case: its name, comparison count and ``repr`` of its deviation."""
     from bayesbits.verify import verify_scenario
 
-    max_dev, checks = verify_scenario(scenario)
+    max_dev, checks, _ = verify_scenario(scenario)
     return f"{name} {checks} {max_dev!r}"
 
 
