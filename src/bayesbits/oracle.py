@@ -29,19 +29,20 @@ __all__ = [
     "oracle_metrics",
     "oracle_mi",
     "oracle_mi_from_terms",
+    "read_values",
     "scenario_metrics",
 ]
 
-# What _read gives: the prior's numerators and its denominators, in model
-# order, each distinct likelihood value object's pair by its id, and
+# What read_values gives: the prior's numerators and its denominators, in
+# model order, each distinct likelihood value object's pair by its id, and
 # whether every value was exact (no float)
-_Reading = tuple[tuple[list[int], list[int]], dict[int, tuple[int, int]], bool]
+Reading = tuple[tuple[list[int], list[int]], dict[int, tuple[int, int]], bool]
 
 # core.FLOAT_SUM_TOL, written out: how far off 1 a sum with a float may sit
 _FLOAT_SUM_TOL = 1e-9
 
 
-def _read(scenario: Scenario) -> _Reading:
+def read_values(scenario: Scenario) -> Reading:
     """The oracle's one reader of values: the prior's integer pairs, each
     distinct likelihood value object's pair, keyed by its id, and whether
     every value was exact.
@@ -64,17 +65,16 @@ def _read(scenario: Scenario) -> _Reading:
 _Row = tuple[str, list[tuple[int, int]], list[int], int]
 
 
-def _rows(scenario: Scenario, reading: _Reading) -> Iterator[_Row]:
+def _rows(scenario: Scenario, reading: Reading) -> Iterator[_Row]:
     """Each observation of the scenario as the oracle reads it, in order.
 
-    ``reading`` is what :func:`_read` gives. Each model's joint cells are
-    summed as integers over the least common denominator of the rows so
-    far. After the last observation the table is checked exactly, as the
-    input types check the values. Exact cells total 1, each model's
-    marginal is its prior. With a float, the prior sums to 1 within
-    ``_FLOAT_SUM_TOL``, and each marginal is within that times its prior;
-    the total, which may then sit off by twice that plus its square, is
-    not checked.
+    ``reading`` is what :func:`read_values` gives. Each model's joint
+    cells are summed as integers over the least common denominator of the
+    rows so far. After the last observation the table is checked exactly,
+    as the input types check the values: the prior sums to 1, and each
+    model's marginal is its prior, within 0 when every value is exact and
+    otherwise within ``_FLOAT_SUM_TOL`` (times the prior). So exact cells
+    total 1; float cells may sit off by twice the bound plus its square.
     """
     prior, pairs, exact = reading
     om = scenario.observation_model
@@ -90,20 +90,13 @@ def _rows(scenario: Scenario, reading: _Reading) -> Iterator[_Row]:
         scaled = joints if den == sums_den else map(operator.mul, joints, repeat(sums_den // den))
         sums = list(map(operator.add, sums, scaled))
         yield x, liks, joints, den
-    if exact:
-        tol_num, tol_den = 0, 1
-        if (total := sum(sums)) != sums_den:
-            raise InvariantViolation(
-                f"joint table sums to {Fraction(total, sums_den)}, expected exactly 1"
-            )
-    else:
-        tol_num, tol_den = _FLOAT_SUM_TOL.as_integer_ratio()
-        prior_den = math.lcm(*prior[1])
-        total = sum([n * (prior_den // d) for n, d in zip(*prior)])
-        if abs(total - prior_den) * tol_den > tol_num * prior_den:
-            raise InvariantViolation(
-                f"prior sums to {total / prior_den!r}, expected 1 within {_FLOAT_SUM_TOL}"
-            )
+    tol_num, tol_den = (0, 1) if exact else _FLOAT_SUM_TOL.as_integer_ratio()
+    prior_den = math.lcm(*prior[1])
+    total = sum([n * (prior_den // d) for n, d in zip(*prior)])
+    if abs(total - prior_den) * tol_den > tol_num * prior_den:
+        raise InvariantViolation(
+            f"prior sums to {total / prior_den!r}, expected 1 within {tol_num / tol_den!r}"
+        )
     probs = scenario.model_space.prior.probs
     for theta, num, p_num, p_den, p in zip(om.model_labels, sums, *prior, probs):
         if abs(num * p_den - sums_den * p_num) * tol_den > tol_num * sums_den * p_num:
@@ -179,22 +172,30 @@ def _metrics(models: tuple[str, ...], prior_nums: list[int], row: _Row) -> Oracl
             bits_of[pair] = bits = math.log2(ratio_num) - math.log2(ratio_den)
         tics.append(bits)
         kl += post * bits
-    return OracleMetrics(observation, models, evidence, tuple(joints), total, tuple(floats),
-                         dict(zip(models, tics)), kl)
+    return OracleMetrics(
+        observation=observation,
+        models=models,
+        evidence=evidence,
+        posterior_nums=tuple(joints),
+        posterior_den=total,
+        posterior_floats=tuple(floats),
+        tic_bits=dict(zip(models, tics)),
+        kl_bits=kl,
+    )
 
 
-def scenario_metrics(scenario: Scenario, reading: _Reading | None = None
+def scenario_metrics(scenario: Scenario, reading: Reading | None = None
                      ) -> Iterator[OracleMetrics | None]:
     """:func:`oracle_metrics` of every observation of the scenario, in order, one at a time.
 
-    Every value is read at the call (see :func:`_read`), before anything
-    is given, unless ``reading`` is what :func:`_read` gave for the
-    scenario already. Then each observation's metrics come from its
+    Every value is read at the call (see :func:`read_values`), before
+    anything is given, unless ``reading`` is what :func:`read_values` gave
+    for the scenario already. Then each observation's metrics come from its
     likelihood row, one row at a time, and are None where its evidence is
     0. Once the last observation has been given, the rows are checked as
     a joint distribution (see :func:`_rows`), so read to the end.
     """
-    reading = reading or _read(scenario)
+    reading = reading or read_values(scenario)
     models = tuple(scenario.observation_model.model_labels)
     return (_metrics(models, reading[0][0], row) for row in _rows(scenario, reading))
 

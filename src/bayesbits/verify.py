@@ -16,7 +16,7 @@ from .aggregates import kl_classical_and_entropy, kl_from_update, mi_from_terms
 from .core import FLOAT_SUM_TOL, info_content, prob_from_info
 from .engine import marginals
 from .errors import DomainError
-from .oracle import _read, oracle_mi_from_terms, scenario_metrics
+from .oracle import oracle_mi_from_terms, read_values, scenario_metrics
 from .scenario import Scenario
 
 __all__ = ["VERIFY_TOL", "verify_scenario"]
@@ -71,25 +71,24 @@ def verify_scenario(scenario: Scenario) -> tuple[float, int, float]:
     """
     ms, om = scenario.model_space, scenario.observation_model
     batch_size = max(1, _BATCH_CELLS // len(ms.labels))
-    reading = _read(scenario)
-    exact = reading[2]
+    reading = read_values(scenario)
     # strict: the oracle is read to its end, where it checks the joint table
     pairs = zip(marginals(ms, om), scenario_metrics(scenario, reading), strict=True)
     dev, checks, one_sided = 0.0, 2, 0  # 2: the MI of each engine path
     terms: list[tuple] = []  # each observation's MI terms, from _compare
     while batch := list(islice(pairs, batch_size)):
         one_sided += sum([(m is None) != (o is None) for m, o in batch])
-        batch_dev, batch_checks, batch_terms = _compare([p for p in batch if None not in p], exact)
+        batch_dev, batch_checks, batch_terms = _compare([p for p in batch if None not in p])
         dev, checks = max(dev, batch_dev), checks + batch_checks
         terms += batch_terms
     mi_oracle = oracle_mi_from_terms([(ev, kl) for *_, ev, kl in terms])
     mi, mi_classical = mi_from_terms(ms.prior, [(ev, kl, c) for ev, kl, c, _, _ in terms])
     dev = max(dev, max_deviation((mi, mi_classical), (mi_oracle, mi_oracle)))
-    float_tol = 0.0 if exact else FLOAT_SUM_TOL * (2 + math.log2(len(ms.labels)))
+    float_tol = 0.0 if reading[2] else FLOAT_SUM_TOL * (2 + math.log2(len(ms.labels)))
     return (math.inf if one_sided else dev), checks + one_sided, VERIFY_TOL + float_tol
 
 
-def _compare(both: list, exact: bool) -> tuple[float, int, list[tuple]]:
+def _compare(both: list) -> tuple[float, int, list[tuple]]:
     """Largest deviation and comparison count of a batch of (marginal, metrics) pairs.
 
     Each quantity is an engine column against an oracle column. Per-cell
@@ -107,7 +106,7 @@ def _compare(both: list, exact: bool) -> tuple[float, int, list[tuple]]:
         max_deviation([kl for kl, _ in classical], oracle_kls),
         # the engine counts an evidence above 1, which a float prior can give, as 0 bits
         max_deviation((m.evidence_info for m in engine),
-                      [info_content(o.evidence if exact else min(o.evidence, 1)) for o in oracle]),
+                      [info_content(e if e.numerator <= e.denominator else 1) for *_, e, _ in terms]),
     ]
     posteriors = [p for o in oracle for p in o.posterior_floats]
     try:  # a TIC of None or NaN, or an information content below -noise, has no probability

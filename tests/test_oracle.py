@@ -125,12 +125,15 @@ class TestEnumerateJoint:
     @pytest.mark.parametrize(
         "prior, rows, message",
         [
-            # M0's likelihoods sum to 3/4: the cells total 7/8
+            # M0's likelihoods sum to 3/4: the cells total 7/8, M0's marginal is 3/8
             (["1/2", "1/2"], [["1/2", "1/2"], ["1/4", "1/2"]],
-             "joint table sums to 7/8, expected exactly 1"),
+             "joint marginal for model 'M0' is 3/8, expected the prior 1/2"),
             # M0's sum to 3/2 and M1's to 1/2: the cells total 1, M0's marginal is 3/4
             (["1/2", "1/2"], [["1", "1/4"], ["1/2", "1/4"]],
              "joint marginal for model 'M0' is 3/4, expected the prior 1/2"),
+            # each marginal is its prior, but the prior sums to 3/4
+            (["1/2", "1/4"], [["1", "1"], ["0", "0"]],
+             r"prior sums to 0\.75, expected 1 within 0\.0"),
             # with a float, sums 2e-9 off 1 are beyond what the input types accept
             ([0.5, 0.5 + 2e-9], [["1", "1"], ["0", "0"]],
              r"prior sums to 1\.000000002\d*, expected 1 within 1e-09"),
@@ -138,7 +141,7 @@ class TestEnumerateJoint:
             ([0.5, 0.5], [[0.5, 0.5], [0.5 - 2e-9, 0.5]],
              r"joint marginal for model 'M0' is \d+/\d+, expected the prior 0\.5"),
         ],
-        ids=["total", "marginal", "float-prior", "float-marginal"],
+        ids=["total", "marginal", "exact-prior", "float-prior", "float-marginal"],
     )
     def test_checks_the_table_it_reads(self, monkeypatch, prior, rows, message):
         # A Scenario refuses such sums, so these skip its checks: the

@@ -113,7 +113,7 @@ def test_verify_learns_of_a_late_float_from_the_oracles_one_read():
     late = Scenario("late-float", scenario.model_space,
                     ObservationModel(om.observation_labels, om.model_labels, rows))
     calls = calls_by_name(verify_scenario, late)
-    assert (calls["_read"], calls["_marginal"], calls["_metrics"]) == (1, 22, 22)
+    assert (calls["read_values"], calls["_marginal"], calls["_metrics"]) == (1, 22, 22)
     max_dev, checks, tol = verify_scenario(late)
     assert (max_dev <= VERIFY_TOL, checks) == (True, 860)
     assert tol == VERIFY_TOL + FLOAT_SUM_TOL * (2 + math.log2(12))
