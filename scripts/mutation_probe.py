@@ -1,8 +1,8 @@
-"""Single-site mutation probe of the engine, the reductions, the core, the oracle and the check.
+"""Single-site mutation probe of the engine, reductions, core, oracle, check and input types.
 
 Each mutant changes one operator or constant in one of ``engine``,
-``aggregates``, ``core``, ``oracle`` and ``verify``, made with stdlib
-``ast``:
+``aggregates``, ``core``, ``oracle``, ``verify`` and ``scenario``, made
+with stdlib ``ast``:
 
 * ``+`` and ``-`` swap, ``*`` and ``//`` swap, ``/`` becomes ``*``
   (augmented assignments too);
@@ -24,7 +24,7 @@ the working tree, and judged by the first of these that catches it:
 
 A mutant that none of them catches survives. The probe prints one line
 per mutant that ``verify`` misses, with its judge, and a table of counts
-per module. ``--modules`` picks the modules to mutate (all five by
+per module. ``--modules`` picks the modules to mutate (all six by
 default), and ``--json PATH`` also writes the counts per module and
 judge, and the site of each mutant that ``verify`` misses, to ``PATH``.
 A full run takes some minutes, and is not part of the test suite:
@@ -46,7 +46,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("engine", "aggregates", "core", "oracle", "verify")
+MODULES = ("engine", "aggregates", "core", "oracle", "verify", "scenario")
 COPIED = ("src", "tests", "scripts", "perfbench", "README.md", "pyproject.toml")
 JUDGES = ("verify", "goldens only", "tier-1 only")
 

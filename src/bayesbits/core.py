@@ -120,25 +120,16 @@ def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def _common_denominator(ps: Sequence[Probability]) -> tuple[list[int], int]:
-    """Numerators of ``ps``, Fractions or floats, over their least common denominator.
-
-    The kernels sum and compare these integers and build one Fraction or
-    float per result, instead of going through Fraction arithmetic for
-    every ``+`` and ``*``.
-    """
-    return _over_lcm([p.as_integer_ratio() for p in ps])
-
-
-def _sum_unless_one(ps: Sequence[Probability]) -> str | None:
-    """The sum of ``ps`` as text when it is not 1, else None.
+def _sum_unless_one(pairs: Sequence[tuple[int, int]], ps: Iterable[Probability]) -> str | None:
+    """The sum of ``ps``, whose integer pairs are ``pairs``, as text when it is not 1, else None.
 
     The sum is exact, of integer numerators over one common denominator.
     All-Fraction values must sum to exactly 1; values with any float must
     sum to within :data:`FLOAT_SUM_TOL` of 1, compared exactly. A float
     sum, or an exact one too long to print, is named by its rounded float.
+    ``ps`` is read only when the sum is not 1.
     """
-    nums, den = _common_denominator(ps)
+    nums, den = _over_lcm(pairs)
     total = sum(nums)
     if total == den:
         return None
@@ -258,7 +249,7 @@ class Distribution(Record):
             )
         if len(set(self.labels)) != len(self.labels):
             raise InvariantViolation(f"duplicate labels in {self.labels}")
-        total = _sum_unless_one(self.probs)
+        total = _sum_unless_one([p.as_integer_ratio() for p in self.probs], self.probs)
         if total is not None:
             raise InvariantViolation(f"probabilities sum to {total}, expected 1")
 

@@ -37,7 +37,6 @@ from typing import Iterator, NamedTuple, Sequence
 from .core import (
     Bits,
     Probability,
-    _common_denominator,
     _info,
     _log2_quotient,
     _over_lcm,
@@ -114,8 +113,10 @@ def evidence(ms: ModelSpace, om: ObservationModel, x: str) -> Probability:
     never disagree with the prior and likelihood.
     """
     _check_pairing(ms, om)
-    probs, row = ms.prior.probs, om.likelihood[om._x_index(x)]
-    num, den, *_ = _joint_row(_common_denominator(probs), _common_denominator(row))
+    probs, values = ms.prior.probs, om.values
+    row = [values[k] for k in om.cells[om._x_index(x)]]
+    scaled = [_over_lcm([p.as_integer_ratio() for p in ps]) for ps in (probs, row)]
+    num, den, *_ = _joint_row(*scaled)
     return num / den if _holds_float(probs, row) else Fraction(num, den)
 
 
@@ -171,7 +172,7 @@ _PriorTerms = tuple[ModelSpace, tuple[list[int], int], tuple[Bits, ...]]
 
 def _prior_terms(ms: ModelSpace) -> _PriorTerms:
     probs = ms.prior.probs
-    return ms, _common_denominator(probs), tuple([_info(p) for p in probs])
+    return ms, _over_lcm([p.as_integer_ratio() for p in probs]), tuple([_info(p) for p in probs])
 
 
 class Marginal(NamedTuple):
@@ -187,9 +188,9 @@ class Marginal(NamedTuple):
     Bayes' rule in probability space gives posterior ``j`` as
     ``posterior_nums[j] / posterior_den``, unreduced integers, with
     ``posterior_floats`` their correctly rounded floats. ``scaled_row``
-    holds the likelihood row's numerators over one denominator, and
-    ``row`` the values as given. The prior's columns are read from
-    ``prior``, shared by every observation of a command.
+    holds the likelihood row's numerators over one denominator, ``cells``
+    the row as indices into ``values``, and ``prior`` the prior's columns,
+    shared by every observation of a command.
     """
 
     observation: str
@@ -201,7 +202,8 @@ class Marginal(NamedTuple):
     posterior_floats: list[float]
     likelihood_infos: list[Bits]
     scaled_row: tuple[list[int], int]
-    row: tuple[Probability, ...]
+    cells: tuple[int, ...]
+    values: tuple[Probability, ...]
     prior: _PriorTerms
 
     @property
@@ -215,14 +217,14 @@ class Marginal(NamedTuple):
     @property
     def evidence(self) -> Probability:
         """``P(x)``: a Fraction, or its float when the prior or the row holds a float."""
-        if _holds_float(self.prior[0].prior.probs, self.row):
+        if _holds_float(self.prior[0].prior.probs, map(self.values.__getitem__, self.cells)):
             return self.evidence_float
         return Fraction(self.posterior_den, self.prior[1][1] * self.scaled_row[1])
 
     @property
     def posteriors(self) -> tuple[Probability, ...]:
         """``P(theta | x)`` per model: Fractions, or their floats as ``evidence`` is a float."""
-        if _holds_float(self.prior[0].prior.probs, self.row):
+        if _holds_float(self.prior[0].prior.probs, map(self.values.__getitem__, self.cells)):
             return tuple(self.posterior_floats)
         return tuple([Fraction(num, self.posterior_den) for num in self.posterior_nums])
 
@@ -284,9 +286,8 @@ class Marginal(NamedTuple):
 
         The ratio equals ``P(x | theta) / P(x)``: the model's numerator in
         the scaled row times the prior's denominator, over the joints'
-        total, with no Fraction division and no pair read. Its float
-        depends on the rational alone, so each distinct numerator in the row
-        takes one log.
+        total, with no Fraction division and no pair read. Its float depends
+        on the rational alone, so each distinct numerator takes one log.
         """
         _, scaled_prior, prior_infos = self.prior
         scale, total = scaled_prior[1], self.posterior_den
@@ -305,27 +306,15 @@ class Marginal(NamedTuple):
         return row
 
 
-def _marginal(
-    pt: _PriorTerms, x: str, row: tuple[Probability, ...], cache: dict[int, tuple]
-) -> Marginal | None:
-    """Marginalise observation ``x``; None when its evidence is 0.
+def _marginal(pt: _PriorTerms, om: ObservationModel, i: int, infos, pairs) -> Marginal | None:
+    """Marginalise observation ``i`` of ``om``; None when its evidence is 0.
 
-    ``cache`` maps the ``id`` of each likelihood value object seen so far
-    to its ``_info`` and its integer pair, so a value object shared by
-    many cells and rows takes one log and one pair read per command; the
-    caller keeps the objects alive while it is in use.
+    ``infos[k]`` and ``pairs[k]`` are the ``_info`` and the integer pair of
+    ``om.values[k]``, so a value held by many cells takes one log and one pair read.
     """
-    cells = list(map(cache.get, map(id, row)))
-    if None in cells:  # value objects this command has not seen yet
-        for j, lik in enumerate(row):
-            if cells[j] is None:
-                cell = cache.get(id(lik))
-                if cell is None:
-                    cache[id(lik)] = cell = (_info(lik), lik.as_integer_ratio())
-                cells[j] = cell
-    # two passes, not zip(*cells), which makes one iterator object per cell
-    lik_infos, pairs = [info for info, _ in cells], [pair for _, pair in cells]
-    scaled_row = _over_lcm(pairs)
+    cells = om.cells[i]
+    lik_infos = list(map(infos.__getitem__, cells))
+    scaled_row = _over_lcm(list(map(pairs.__getitem__, cells)))
     num, den, joints, post_floats = _joint_row(pt[1], scaled_row)
     if not joints:
         return None
@@ -334,8 +323,8 @@ def _marginal(
     lg = 0.0 if num >= den else _log2_quotient(num, den)
     ev_info = -lg if lg else 0.0
     tics = [ev_info - lik_i for lik_i in lik_infos]
-    return Marginal(x, num / den, ev_info, tics, joints, num, post_floats, lik_infos,
-                    scaled_row, row, pt)
+    return Marginal(om.observation_labels[i], num / den, ev_info, tics, joints, num, post_floats,
+                    lik_infos, scaled_row, cells, om.values, pt)
 
 
 def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> Marginal:
@@ -343,11 +332,14 @@ def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> Marginal:
 
     The per-label functions (:func:`tic`, :func:`posterior_info`, ...)
     read their values from this record, and its ``entries`` are the
-    transfer report, one row per model. Raises
-    ``ImpossibleObservationError`` when ``P(x)`` is 0.
+    transfer report, one row per model; only the row's distinct values
+    take a log. Raises ``ImpossibleObservationError`` when ``P(x)`` is 0.
     """
     _check_pairing(ms, om)
-    m = _marginal(_prior_terms(ms), x, om.likelihood[om._x_index(x)], {})
+    i, values = om._x_index(x), om.values
+    infos = {k: _info(values[k]) for k in set(om.cells[i])}
+    pairs = {k: values[k].as_integer_ratio() for k in infos}
+    m = _marginal(_prior_terms(ms), om, i, infos, pairs)
     if m is None:
         raise ImpossibleObservationError(
             f"observation {x!r} has zero evidence; cannot condition on it"
@@ -359,12 +351,13 @@ def marginals(ms: ModelSpace, om: ObservationModel) -> Iterator[Marginal | None]
     """Each observation's :class:`Marginal`, in observation order, one at a time.
 
     An observation with zero evidence cannot be conditioned on; its entry
-    is None. The prior's terms are worked out once, and each likelihood
-    value object takes one log and one integer pair read.
+    is None. The prior's terms are worked out once, and each distinct
+    likelihood value takes one log and one integer pair read.
     """
     _check_pairing(ms, om)
-    pt, cache = _prior_terms(ms), {}
-    return (_marginal(pt, x, row, cache) for x, row in zip(om.observation_labels, om.likelihood))
+    pt, values = _prior_terms(ms), om.values
+    infos, pairs = [_info(p) for p in values], [p.as_integer_ratio() for p in values]
+    return (_marginal(pt, om, i, infos, pairs) for i in range(len(om.cells)))
 
 
 def local_transfer_entropy(ms: ModelSpace, om: ObservationModel, x: str, theta: str) -> Bits:

@@ -34,28 +34,25 @@ __all__ = [
 ]
 
 # What read_values gives: the prior's numerators and its denominators, in
-# model order, each distinct likelihood value object's pair by its id, and
-# whether every value was exact (no float)
-Reading = tuple[tuple[list[int], list[int]], dict[int, tuple[int, int]], bool]
+# model order, each likelihood value's pair, aligned with
+# ObservationModel.values, and whether every value was exact (no float)
+Reading = tuple[tuple[list[int], list[int]], list[tuple[int, int]], bool]
 
 # core.FLOAT_SUM_TOL, written out: how far off 1 a sum with a float may sit
 _FLOAT_SUM_TOL = 1e-9
 
 
 def read_values(scenario: Scenario) -> Reading:
-    """The oracle's one reader of values: the prior's integer pairs, each
-    distinct likelihood value object's pair, keyed by its id, and whether
-    every value was exact.
+    """The oracle's one reader of values: the prior's integer pairs, the
+    pair of each distinct likelihood value, aligned with the observation
+    model's ``values``, and whether every value was exact.
 
-    A float's pair is its exact dyadic value. Each object's pair is read
-    once, however many cells hold it (the scenario keeps every object
-    alive, so no id is reused).
+    A float's pair is its exact dyadic value.
     """
-    prior, om = scenario.model_space.prior, scenario.observation_model
-    values = {id(p): p for row in om.likelihood for p in row}
-    exact = not any(map(float.__instancecheck__, chain(prior.probs, values.values())))
+    prior, values = scenario.model_space.prior, scenario.observation_model.values
+    exact = not any(map(float.__instancecheck__, chain(prior.probs, values)))
     nums, dens = map(list, zip(*[p.as_integer_ratio() for p in prior.probs]))
-    return (nums, dens), {key: p.as_integer_ratio() for key, p in values.items()}, exact
+    return (nums, dens), [p.as_integer_ratio() for p in values], exact
 
 
 # One observation as the oracle reads it: its label, each model's
@@ -79,8 +76,8 @@ def _rows(scenario: Scenario, reading: Reading) -> Iterator[_Row]:
     prior, pairs, exact = reading
     om = scenario.observation_model
     sums, sums_den = [0] * len(prior[0]), 1  # each model's cells so far, over sums_den
-    for x, row in zip(om.observation_labels, om.likelihood):
-        liks = list(map(pairs.__getitem__, map(id, row)))
+    for x, row in zip(om.observation_labels, om.cells):
+        liks = list(map(pairs.__getitem__, row))
         cells = [(p_num * l_num, p_den * l_den) for p_num, p_den, (l_num, l_den) in zip(*prior, liks)]
         den = math.lcm(*{d for _, d in cells})
         joints = [n * (den // d) for n, d in cells]

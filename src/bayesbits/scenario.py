@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import json
-import operator
 import os
 import stat
 from fractions import Fraction
@@ -69,13 +68,17 @@ class ObservationModel(Record):
 
     Every column is itself a distribution over the observation space: for
     each model the likelihoods must sum to 1 (exactly when the column is
-    all rationals, within the float tolerance otherwise).
+    all rationals, within the float tolerance otherwise). ``values`` holds
+    each distinct value once, in row-major order of first appearance, and
+    ``cells`` each row as indices into it; ``likelihood`` is built on read.
     """
 
-    __slots__ = _fields = ("observation_labels", "model_labels", "likelihood")
+    __slots__ = ("observation_labels", "model_labels", "values", "cells")
+    _fields = ("observation_labels", "model_labels", "likelihood")
     observation_labels: tuple[str, ...]
     model_labels: tuple[str, ...]
-    likelihood: tuple[tuple[Probability, ...], ...]
+    values: tuple[Probability, ...]
+    cells: tuple[tuple[int, ...], ...]
 
     def __init__(
         self,
@@ -84,43 +87,54 @@ class ObservationModel(Record):
         likelihood: Iterable[Iterable[Probability | int | str]],
     ) -> None:
         # Each distinct cell object is validated once, in row-major order of
-        # first appearance, so the first bad cell raises: generated games
-        # and parsed files repeat a few value objects over many cells.
+        # first appearance, so the first bad cell raises. ``rows`` keeps every
+        # object alive while its id is in use.
         rows = [tuple(row) for row in likelihood]
         distinct = {id(p): p for row in rows for p in row}
-        values = [as_probability(p) for p in distinct.values()]
-        if not all(map(operator.is_, values, distinct.values())):
-            # ints and strings became Fractions
-            checked = dict(zip(distinct, values))
-            rows = [tuple(map(checked.__getitem__, map(id, row))) for row in rows]
+        values = tuple([as_probability(p) for p in distinct.values()])
+        index = dict(zip(distinct, range(len(values))))
+        cells = tuple([tuple(map(index.__getitem__, map(id, row))) for row in rows])
+        self._init(observation_labels, model_labels, values, cells)
+
+    def _init(self, observation_labels: Sequence[str], model_labels: Sequence[str],
+              values: tuple[Probability, ...], cells: tuple[tuple[int, ...], ...]) -> None:
+        """Set and check the fields; the parser, which validates ``values``, calls it too."""
         self._set(
             observation_labels=tuple(observation_labels),
             model_labels=tuple(model_labels),
-            likelihood=tuple(rows),
+            values=values,
+            cells=cells,
         )
         self._check()
 
+    @property
+    def likelihood(self) -> tuple[tuple[Probability, ...], ...]:
+        values = self.values
+        return tuple([tuple(map(values.__getitem__, row)) for row in self.cells])
+
     def _check(self) -> None:
-        """Shape and column sums, each summed exactly."""
+        """Shape and column sums, each summed exactly from one integer pair per distinct value."""
         if not self.observation_labels or not self.model_labels:
             raise InvariantViolation("observation model needs >= 1 observation and >= 1 model")
         if len(set(self.observation_labels)) != len(self.observation_labels):
             raise InvariantViolation(f"duplicate observation labels in {self.observation_labels}")
         if len(set(self.model_labels)) != len(self.model_labels):
             raise InvariantViolation(f"duplicate model labels in {self.model_labels}")
-        if len(self.likelihood) != len(self.observation_labels):
+        if len(self.cells) != len(self.observation_labels):
             raise InvariantViolation(
-                f"{len(self.likelihood)} likelihood rows for "
+                f"{len(self.cells)} likelihood rows for "
                 f"{len(self.observation_labels)} observations"
             )
-        for x, row in zip(self.observation_labels, self.likelihood):
+        for x, row in zip(self.observation_labels, self.cells):
             if len(row) != len(self.model_labels):
                 raise InvariantViolation(
                     f"likelihood row {x!r} has {len(row)} entries for "
                     f"{len(self.model_labels)} models"
                 )
-        for theta, column in zip(self.model_labels, zip(*self.likelihood)):
-            total = _sum_unless_one(column)
+        pairs = [p.as_integer_ratio() for p in self.values]
+        for theta, column in zip(self.model_labels, zip(*self.cells)):
+            column_values = map(self.values.__getitem__, column)  # read if the sum is not 1
+            total = _sum_unless_one(list(map(pairs.__getitem__, column)), column_values)
             if total is not None:
                 raise InvariantViolation(
                     f"likelihood column for model {theta!r} sums to {total}, expected 1"
@@ -141,7 +155,6 @@ class ObservationModel(Record):
             raise UnknownLabelError(
                 f"unknown model {theta!r}; have {list(self.model_labels)}"
             ) from None
-
 
 
 class Scenario(Record):
@@ -430,20 +443,21 @@ def scenario_to_json_text(s: Scenario) -> str:
     an indent, ``json`` encodes in pure Python, which cost more than the
     rest of a save. The name, labels and flat metadata go through json's
     C string escaper, and only metadata that is not flat goes through
-    ``json.dumps(indent=2)`` (see :func:`_metadata_json`). Each distinct
-    value object is formatted once. A name or label that a load would
-    refuse raises :class:`ScenarioFormatError`.
+    ``json.dumps(indent=2)`` (see :func:`_metadata_json`). Each
+    likelihood value and each distinct prior object is formatted once. A
+    name or label that a load would refuse raises :class:`ScenarioFormatError`.
     """
     _check_text_fields(s)
     ms, om = s.model_space, s.observation_model
-    values = [*ms.prior.probs, *chain.from_iterable(om.likelihood)]
-    texts = {key: _prob_json(p) for key, p in dict(zip(map(id, values), values)).items()}
+    probs = ms.prior.probs
+    prior_texts = {key: _prob_json(p) for key, p in dict(zip(map(id, probs), probs)).items()}
     models = [
         '{\n      "label": ' + encode_basestring_ascii(label)
-        + ',\n      "prior": ' + texts[id(p)] + "\n    }"
-        for label, p in zip(ms.labels, ms.prior.probs)
+        + ',\n      "prior": ' + prior_texts[id(p)] + "\n    }"
+        for label, p in zip(ms.labels, probs)
     ]
-    rows = [_json_list(list(map(texts.__getitem__, map(id, row))), 2) for row in om.likelihood]
+    texts = list(map(_prob_json, om.values))
+    rows = [_json_list(list(map(texts.__getitem__, row)), 2) for row in om.cells]
     return (
         '{\n  "name": ' + encode_basestring_ascii(s.name)
         + ',\n  "models": ' + _json_list(models, 1)
@@ -508,29 +522,34 @@ def scenario_from_json_text(text: str, source: str = "<string>") -> Scenario:
 
     if not isinstance(doc["likelihood"], list):
         raise ScenarioFormatError(f"{source}: likelihood: expected a list of rows")
-    rows: list[list[Probability]] = []
+    values: list[Probability] = []  # interned as ObservationModel holds them
+    index: dict[str, int] = {}  # each likelihood string so far -> its value's index
+
+    def intern(v: Any, where: str) -> int:
+        values.append(_parse_prob(v, where, parsed))
+        if type(v) is str:
+            index[v] = len(values) - 1
+        return len(values) - 1
+
+    cells: list[tuple[int, ...]] = []
     for i, row in enumerate(doc["likelihood"]):
         if not isinstance(row, list):
             raise ScenarioFormatError(f"{source}: likelihood[{i}]: expected a list")
         # a string parsed before is looked up here, without formatting its location
-        rows.append([
-            parsed[v] if type(v) is str and v in parsed
-            else _parse_prob(v, f"{source}: likelihood[{i}][{j}]", parsed)
+        cells.append(tuple([
+            index[v] if type(v) is str and v in index
+            else intern(v, f"{source}: likelihood[{i}][{j}]")
             for j, v in enumerate(row)
-        ])
+        ]))
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ScenarioFormatError(f"{source}: metadata: expected an object")
 
-    return Scenario(
-        name=doc["name"],
-        model_space=ModelSpace(prior=Distribution(model_labels, priors)),
-        observation_model=ObservationModel(
-            observation_labels=observations, model_labels=model_labels, likelihood=rows
-        ),
-        metadata=metadata,
-    )
+    ms = ModelSpace(prior=Distribution(model_labels, priors))
+    om = ObservationModel.__new__(ObservationModel)  # values validated as they were parsed
+    om._init(observations, model_labels, tuple(values), tuple(cells))
+    return Scenario(name=doc["name"], model_space=ms, observation_model=om, metadata=metadata)
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:

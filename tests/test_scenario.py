@@ -188,6 +188,49 @@ class TestScenarioType:
         assert probability_types(s) == [float, float, Fraction, Fraction]
 
 
+class TestInternedLikelihood:
+    """``values`` holds each distinct likelihood value once; ``cells`` each row as indices into it."""
+
+    def test_values_in_first_appearance_order_and_cells_are_indices(self):
+        half, quarter, three_quarters = Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)
+        om = ObservationModel(["x", "y"], ["M0", "M1"], [[quarter, half], [three_quarters, half]])
+        assert om.values == (quarter, half, three_quarters)
+        assert [type(p) for p in om.values] == [Fraction] * 3
+        assert om.values[0] is quarter and om.values[1] is half and om.values[2] is three_quarters
+        assert om.cells == ((0, 1), (2, 1))
+
+    def test_int_and_string_cells_become_one_fraction_each(self):
+        half = "1/2"
+        om = ObservationModel(["x", "y"], ["M0", "M1"], [[half, 1], [half, 0]])
+        assert om.values == (Fraction(1, 2), Fraction(1), Fraction(0))
+        assert [type(p) for p in om.values] == [Fraction] * 3
+        assert om.cells == ((0, 1), (0, 2))
+        assert om.likelihood[0][0] is om.likelihood[1][0]
+
+    def test_likelihood_gives_back_the_same_objects(self):
+        third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+        rows = [[third, two_thirds], [two_thirds, third]]
+        om = ObservationModel(["x", "y"], ["M0", "M1"], rows)
+        assert om.likelihood == ((third, two_thirds), (two_thirds, third))
+        assert all(p is q for row, given in zip(om.likelihood, rows) for p, q in zip(row, given))
+        assert ObservationModel(om.observation_labels, om.model_labels, om.likelihood).values == (
+            third, two_thirds
+        )
+
+    @pytest.mark.parametrize("game", [
+        MhpConfig(door_count=6), MhpConfig(door_count=6, host_policy=HostPolicy.FORGETFUL),
+        # the prior's 1/2 is a likelihood too; its 1/3 and 1/6 are the prior's alone
+        MhpConfig(prior=Distribution(door_labels(3), ["1/2", "1/3", "1/6"])),
+    ], ids=["standard", "forgetful", "biased"])
+    def test_a_parsed_model_equals_the_code_built_one(self, game):
+        built = mhp_scenario(game).observation_model
+        parsed = scenario_from_json_text(scenario_to_json_text(mhp_scenario(game)))
+        om = parsed.observation_model
+        assert om == built
+        assert (om.values, om.cells) == (built.values, built.cells)
+        assert set(om.values) == {p for row in built.likelihood for p in row}  # none prior-only
+
+
 class TestFileFormat:
     def test_roundtrip_exact(self, tmp_path, biased):
         path = tmp_path / "biased.json"
@@ -238,6 +281,20 @@ class TestFileFormat:
         with pytest.raises(ScenarioFormatError) as exc:
             scenario_from_json_text(text)
         assert "weight" in str(exc.value)
+
+    @pytest.mark.parametrize("models", [[], 5, {}, "A"], ids=["empty", "int", "object", "string"])
+    def test_models_must_be_a_non_empty_list(self, models):
+        text = json.dumps({"name": "x", "models": models, "observations": ["x"], "likelihood": [[1]]})
+        with pytest.raises(ScenarioFormatError) as exc:
+            scenario_from_json_text(text)
+        assert str(exc.value) == "<string>: models: expected a non-empty list"
+
+    @pytest.mark.parametrize("entry", [{"label": "A"}, {"prior": 1}, {}], ids=["label", "prior", "none"])
+    def test_a_model_needs_both_label_and_prior(self, entry):
+        text = json.dumps({"name": "x", "models": [entry], "observations": ["x"], "likelihood": [[1]]})
+        with pytest.raises(ScenarioFormatError) as exc:
+            scenario_from_json_text(text)
+        assert str(exc.value) == "<string>: models[0]: needs both 'label' and 'prior'"
 
     def test_missing_required_key(self):
         with pytest.raises(ScenarioFormatError) as exc:
