@@ -1,8 +1,8 @@
-"""Single-site mutation probe of the engine, reductions, core, oracle, check and input types.
+"""Single-site mutation probe of the engine, reductions, core, oracle, check, input types and report.
 
 Each mutant changes one operator or constant in one of ``engine``,
-``aggregates``, ``core``, ``oracle``, ``verify`` and ``scenario``, made
-with stdlib ``ast``:
+``aggregates``, ``core``, ``oracle``, ``verify``, ``scenario`` and
+``report``, made with stdlib ``ast``:
 
 * ``+`` and ``-`` swap, ``*`` and ``//`` swap, ``/`` becomes ``*``
   (augmented assignments too);
@@ -18,13 +18,14 @@ the working tree, and judged by the first of these that catches it:
 
 1. ``verify``: ``verify_scenario`` on the verify-table corpus and on the
    golden scenarios reports a deviation above its tolerance, or raises.
-   It does not judge a mutant of ``verify`` itself;
+   It does not judge a mutant of ``verify`` itself, nor one of ``report``,
+   whose code ``verify_scenario`` never runs;
 2. goldens: ``tests/test_golden.py --check`` fails;
 3. tier-1: ``pytest -x`` over ``tests/`` fails.
 
 A mutant that none of them catches survives. The probe prints one line
 per mutant that ``verify`` misses, with its judge, and a table of counts
-per module. ``--modules`` picks the modules to mutate (all six by
+per module. ``--modules`` picks the modules to mutate (all seven by
 default), and ``--json PATH`` also writes the counts per module and
 judge, and the site of each mutant that ``verify`` misses, to ``PATH``.
 A full run takes some minutes, and is not part of the test suite:
@@ -46,7 +47,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("engine", "aggregates", "core", "oracle", "verify", "scenario")
+MODULES = ("engine", "aggregates", "core", "oracle", "verify", "scenario", "report")
 COPIED = ("src", "tests", "scripts", "perfbench", "README.md", "pyproject.toml")
 JUDGES = ("verify", "goldens only", "tier-1 only")
 
@@ -145,10 +146,11 @@ def _exit_code(cwd: Path, argv: list[str], timeout: int) -> int:
 def judge(tree: Path, module: str | None = None) -> str | None:
     """The first judge that catches the code in ``tree``, in which ``module`` is mutated, or None.
 
-    ``verify`` does not judge its own mutants: the check would judge itself.
+    ``verify`` does not judge its own mutants, where the check would judge
+    itself, nor ``report``'s, whose code it never runs.
     """
     python = sys.executable
-    if module != "verify" and _exit_code(tree, [python, "-c", _VERIFY_JUDGE], 300) == 1:
+    if module not in ("verify", "report") and _exit_code(tree, [python, "-c", _VERIFY_JUDGE], 300) == 1:
         return JUDGES[0]
     if _exit_code(tree, [python, "tests/test_golden.py", "--check"], 300):
         return JUDGES[1]

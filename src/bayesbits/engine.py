@@ -286,24 +286,14 @@ class Marginal(NamedTuple):
 
         The ratio equals ``P(x | theta) / P(x)``: the model's numerator in
         the scaled row times the prior's denominator, over the joints'
-        total, with no Fraction division and no pair read. Its float depends
-        on the rational alone, so each distinct numerator takes one log.
+        total, with no Fraction division and no pair read.
         """
         _, scaled_prior, prior_infos = self.prior
         scale, total = scaled_prior[1], self.posterior_den
-        logs: dict[int, Bits] = {}  # a row numerator -> its log-odds update
-        row: list[Bits | None] = []
-        for lik, prior_i in zip(self.scaled_row[0], prior_infos):
-            if prior_i == math.inf:  # prior 0
-                row.append(None)
-            elif lik == 0:
-                row.append(-math.inf)
-            else:
-                bits = logs.get(lik)
-                if bits is None:
-                    logs[lik] = bits = _log2_quotient(lik * scale, total)
-                row.append(bits)
-        return row
+        return [None if prior_i == math.inf  # prior 0
+                else -math.inf if lik == 0
+                else _log2_quotient(lik * scale, total)
+                for lik, prior_i in zip(self.scaled_row[0], prior_infos)]
 
 
 def _marginal(pt: _PriorTerms, om: ObservationModel, i: int, infos, pairs) -> Marginal | None:
@@ -332,14 +322,13 @@ def transfer_report(ms: ModelSpace, om: ObservationModel, x: str) -> Marginal:
 
     The per-label functions (:func:`tic`, :func:`posterior_info`, ...)
     read their values from this record, and its ``entries`` are the
-    transfer report, one row per model; only the row's distinct values
-    take a log. Raises ``ImpossibleObservationError`` when ``P(x)`` is 0.
+    transfer report, one row per model. Raises
+    ``ImpossibleObservationError`` when ``P(x)`` is 0.
     """
     _check_pairing(ms, om)
-    i, values = om._x_index(x), om.values
-    infos = {k: _info(values[k]) for k in set(om.cells[i])}
-    pairs = {k: values[k].as_integer_ratio() for k in infos}
-    m = _marginal(_prior_terms(ms), om, i, infos, pairs)
+    values = om.values
+    infos, pairs = [_info(p) for p in values], [p.as_integer_ratio() for p in values]
+    m = _marginal(_prior_terms(ms), om, om._x_index(x), infos, pairs)
     if m is None:
         raise ImpossibleObservationError(
             f"observation {x!r} has zero evidence; cannot condition on it"

@@ -151,7 +151,9 @@ def _metrics(models: tuple[str, ...], prior_nums: list[int], row: _Row) -> Oracl
     evidence = Fraction(total, den)
     ev_num, ev_den = evidence.as_integer_ratio()
     floats = list(map(total.__rtruediv__, joints))  # int true division: float(posterior)
-    bits_of: dict[tuple[int, int], float] = {}  # a likelihood's pair -> its TIC
+    # a likelihood's pair -> its TIC: a fast path, kept by BENCH_4.json
+    # fast_paths["oracle_bits_of_cache"]
+    bits_of: dict[tuple[int, int], float] = {}
     tics: list[float | None] = []
     kl = 0.0
     for joint, post, prior_num, pair in zip(joints, floats, prior_nums, liks):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .core import probability_repr
 from .scenario import Scenario, _json_list
@@ -94,37 +94,14 @@ def _csv(v: Any) -> str:
     return _cell(v, "", repr)
 
 
-# --- report columns, each formatted with one call ----------------------------
-
-# CSV_HEADER indices of the report columns that hold a float in every row
-_FLOAT_COLUMNS = frozenset({2, 3, 4, 7, 8})
-
-# repr of an infinity, which JSON cannot carry -> what _json_text writes for
-# it; the float columns are information contents and probabilities, never -inf
-_JSON_NONFINITE = {"inf": '"Infinity"'}
+# --- report columns ----------------------------------------------------------
 
 
-def _column_texts(
-    report: Marginal, cell: Callable[[Any], str], floats: Callable[[Iterable[float]], list[str]]
-) -> list[list[str]]:
-    """The report's columns as text, in :data:`CSV_HEADER` order.
-
-    ``floats`` formats each all-float column whole, after ``x + 0.0``
-    turns ``-0.0`` into ``0.0`` as :func:`_cell` does; ``cell`` formats
-    the label, prior, TIC and sign columns value by value.
-    """
+def _column_texts(report: Marginal, cell: Callable[[Any], str]) -> list[list[str]]:
+    """The report's columns as text, in :data:`CSV_HEADER` order, each value formatted by ``cell``."""
     columns = list(report.columns)
     columns[6] = [None if sign is None else sign.value for sign in columns[6]]
-    return [
-        floats(map((0.0).__add__, column)) if i in _FLOAT_COLUMNS
-        else list(map(cell, column))
-        for i, column in enumerate(columns)
-    ]
-
-
-def _json_floats(column: Iterable[float]) -> list[str]:
-    texts = list(map(repr, column))
-    return list(map(_JSON_NONFINITE.get, texts, texts))
+    return [list(map(cell, column)) for column in columns]
 
 
 def _align_table(header: list[str], columns: list[list[str]], left: set[int]) -> str:
@@ -138,10 +115,7 @@ def _align_table(header: list[str], columns: list[list[str]], left: set[int]) ->
 
 def render_table(doc: ReportDocument, precision: int) -> str:
     report = doc.transfer
-    spec = f"{{:.{precision}f}}".format
-    columns = _column_texts(
-        report, lambda v: _text(v, precision), lambda column: list(map(spec, column))
-    )
+    columns = _column_texts(report, lambda v: _text(v, precision))
     lines = [
         f"scenario: {doc.scenario}",
         f"observation: {report.observation}",
@@ -158,10 +132,11 @@ def render_table(doc: ReportDocument, precision: int) -> str:
 
 def render_json(doc: ReportDocument) -> str:
     """``json.dumps`` of the report with ``indent=2``, laid out here as the scenario file is."""
+    # a fast path, kept by BENCH_4.json fast_paths["render_json_layout"]
     report = doc.transfer
     keyed = [
         list(map(f'"{key}": '.__add__, column))
-        for key, column in zip(CSV_HEADER, _column_texts(report, _json_text, _json_floats))
+        for key, column in zip(CSV_HEADER, _column_texts(report, _json_text))
     ]
     fields = [
         ("scenario", _json_text(doc.scenario)),
@@ -182,7 +157,7 @@ def render_csv(doc: ReportDocument) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(zip(*_column_texts(doc.transfer, _csv, lambda column: list(map(repr, column)))))
+    writer.writerows(zip(*_column_texts(doc.transfer, _csv)))
     return buffer.getvalue()
 
 

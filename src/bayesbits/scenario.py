@@ -402,6 +402,7 @@ def _metadata_json(metadata: dict[str, Any]) -> str:
     other metadata goes through ``json.dumps(indent=2)``, its text and
     errors unchanged.
     """
+    # a fast path, kept by BENCH_4.json fast_paths["metadata_flat_branch"]
     if all(type(key) is str and type(value) in _FLAT_TYPES for key, value in metadata.items()):
         return _json_list([
             encode_basestring_ascii(key) + ": "
@@ -419,7 +420,7 @@ def _check_text_fields(s: Scenario) -> None:
     The error names the field. One join and one encode check the lot.
     """
     ms, om = s.model_space, s.observation_model
-    try:
+    try:  # a fast path, kept by BENCH_4.json fast_paths["text_fields_join_first"]
         "".join([s.name, *ms.labels, *om.observation_labels]).encode("utf-8")
         return
     except (TypeError, UnicodeEncodeError):
@@ -448,6 +449,7 @@ def scenario_to_json_text(s: Scenario) -> str:
     name or label that a load would refuse raises :class:`ScenarioFormatError`.
     """
     _check_text_fields(s)
+    # a fast path, kept by BENCH_4.json fast_paths["writer_layout"]
     ms, om = s.model_space, s.observation_model
     probs = ms.prior.probs
     prior_texts = {key: _prob_json(p) for key, p in dict(zip(map(id, probs), probs)).items()}

@@ -41,13 +41,15 @@ def test_probe_refuses_an_unknown_module(capsys):
     assert "argument --modules: invalid choice: 'cli'" in err
 
 
-@pytest.mark.parametrize("module, caught", [("oracle", "verify"), ("verify", "goldens only")])
+@pytest.mark.parametrize(
+    "module, caught", [("oracle", "verify"), ("verify", "goldens only"), ("report", "goldens only")]
+)
 def test_probe_judges_a_verify_mutant_by_goldens_and_tier1_only(monkeypatch, tmp_path, module, caught):
     # every judge flags the code: a mutant of verify skips the verify judge
     runs = []
     monkeypatch.setattr(mutation_probe, "_exit_code", lambda cwd, argv, timeout: runs.append(argv) or 1)
     assert mutation_probe.judge(tmp_path, module) == caught
-    assert (runs[0][1] == "-c") == (module != "verify")
+    assert (runs[0][1] == "-c") == (module not in ("verify", "report"))
 
 
 def test_probe_takes_verify_as_a_module(monkeypatch, capsys):

@@ -447,25 +447,6 @@ def test_loading_reads_a_pair_per_value_not_per_cell(monkeypatch, tmp_path):
     assert loaded == Scenario(game.name, game.model_space, game.observation_model, game.metadata)
 
 
-def test_transfer_report_takes_infos_of_its_own_row_only(monkeypatch):
-    # 64 cells, each its own value: one observation's report takes the logs
-    # of its prior (8) and of its row's values (8), not of the whole matrix
-    rng = random.Random(64)
-    labels = [f"M{j}" for j in range(8)]
-    columns = []
-    for _ in range(8):
-        weights = [rng.randint(1, 9) for _ in range(8)]
-        columns.append([Fraction(w, sum(weights)) for w in weights])
-    om = ObservationModel([f"x{i}" for i in range(8)], labels,
-                          [[column[i] for column in columns] for i in range(8)])
-    ms = ModelSpace(Distribution(labels, [Fraction(1, 8)] * 8))
-    assert len(om.values) == 64 and len(set(om.cells[3])) == 8
-    infos = call_counter(monkeypatch, engine, "_info")
-    u = transfer_report(ms, om, "x3")
-    assert infos[0] == 8 + 8
-    assert u == list(marginals(ms, om))[3]
-
-
 def test_model_validates_each_distinct_value_once(monkeypatch):
     # the game's 480 likelihood cells hold two value objects, 0 and 1/15
     om = mhp_scenario(MhpConfig(door_count=16, host_policy=HostPolicy.FORGETFUL)).observation_model
