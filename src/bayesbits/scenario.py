@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import stat
 from fractions import Fraction
@@ -98,7 +99,7 @@ class ObservationModel(Record):
 
     def _init(self, observation_labels: Sequence[str], model_labels: Sequence[str],
               values: tuple[Probability, ...], cells: tuple[tuple[int, ...], ...]) -> None:
-        """Set and check the fields; the parser, which validates ``values``, calls it too."""
+        """Set and check the fields; the parser and the generators, which intern, call it too."""
         self._set(
             observation_labels=tuple(observation_labels),
             model_labels=tuple(model_labels),
@@ -113,7 +114,9 @@ class ObservationModel(Record):
         return tuple([tuple(map(values.__getitem__, row)) for row in self.cells])
 
     def _check(self) -> None:
-        """Shape and column sums, each summed exactly from one integer pair per distinct value."""
+        """Shape, then each column's exact sum over the lcm of its own denominators,
+        one scaled numerator per distinct value; a column whose sum is not exactly 1
+        goes to ``_sum_unless_one``, for the float tolerance and the error text."""
         if not self.observation_labels or not self.model_labels:
             raise InvariantViolation("observation model needs >= 1 observation and >= 1 model")
         if len(set(self.observation_labels)) != len(self.observation_labels):
@@ -131,10 +134,15 @@ class ObservationModel(Record):
                     f"likelihood row {x!r} has {len(row)} entries for "
                     f"{len(self.model_labels)} models"
                 )
-        pairs = [p.as_integer_ratio() for p in self.values]
+        values, pairs = self.values, [p.as_integer_ratio() for p in self.values]
         for theta, column in zip(self.model_labels, zip(*self.cells)):
-            column_values = map(self.values.__getitem__, column)  # read if the sum is not 1
-            total = _sum_unless_one(list(map(pairs.__getitem__, column)), column_values)
+            present = set(column)
+            den = math.lcm(*{pairs[k][1] for k in present})
+            weight = {k: pairs[k][0] * (den // pairs[k][1]) for k in present}
+            if sum(map(weight.__getitem__, column)) == den:
+                continue
+            total = _sum_unless_one(list(map(pairs.__getitem__, column)),
+                                    map(values.__getitem__, column))
             if total is not None:
                 raise InvariantViolation(
                     f"likelihood column for model {theta!r} sums to {total}, expected 1"
@@ -253,38 +261,58 @@ class MhpConfig(Record):
         )
 
 
-def _standard_likelihood(doors: tuple[str, ...], pick: str) -> tuple[list[str], list[list[Probability]]]:
-    n = len(doors)
-    observations = [f"Monty_{d}" for d in doors if d != pick]
-    zero = Fraction(0)
-    # car behind the pick: host picks uniformly among the other doors
-    picked = Fraction(1, n - 1)
-    # car elsewhere: host avoids both the pick and the car
-    elsewhere = Fraction(1, n - 2)
-    rows: list[list[Probability]] = []
-    for d in doors:
-        if d == pick:
-            continue
-        rows.append([
-            zero if theta == d else picked if theta == pick else elsewhere for theta in doors
-        ])
-    return observations, rows
+# A game's likelihood, interned as ObservationModel holds it: its observations,
+# its values in row-major order of first appearance, and its rows of indices.
+_Likelihood = tuple[list[str], tuple[Fraction, ...], tuple[tuple[int, ...], ...]]
 
 
-def _forgetful_likelihood(doors: tuple[str, ...], pick: str) -> tuple[list[str], list[list[Probability]]]:
+def _first_appearance(
+    kinds: tuple[Fraction, ...], first_row: tuple[int, ...]
+) -> tuple[tuple[Fraction, ...], list[int]]:
+    """``kinds`` in their order of first appearance in ``first_row``, a row of
+    kind numbers that holds every kind, and each kind's index in that order."""
+    order = list(dict.fromkeys(first_row))
+    return tuple([kinds[k] for k in order]), [order.index(k) for k in range(len(kinds))]
+
+
+def _standard_likelihood(doors: tuple[str, ...], pick: str) -> _Likelihood:
+    n, p = len(doors), doors.index(pick)
+    opened = [i for i in range(n) if i != p]
+
+    def row(door: int, zero: int, picked: int, elsewhere: int) -> tuple[int, ...]:
+        cells = [elsewhere] * n
+        cells[p] = picked
+        cells[door] = zero
+        return tuple(cells)
+
+    # the car is behind the opened door: 0; behind the pick: the host picks
+    # uniformly among the other doors; elsewhere: the host avoids both
+    values, kind = _first_appearance(
+        (Fraction(0), Fraction(1, n - 1), Fraction(1, n - 2)), row(opened[0], 0, 1, 2)
+    )
+    return [f"Monty_{doors[d]}" for d in opened], values, tuple([row(d, *kind) for d in opened])
+
+
+def _forgetful_likelihood(doors: tuple[str, ...], pick: str) -> _Likelihood:
     # The host opens any non-picked door uniformly, so revealing the car
     # is a real outcome; listing those outcomes keeps every likelihood
     # column a full distribution. Conditioning on "a goat was revealed"
     # happens by querying the goat observation.
-    opened = [d for d in doors if d != pick]
-    observations = [f"Monty_{d}" for d in opened] + [f"Monty_{d}_car" for d in opened]
-    zero, one_of = Fraction(0), Fraction(1, len(opened))
-    rows: list[list[Probability]] = []
-    for d in opened:
-        rows.append([zero if theta == d else one_of for theta in doors])
-    for d in opened:
-        rows.append([one_of if theta == d else zero for theta in doors])
-    return observations, rows
+    n, p = len(doors), doors.index(pick)
+    opened = [i for i in range(n) if i != p]
+
+    def row(door: int, fill: int, mark: int) -> tuple[int, ...]:
+        cells = [fill] * n
+        cells[door] = mark
+        return tuple(cells)
+
+    values, (zero, one_of) = _first_appearance(
+        (Fraction(0), Fraction(1, n - 1)), row(opened[0], 1, 0)
+    )
+    goats = [row(d, one_of, zero) for d in opened]
+    cars = [row(d, zero, one_of) for d in opened]
+    observations = [f"Monty_{doors[d]}" for d in opened] + [f"Monty_{doors[d]}_car" for d in opened]
+    return observations, values, tuple(goats + cars)
 
 
 def mhp_scenario(cfg: MhpConfig, name: str | None = None) -> Scenario:
@@ -295,9 +323,11 @@ def mhp_scenario(cfg: MhpConfig, name: str | None = None) -> Scenario:
     """
     doors = door_labels(cfg.door_count)
     if cfg.host_policy is HostPolicy.STANDARD:
-        observations, rows = _standard_likelihood(doors, cfg.contestant_pick)
+        observations, values, cells = _standard_likelihood(doors, cfg.contestant_pick)
     else:
-        observations, rows = _forgetful_likelihood(doors, cfg.contestant_pick)
+        observations, values, cells = _forgetful_likelihood(doors, cfg.contestant_pick)
+    om = ObservationModel.__new__(ObservationModel)  # interned already: no id dedupe
+    om._init(observations, doors, values, cells)
     if name is None:
         name = (
             f"{cfg.door_count}-door Monty Hall "
@@ -306,9 +336,7 @@ def mhp_scenario(cfg: MhpConfig, name: str | None = None) -> Scenario:
     return Scenario(
         name=name,
         model_space=ModelSpace(prior=cfg.prior),
-        observation_model=ObservationModel(
-            observation_labels=observations, model_labels=doors, likelihood=rows
-        ),
+        observation_model=om,
         metadata={
             "door_count": cfg.door_count,
             "contestant_pick": cfg.contestant_pick,

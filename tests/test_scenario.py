@@ -1,5 +1,6 @@
 """Monty Hall generators and the scenario file format."""
 
+import hashlib
 import json
 import os
 import random
@@ -35,6 +36,7 @@ from bayesbits.scenario import (
     scenario_from_json_text,
     scenario_to_json_text,
 )
+from bayesbits import scenario as scenario_module
 from bayesbits.scenario import MAX_DOORS
 from helpers import likelihood, probability_types
 
@@ -229,6 +231,122 @@ class TestInternedLikelihood:
         assert om == built
         assert (om.values, om.cells) == (built.values, built.cells)
         assert set(om.values) == {p for row in built.likelihood for p in row}  # none prior-only
+
+
+def per_cell_game(doors: int, pick: str, policy: HostPolicy):
+    """The observations and rows of a Monty Hall game, written one cell at a time from
+    one object per distinct value: the reference the interned generators must equal."""
+    labels = door_labels(doors)
+    opened = [d for d in labels if d != pick]
+    zero, one_of = Fraction(0), Fraction(1, doors - 1)
+    if policy is HostPolicy.STANDARD:
+        elsewhere = Fraction(1, doors - 2)
+        rows = [[zero if t == d else one_of if t == pick else elsewhere for t in labels]
+                for d in opened]
+        return [f"Monty_{d}" for d in opened], rows
+    rows = [[zero if t == d else one_of for t in labels] for d in opened]
+    rows += [[one_of if t == d else zero for t in labels] for d in opened]
+    return [f"Monty_{d}" for d in opened] + [f"Monty_{d}_car" for d in opened], rows
+
+
+@pytest.fixture
+def slow_sums(monkeypatch):
+    """The arguments of each call the column check makes to ``_sum_unless_one``."""
+    calls = []
+    sum_unless_one = scenario_module._sum_unless_one
+    monkeypatch.setattr(scenario_module, "_sum_unless_one",
+                        lambda *args: calls.append(args) or sum_unless_one(*args))
+    return calls
+
+
+def every_game(sizes):
+    return [MhpConfig(door_count=n, contestant_pick=pick, host_policy=policy)
+            for n in sizes for policy in HostPolicy for pick in door_labels(n)]
+
+
+class TestInternedGenerators:
+    """The generators build ``values`` and ``cells`` directly, as a code-built model holds them."""
+
+    def test_equal_to_the_per_cell_model_field_by_field(self):
+        digest = hashlib.sha256()
+        for game in every_game(range(3, 25)):
+            generated = mhp_scenario(game)
+            observations, rows = per_cell_game(game.door_count, game.contestant_pick,
+                                               game.host_policy)
+            om = ObservationModel(observations, door_labels(game.door_count), rows)
+            built = Scenario(generated.name, generated.model_space, om, generated.metadata)
+            got = generated.observation_model
+            assert got == om
+            assert (got.values, got.cells) == (om.values, om.cells)
+            assert [type(p) for p in got.values] == [Fraction] * len(om.values)
+            text = scenario_to_json_text(generated)
+            assert text == scenario_to_json_text(built)
+            digest.update(text.encode())
+        # the bytes the per-cell generators wrote for N 3 to 24, both hosts, every pick
+        assert digest.hexdigest() == (
+            "cccf132acc11d6078b87b8d49c0d590aa3c9ed52cd023509a9639e4d17097d06"
+        )
+
+    def test_no_id_dedupe_and_no_slow_column_sum(self, monkeypatch, slow_sums):
+        def refuse(*args):
+            raise AssertionError("ObservationModel.__init__ called")
+
+        monkeypatch.setattr(ObservationModel, "__init__", refuse)
+        for game in every_game([3, 4, 5, 7, 12, 40]):
+            scenario_from_json_text(scenario_to_json_text(mhp_scenario(game)))
+        assert slow_sums == []
+
+
+def column_check_error(rows: list[list], parsed: bool) -> str | None:
+    """The column check's message on ``rows`` (models M0, M1, ...), from a parsed
+    document or from a code-built model; None when the columns pass."""
+    observations = [f"x{i}" for i in range(len(rows))]
+    models = [f"M{j}" for j in range(len(rows[0]))]
+    try:
+        if parsed:
+            scenario_from_json_text(json.dumps({
+                "name": "t",
+                "models": [{"label": m, "prior": 1 if j == 0 else 0} for j, m in enumerate(models)],
+                "observations": observations,
+                "likelihood": rows,
+            }))
+        else:
+            ObservationModel(observations, models, rows)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+class TestColumnCheckMessages:
+    """Each column-check outcome keeps its text, on a parsed file and on a code-built model."""
+
+    @pytest.mark.parametrize("parsed", [True, False], ids=["parsed", "code-built"])
+    @pytest.mark.parametrize("rows, expected", [
+        ([["1/2"], ["1/3"], ["1/5"]], "likelihood column for model 'M0' sums to 31/30, expected 1"),
+        ([[0.5], [0.6]], "likelihood column for model 'M0' sums to 1.1, expected 1"),
+        # 1 - 2**-55 and 1 + 2**-54 exactly: within FLOAT_SUM_TOL, so they pass
+        ([[0.1], [0.2], [0.7]], None),
+        ([[0.1]] * 10, None),
+        # an exact value beside a float: the float tolerance applies
+        ([["1/3"], [0.6666666666666666]], None),
+        ([["1/2", "1/2", "1/2"], ["1/2", "1/3", "0"], ["0", "1/5", "0"]],
+         "likelihood column for model 'M1' sums to 31/30, expected 1"),
+        ([["1/2", "1/2", "1/2"], ["1/2", "1/2", "0"], ["0", "1/2", "0"]],
+         "likelihood column for model 'M1' sums to 3/2, expected 1"),
+        ([[f"1/{3**4000}"], [f"{7**4000 - 1}/{7**4000}"]],
+         "likelihood column for model 'M0' sums to 1.0 (rounded), expected 1"),
+    ], ids=["exact", "float-beyond", "float-below", "float-above", "mixed", "first-named",
+            "first-of-two", "rounded"])
+    def test_message(self, rows, expected, parsed):
+        assert column_check_error(rows, parsed) == expected
+
+    def test_exact_sums_of_one_skip_the_slow_sum(self, slow_sums):
+        rows = [["1/2", "1/7", 0.5], ["1/3", "6/7", 0.25], ["1/6", "0", 0.25]]
+        for parsed in (True, False):
+            assert column_check_error(rows, parsed) is None
+        assert slow_sums == []
+        assert column_check_error([[0.1], [0.2], [0.7]], parsed=False) is None
+        assert len(slow_sums) == 1
 
 
 class TestFileFormat:

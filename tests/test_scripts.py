@@ -1,10 +1,13 @@
 """The scripts refuse arguments they cannot use with argparse's usage error, exit 2."""
 
+import json
+
 import pytest
 
 import monty_hall_report
 import mutation_probe
 import random_agreement_sweep
+import scale_probe
 
 
 @pytest.mark.parametrize("precision", ["-1", "18"])
@@ -59,3 +62,30 @@ def test_probe_takes_verify_as_a_module(monkeypatch, capsys):
     assert mutation_probe.main(["--modules", "verify"]) == 1
     assert judged == [None]
     assert "the unmutated copy fails a judge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--doors", "2"], ["--doors", "1001"], ["--repeat", "0"]])
+def test_scale_probe_refuses_sizes_it_cannot_run(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        scale_probe.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}: must be" in capsys.readouterr().err
+
+
+def test_scale_probe_writes_every_figure(tmp_path, capsys):
+    path = tmp_path / "scale.json"
+    assert scale_probe.main(["--doors", "3", "4", "--repeat", "1", "--json", str(path)]) == 0
+    doc = json.loads(path.read_text("utf-8"))
+    assert set(doc) == {"probe", "repeat", "interpreter", "host", "machine_settings", "games"}
+    assert doc["machine_settings"].startswith("unchanged")
+    assert set(doc["host"]) == {"platform", "nproc"}
+    assert [(g["policy"], g["doors"], g["cells"]) for g in doc["games"]] == [
+        ("standard", 3, 6), ("standard", 4, 12), ("forgetful", 3, 12), ("forgetful", 4, 24)
+    ]
+    for game in doc["games"]:
+        assert game["file_bytes"] > 0
+        assert list(game["commands"]) == ["mhp", "solve", "mi", "verify"]
+        for figures in game["commands"].values():
+            assert set(figures) == {"best_s", "peak_rss_mib"}
+            assert figures["best_s"] > 0 and figures["peak_rss_mib"] > 1
+    assert capsys.readouterr().out.count("\n") == 2 + len(doc["games"])
