@@ -29,19 +29,13 @@ import time
 from pathlib import Path
 
 from bayesbits.scenario import MAX_DOORS
+from random_agreement_sweep import positive_int
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (40, 80, 160, 320, 640, 1000)
 POLICIES = ("standard", "forgetful")
 COMMANDS = ("mhp", "solve", "mi", "verify")
 MACHINE_SETTINGS = "unchanged: no cache dropped, no CPU governor set, no process pinned"
-
-
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
 
 
 def _door_count(text: str) -> int:
@@ -90,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--doors", nargs="+", type=_door_count, default=list(SIZES),
                         help="door counts N of the custom-N games (default: %(default)s)")
-    parser.add_argument("--repeat", type=_at_least_one, default=3,
+    parser.add_argument("--repeat", type=positive_int, default=3,
                         help="runs of each command, of which the best is kept (default: 3)")
     parser.add_argument("--json", metavar="PATH", type=Path,
                         help="also write every figure, the interpreter and the host here")
